@@ -287,20 +287,31 @@ class BucketScheme:
             return [int(k) for k in idx]
         if v.size and np.any(v < 0.0):
             raise InvalidArgument("geometric scheme covers [0, inf) only")
-        out = []
-        ln_ratio = math.log(self.ratio_or_width)
-        for x in v:
-            if x == 0.0:
-                out.append(None)
-                continue
-            k = math.floor(math.log(x) / ln_ratio)
-            # float boundary correction so [l, r) is exact
-            while self.ratio_or_width ** (k + 1) <= x:
-                k += 1
-            while self.ratio_or_width ** k > x:
-                k -= 1
-            out.append(k)
-        return out
+        pos = np.flatnonzero(v > 0.0)
+        x = v[pos]
+        k = np.floor(np.log(x) / math.log(self.ratio_or_width)).astype(np.int64)
+        # float boundary correction so [l, r) is exact against the edges
+        # bounds() reports; only the entries still moving are re-tested
+        moving = np.arange(x.size)
+        while moving.size:
+            moving = moving[x[moving] >= self._edges(k[moving] + 1)]
+            k[moving] += 1
+        moving = np.arange(x.size)
+        while moving.size:
+            moving = moving[x[moving] < self._edges(k[moving])]
+            k[moving] -= 1
+        out = np.full(v.size, None, dtype=object)
+        out[pos] = k  # the object cast makes Python ints
+        return out.tolist()
+
+    def _edges(self, keys):
+        """Geometric edges ratio**key with the same Python power as bounds()
+        (NumPy's array power rounds differently and would move values that
+        sit on an edge), computed once per key in the span of ``keys``,
+        which float64 bounds to a few thousand."""
+        low = int(keys.min())
+        table = np.array([self.ratio_or_width ** key for key in range(low, int(keys.max()) + 1)])
+        return table[keys - low]
 
     def bounds(self, key):
         if self.kind == "linear":

@@ -43,14 +43,6 @@ class EigenvalueEstimate:
     subsample_size: int
 
 
-def bucket_of(v):
-    """Half-open geometric bucket containing v >= 0; v = 0 maps to [0, 0]."""
-    if not (isinstance(v, (int, float, np.floating)) and math.isfinite(v)) or v < 0.0:
-        raise InvalidArgument(f"bucket_of needs a finite value >= 0, got {v!r}")
-    key = _SCHEME.keys([float(v)])[0]
-    return _SCHEME.bounds(key)
-
-
 def subsample_count(d, budget: PrivacyBudget, beta):
     """Number of subsamples t: enough for the per-index histograms to
     release reliably at their budget share."""

@@ -32,10 +32,3 @@ class InsufficientSamples(PrivGaussError):
 class BottomReleased(PrivGaussError):
     """A DP histogram released no bucket (the mechanism's bottom symbol)."""
 
-
-class ConvergenceFailure(PrivGaussError):
-    """An iterative numerical routine hit its hard iteration cap."""
-
-
-class ConfigError(PrivGaussError):
-    """An experiment configuration file is malformed or inconsistent."""

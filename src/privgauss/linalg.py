@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
-Everything here is deterministic and privacy-free: eigendecomposition via
-cyclic Jacobi rotations, spectral projectors, the PSD-cone projection, and
+Everything here is deterministic and privacy-free: LAPACK eigendecomposition
+(``numpy.linalg.eigh``), spectral projectors, the PSD-cone projection, and
 the whitened (relative) error norms used to score estimates.  Matrices are
 plain float64 ``numpy`` arrays; construction helpers symmetrize and validate.
 """
@@ -12,12 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateSpectrum, InvalidArgument, InvalidMatrix, RangeMismatch
+from .errors import DegenerateSpectrum, InvalidArgument, InvalidMatrix, RangeMismatch
 
 MAX_DIM = 256
-
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_REL_TOL = 1e-12
 
 # Relative eigenvalue cutoff below which a direction counts as null space.
 NULL_SPACE_CUTOFF = 1e-12
@@ -68,118 +65,27 @@ class Projector:
     matrix: np.ndarray
     rank: int
 
-    def complement(self):
-        d = self.matrix.shape[0]
-        return Projector(np.eye(d) - self.matrix, d - self.rank)
-
-
-def _jacobi_sweeps(a, v, tol, sweep_cap):
-    """Run cyclic Jacobi sweeps on a (b, d, d) stack until off-diagonal
-    Frobenius mass drops below the per-matrix tolerance.
-
-    The same (p, q) rotation schedule is applied to every matrix in the
-    batch with per-matrix angles, so the whole batch vectorizes; converged
-    matrices are dropped from the working set between sweeps.
-    """
-    b, d, _ = a.shape
-    iu, ju = np.triu_indices(d, k=1)
-    active = np.arange(b)
-
-    for _ in range(sweep_cap):
-        upper = a[active][:, iu, ju]
-        off = np.sqrt(2.0 * np.einsum("bk,bk->b", upper, upper))
-        keep = off > tol[active]
-        active = active[keep]
-        if active.size == 0:
-            return
-        w = a[active]
-        wv = v[active] if v is not None else None
-        nb = active.size
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = w[:, p, q]
-                live = np.abs(apq) > 1e-300
-                if not np.any(live):
-                    continue
-                theta = np.zeros(nb)
-                np.divide(w[:, q, q] - w[:, p, p], 2.0 * apq, out=theta, where=live)
-                # t = sign(theta) / (|theta| + sqrt(theta^2 + 1)), guarded
-                # against theta^2 overflow for near-diagonal pairs.
-                abs_theta = np.abs(theta)
-                big = abs_theta > 1e150
-                theta_safe = np.where(big, 1.0, theta)
-                t = np.where(
-                    big,
-                    np.divide(0.5, theta, out=np.zeros(nb), where=big),
-                    np.sign(theta_safe) / (np.abs(theta_safe) + np.sqrt(theta_safe * theta_safe + 1.0)),
-                )
-                t = np.where(theta == 0.0, 1.0, t)
-                t = np.where(live, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                rp = w[:, p, :].copy()
-                rq = w[:, q, :].copy()
-                w[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                w[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = w[:, :, p].copy()
-                cq = w[:, :, q].copy()
-                w[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                w[:, :, q] = s[:, None] * cp + c[:, None] * cq
-                w[:, p, q] = 0.0
-                w[:, q, p] = 0.0
-
-                if wv is not None:
-                    vp = wv[:, :, p].copy()
-                    vq = wv[:, :, q].copy()
-                    wv[:, :, p] = c[:, None] * vp - s[:, None] * vq
-                    wv[:, :, q] = s[:, None] * vp + c[:, None] * vq
-        a[active] = w
-        if v is not None:
-            v[active] = wv
-    upper = a[active][:, iu, ju]
-    off = np.sqrt(2.0 * np.einsum("bk,bk->b", upper, upper))
-    if np.any(off > tol[active]):
-        raise ConvergenceFailure(
-            f"Jacobi eigensolver did not converge within {sweep_cap} sweeps"
-        )
-
-
-def _jacobi_batch(mats, sweep_cap=_JACOBI_SWEEP_CAP, vectors=True):
-    a = np.array(mats, dtype=np.float64)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise InvalidMatrix(f"expected a (b, d, d) stack, got shape {a.shape}")
-    b, d, _ = a.shape
-    v = np.broadcast_to(np.eye(d), (b, d, d)).copy() if vectors else None
-    if d == 1 or b == 0:
-        return np.einsum("bii->bi", a).copy(), v
-
-    fro = np.sqrt(np.einsum("bij,bij->b", a, a))
-    tol = _JACOBI_REL_TOL * np.maximum(fro, np.finfo(np.float64).tiny)
-    _jacobi_sweeps(a, v, tol, sweep_cap)
-    diag = np.einsum("bii->bi", a).copy()
-    return diag, v
-
 
 def sym_eig_batch(mats, vectors=True):
-    """Eigendecompose a stack of symmetric matrices.
+    """Eigendecompose a stack of symmetric matrices with LAPACK.
 
     Returns (values, vectors) with values sorted non-increasing per matrix
-    (stable tie-break by pre-sort position) and vectors as aligned columns;
-    pass ``vectors=False`` to skip rotation accumulation (vectors is None).
+    and vectors as aligned columns; pass ``vectors=False`` to compute the
+    values only (vectors is None).
     """
-    diag, v = _jacobi_batch(np.asarray(mats, dtype=np.float64), vectors=vectors)
-    order = np.argsort(-diag, axis=1, kind="stable")
-    vals = np.take_along_axis(diag, order, axis=1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=2) if v is not None else None
-    return vals, vecs
+    a = np.asarray(mats, dtype=np.float64)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise InvalidMatrix(f"expected a (b, d, d) stack, got shape {a.shape}")
+    if not vectors:
+        return np.linalg.eigvalsh(a)[:, ::-1], None
+    vals, vecs = np.linalg.eigh(a)
+    return vals[:, ::-1], vecs[:, :, ::-1]
 
 
 def sym_eig(m) -> Spectrum:
     """Full eigendecomposition of one symmetric matrix.
 
-    Eigenvalues may be negative; sorting is non-increasing with stable
-    tie-breaking so repeated runs agree exactly.
+    Eigenvalues may be negative and are sorted non-increasing.
     """
     a = as_sym_matrix(m)
     vals, vecs = sym_eig_batch(a[None, :, :])
@@ -267,36 +173,6 @@ def top_k_projector(spectrum: Spectrum, k) -> Projector:
     if not 0 <= k <= d:
         raise InvalidArgument(f"k={k} out of range [0, {d}]")
     return projector_from_columns(spectrum.eigenvectors[:, :k])
-
-
-def condition_ratio(m, i, j):
-    """lambda_i / lambda_j of a symmetric matrix (1-based eigenvalue indices)."""
-    spec = sym_eig(m)
-    d = spec.dim
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise InvalidArgument(f"indices ({i}, {j}) out of range [1, {d}]")
-    denom = spec.eigenvalues[j - 1]
-    if denom <= 0.0:
-        raise DegenerateSpectrum(f"lambda_{j} = {denom} is not positive")
-    return float(spec.eigenvalues[i - 1] / denom)
-
-
-def weyl_interval(n, r, i):
-    """Interval [lambda_i(N) + lambda_d(R), lambda_i(N) + lambda_1(R)].
-
-    By Weyl's inequality the i-th eigenvalue of N + R always lies inside;
-    used as a deterministic test oracle for perturbation claims.
-    """
-    a = as_sym_matrix(n)
-    b = as_sym_matrix(r)
-    if a.shape != b.shape:
-        raise InvalidArgument(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    if not 1 <= i <= d:
-        raise InvalidArgument(f"index {i} out of range [1, {d}]")
-    lam_n = sym_eig(a).eigenvalues
-    lam_r = sym_eig(b).eigenvalues
-    return float(lam_n[i - 1] + lam_r[-1]), float(lam_n[i - 1] + lam_r[0])
 
 
 def spd_inverse(m):

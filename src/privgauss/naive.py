@@ -111,16 +111,3 @@ def naive_estimate(
         )
     return linalg.psd_project(moment + noise)
 
-
-def eigenvalue_band_check(m, truth_spectrum: linalg.Spectrum, k):
-    """True iff the top-k eigenvalues of ``m`` are within a factor 2 of the
-    truth's (a deterministic test oracle, not a DP release)."""
-    d = truth_spectrum.dim
-    if not 0 <= k <= d:
-        raise InvalidArgument(f"k={k} out of range [0, {d}]")
-    vals = linalg.sym_eig(m).eigenvalues
-    truth = truth_spectrum.eigenvalues
-    for i in range(k):
-        if not (truth[i] / 2.0 <= vals[i] <= 2.0 * truth[i]):
-            return False
-    return True

@@ -19,7 +19,6 @@ the spectrum of A Sigma A^T exactly.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +45,7 @@ INITIAL_CALLS = 2
 @dataclass(frozen=True)
 class PreconditionStep:
     iteration: int
-    kind: str  # "coarse" | "fine" | "skip"
-    k: int
+    kind: str  # "coarse" | "fine" | "coarse+fine" | "skip"
     ratios: dict
     epsilon_spent: float
     delta_spent: float
@@ -56,7 +54,6 @@ class PreconditionStep:
         return {
             "iteration": self.iteration,
             "kind": self.kind,
-            "k": self.k,
             "ratios": dict(self.ratios),
             "epsilon_spent": self.epsilon_spent,
             "delta_spent": self.delta_spent,
@@ -112,10 +109,7 @@ def coarse_precondition(
     if projector_override is not None:
         proj = projector_override
     else:
-        psi = coarse_psi()
-        psi = max(psi, subspace.feasible_psi(n, d, k, budget, beta))
-        if psi >= 1.0:
-            psi = 0.999
+        psi = max(coarse_psi(), subspace.feasible_psi(n, d, k, budget, beta))
         proj = subspace.recover_subspace(
             x, k, gamma_hat, psi, budget, beta, rng.child("subspace"), accountant=accountant, label=label
         )
@@ -178,8 +172,7 @@ def min_samples(d, budget, beta):
     beta_i = beta / d
     needs = [eig_mod.min_samples(d, per_call, beta_i), 2 * d]
     for k in range(1, d):
-        t = subspace.subsample_count(d, k, per_call, beta_i)
-        needs.append(t * subspace.MIN_ROWS_PER_DIM * d)
+        needs.append(subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i))
     return max(needs)
 
 
@@ -241,7 +234,6 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
         ratio_cumul = lam_hat[i] / lam_hat[0]
         ratios = {"consecutive": ratio_consec, "cumulative": ratio_cumul}
         kind = "skip"
-        k = i
 
         if ratio_consec < 4.0 * TAU_SQ:
             kind = "coarse"
@@ -334,7 +326,6 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
             PreconditionStep(
                 iteration=i,
                 kind=kind,
-                k=k,
                 ratios=ratios,
                 epsilon_spent=eps_spent,
                 delta_spent=delta_spent,

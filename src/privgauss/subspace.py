@@ -8,8 +8,7 @@ subspace of the noisy sums is returned.
 
 Requires lambda_{k+1} / lambda_k < gamma^2 (the caller's promise); under
 the sample bound the output projector is within psi * gamma of the truth
-in spectral norm with constant probability, boosted by majority vote over
-disjoint splits.
+in spectral norm with constant probability.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ TRUNC_SCALE = 4.0
 M_MIN_SCALE = 32.0
 # Rows per subsample never drop below this many times d.
 MIN_ROWS_PER_DIM = 4
-# Majority-vote boosting over disjoint splits.
-BOOST_RUNS = 5
-BOOST_TOL_FACTOR = 0.5  # tolerance = factor * psi * gamma
+# Largest accuracy parameter the layout accepts (psi must stay below 1).
+MAX_PSI = 0.999
 
 
 @dataclass(frozen=True)
@@ -90,29 +88,41 @@ def subsample_count(d, k, budget: PrivacyBudget, beta):
     return max(t_accuracy, t_release, 2 * k + 2, 8)
 
 
-def min_subsample_rows(d, k, psi, t):
+def _psi_floor(m, d, k, t):
+    """Smallest psi that t subsamples of m rows support."""
     q = REFS_PER_RANK * k
-    variance = M_MIN_SCALE * d * math.log(math.e * d * k) / (psi * psi * t * q)
-    return max(MIN_ROWS_PER_DIM * d, int(math.ceil(variance)))
+    return math.sqrt(M_MIN_SCALE * d * math.log(math.e * d * k) / (m * t * q))
+
+
+def _fits(m, d, k, psi, t):
+    """The one layout predicate behind n_min, feasible_psi and subspace_params,
+    so their answers never contradict each other in floating point."""
+    return m >= MIN_ROWS_PER_DIM * d and psi >= _psi_floor(m, d, k, t)
 
 
 def n_min(d, k, psi, budget, beta):
     """Smallest n recover_subspace accepts at the requested accuracy."""
     t = subsample_count(d, k, budget, beta)
-    return t * min_subsample_rows(d, k, psi, t)
+    # _psi_floor falls as 1/sqrt(m); in floats this closed form can miss the
+    # predicate by a row either way
+    m = max(MIN_ROWS_PER_DIM * d, math.ceil((_psi_floor(1, d, k, t) / psi) ** 2))
+    while not _fits(m, d, k, psi, t):
+        m += 1
+    while m > MIN_ROWS_PER_DIM * d and _fits(m - 1, d, k, psi, t):
+        m -= 1
+    return t * m
 
 
 def feasible_psi(n, d, k, budget, beta):
-    """Smallest psi the given n supports (callers clamp their request)."""
+    """Smallest psi the given n supports (callers clamp their request);
+    raises below n_min at MAX_PSI, the any-accuracy floor."""
     t = subsample_count(d, k, budget, beta)
     m = n // t
-    if m < MIN_ROWS_PER_DIM * d:
+    if not _fits(m, d, k, MAX_PSI, t):
         raise InsufficientSamples(
-            f"need n >= {t * MIN_ROWS_PER_DIM * d} for any accuracy, got {n}"
+            f"need n >= {n_min(d, k, MAX_PSI, budget, beta)} for any accuracy, got {n}"
         )
-    q = REFS_PER_RANK * k
-    psi_sq = M_MIN_SCALE * d * math.log(math.e * d * k) / (m * t * q)
-    return min(math.sqrt(psi_sq), 0.999)
+    return _psi_floor(m, d, k, t)
 
 
 def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
@@ -120,7 +130,7 @@ def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
     q = REFS_PER_RANK * k
     t = subsample_count(d, k, budget, beta)
     m = n // t
-    if m < min_subsample_rows(d, k, psi, t):
+    if not _fits(m, d, k, psi, t):
         raise InsufficientSamples(
             f"need n >= {n_min(d, k, psi, budget, beta)} at psi={psi}, got {n}"
         )
@@ -205,60 +215,3 @@ def recover_subspace(
     spec = linalg.sym_eig(linalg.as_sym_matrix(gram))
     return linalg.top_k_projector(spec, k)
 
-
-def boost(runs, tolerance) -> linalg.Projector:
-    """Pick the run closest (within tolerance, spectral norm) to the most
-    other runs; ties break toward the earliest run.
-
-    Sound when the runs came from disjoint data splits: selection is then
-    post-processing, and if more than half the runs satisfy the error
-    bound the winner is within tolerance of a correct run.
-    """
-    if not runs:
-        raise InvalidArgument("boost needs at least one run")
-    if len(runs) == 1:
-        return runs[0]
-    mats = [r.matrix for r in runs]
-    agreements = []
-    for i, a in enumerate(mats):
-        count = 0
-        for j, b in enumerate(mats):
-            if i == j:
-                continue
-            dist = np.abs(np.linalg.eigvalsh(a - b)).max()
-            count += dist <= tolerance
-        agreements.append(count)
-    return runs[int(np.argmax(agreements))]
-
-
-def recover_subspace_boosted(
-    x,
-    k,
-    gamma,
-    psi,
-    budget,
-    beta,
-    rng: RandomSource,
-    accountant=None,
-    runs=BOOST_RUNS,
-    label="subspace",
-) -> linalg.Projector:
-    """Majority-boosted recovery over ``runs`` disjoint splits of the data.
-
-    Each split is charged the same budget; disjointness gives parallel
-    composition, so the parent ledger records a single charge of ``budget``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if runs < 1:
-        raise InvalidArgument(f"need runs >= 1, got {runs}")
-    size = n // runs
-    outputs = []
-    for j in range(runs):
-        chunk = x[j * size : (j + 1) * size]
-        outputs.append(
-            recover_subspace(chunk, k, gamma, psi, budget, beta, rng.child("boost", j))
-        )
-    if accountant is not None:
-        accountant.charge(label, budget, mechanism="parallel_composition")
-    return boost(outputs, BOOST_TOL_FACTOR * psi * gamma)

@@ -23,6 +23,23 @@ from privgauss.errors import InvalidArgument, UnsupportedComposition
 BUDGET = PrivacyBudget(1.0, 1e-6)
 
 
+def loop_geometric_keys(ratio, values):
+    """Reference: the per-value loop the vectorized geometric keys replace."""
+    out = []
+    ln_ratio = math.log(ratio)
+    for x in np.asarray(values, dtype=np.float64):
+        if x == 0.0:
+            out.append(None)
+            continue
+        k = math.floor(math.log(x) / ln_ratio)
+        while ratio ** (k + 1) <= x:
+            k += 1
+        while ratio ** k > x:
+            k -= 1
+        out.append(k)
+    return out
+
+
 class TestPrivacyBudget:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
@@ -211,6 +228,20 @@ class TestStableHistogram:
         assert geo.keys([1.0]) == [0]
         lo, hi = geo.bounds(0)
         assert lo == 1.0 and hi == pytest.approx(2.0 ** 0.25)
+
+    @pytest.mark.parametrize("ratio", [2.0 ** 0.25, 1.5, 2.0, 10.0])
+    def test_geometric_keys_match_loop(self, ratio):
+        rng = np.random.default_rng(41)
+        random = 10.0 ** rng.uniform(-300.0, 300.0, size=5000)
+        span = range(math.ceil(-300.0 / math.log10(ratio)), math.floor(300.0 / math.log10(ratio)))
+        edges = np.array([ratio ** k for k in span])
+        subnormal = np.array([5e-324, 1e-323, 2e-323, 3e-322, 1e-320, 1e-310, 2.2e-308])
+        values = np.concatenate(
+            [random, edges, np.nextafter(edges, 0.0), [0.0], subnormal, np.nextafter(subnormal, 1.0)]
+        )
+        got = BucketScheme("geometric", ratio).keys(values)
+        assert got == loop_geometric_keys(ratio, values)
+        assert all(type(k) is int for k in got if k is not None)
 
 
 class TestCompose:

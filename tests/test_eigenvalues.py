@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bucket_of
 from privgauss import eigenvalues
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
-from privgauss.eigenvalues import bucket_of, estimate_eigenvalues, subsample_count
+from privgauss.eigenvalues import estimate_eigenvalues, subsample_count
 from privgauss.errors import InsufficientSamples, InvalidArgument
 
 BUDGET = PrivacyBudget(10.0, 1e-6)
@@ -140,5 +141,5 @@ class TestEstimateEigenvalues:
         for i in range(d):
             col = np.sort(sub_vals[:, i])
             median = col[(t - 1) // 2]
-            expected_lo = eigenvalues.bucket_of(float(median))[0]
+            expected_lo = bucket_of(float(median))[0]
             assert est.values[i] == pytest.approx(expected_lo, rel=1e-12)

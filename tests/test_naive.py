@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eigenvalue_band_check
 from privgauss import linalg, naive
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
 from privgauss.errors import InsufficientSamples
-from privgauss.naive import clipped_second_moment, eigenvalue_band_check, naive_config, naive_estimate
+from privgauss.naive import clipped_second_moment, naive_config, naive_estimate
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privgauss import linalg, subspace
-from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
+from privgauss import precondition, subspace
+from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.errors import InsufficientSamples, InvalidArgument
 from privgauss.subspace import (
-    boost,
+    feasible_psi,
     n_min,
     recover_subspace,
-    recover_subspace_boosted,
     sample_reference_points,
     subspace_params,
 )
@@ -173,62 +174,43 @@ class TestReferencePoints:
         assert np.abs(pts.var(axis=0) - 1.0).max() <= 0.05
 
 
-class TestBoost:
-    def _projector(self, basis_cols, d):
-        b = np.zeros((d, len(basis_cols)))
-        for i, c in enumerate(basis_cols):
-            b[c, i] = 1.0
-        return linalg.Projector(b @ b.T, len(basis_cols))
 
-    def test_all_identical(self):
-        p = self._projector([0], 3)
-        assert boost([p, p, p], 0.1) is p
+# The preconditioner's coarse step at every dimension it publishes a floor for.
+LAYOUTS = st.sampled_from([(d, k) for d in (2, 3, 4) for k in range(1, d)])
+BUDGETS = st.sampled_from([PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9)])
+BETAS = st.sampled_from([0.05, 0.1])
 
-    def test_majority_beats_junk(self):
-        good = self._projector([0], 3)
-        junk = self._projector([2], 3)
-        out = boost([good, good, junk, good, good], 0.1)
-        assert np.array_equal(out.matrix, good.matrix)
 
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgument):
-            boost([], 0.1)
+class TestLayoutContract:
+    @settings(max_examples=300, deadline=None)
+    @given(LAYOUTS, BUDGETS, BETAS, st.floats(min_value=1.0, max_value=3.0))
+    def test_published_floor_never_raises(self, layout, budget, beta, multiple):
+        d, k = layout
+        floor = precondition.min_samples(d, budget, beta)
+        n = int(floor * multiple)
+        per_call = plan_shares(budget, precondition.max_calls(d)).per_call
+        beta_i = beta / d
+        psi = feasible_psi(n, d, k, per_call, beta_i)
+        subspace_params(n, d, k, 0.01, psi, per_call, beta_i)
 
-    def test_binomial_failure_rate(self):
-        # runs correct independently w.p. 0.7; failure of 9-run boosting
-        # should be far below 5% because junk runs do not cluster
-        d = 4
-        truth = np.diag([1.0, 0.0, 0.0, 0.0])
-        rng = np.random.default_rng(11)
-        tol = 0.1
-        failures = 0
-        for _ in range(1000):
-            runs = []
-            for _ in range(9):
-                if rng.uniform() < 0.7:
-                    noise = rng.normal(scale=tol / 20.0, size=(d, d))
-                    mat = truth + 0.5 * (noise + noise.T)
-                else:
-                    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-                    mat = np.outer(q[:, 0], q[:, 0])
-                runs.append(linalg.Projector(mat, 1))
-            winner = boost(runs, tol)
-            failures += spectral_dist(winner.matrix, truth) > tol
-        assert failures <= 50
+    @settings(max_examples=300, deadline=None)
+    @given(LAYOUTS, BUDGETS, BETAS, st.floats(min_value=1e-4, max_value=subspace.MAX_PSI))
+    def test_n_min_is_the_smallest_accepted_n(self, layout, budget, beta, psi):
+        d, k = layout
+        per_call = plan_shares(budget, precondition.max_calls(d)).per_call
+        beta_i = beta / d
+        n = n_min(d, k, psi, per_call, beta_i)
+        subspace_params(n, d, k, 0.01, psi, per_call, beta_i)
+        with pytest.raises(InsufficientSamples):
+            subspace_params(n - 1, d, k, 0.01, psi, per_call, beta_i)
 
-    def test_boosted_recovery(self):
-        d, k, gamma, psi = 2, 1, 1e-2, 0.5
-        n = n_min(d, k, psi, BUDGET, BETA)
-        truth = np.diag([1.0, 0.0])
-        acc = Accountant()
-        wins = 0
-        for seed in range(20):
-            x = gapped_samples(d, k, 1e-8, 5 * n, seed)
-            proj = recover_subspace_boosted(
-                x, k, gamma, psi, BUDGET, BETA, RandomSource(seed).child("b"), accountant=acc
-            )
-            wins += spectral_dist(proj.matrix, truth) <= psi * gamma
-        assert wins >= 19
-        # one parallel-composition charge per call
-        assert len(acc.entries) == 20
-        assert all(e.budget == BUDGET for e in acc.entries)
+    def test_exact_boundary_psi(self):
+        # here m = 9 rows per subsample, and re-deriving the rows that this
+        # psi needs evaluates to 9.000000000000002, which rounds up to 10
+        budget = PrivacyBudget(1.0, 1e-6)
+        d, k = 2, 1
+        per_call = plan_shares(budget, precondition.max_calls(d)).per_call
+        n = 314_519
+        psi = feasible_psi(n, d, k, per_call, 0.1 / d)
+        params = subspace_params(n, d, k, 0.01, psi, per_call, 0.1 / d)
+        assert params.m == n // params.t
