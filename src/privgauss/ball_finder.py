@@ -36,7 +36,6 @@ RELEASE_MARGIN = 4.0
 class BallResult:
     center: np.ndarray
     radius_used: float
-    captured_fraction_estimate: float
 
 
 def grid_cell(r_opt, dim):
@@ -58,11 +57,7 @@ def n_min(dim, budget: PrivacyBudget, beta):
 
 
 def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None, label="ball_finder"):
-    """Privately locate a center whose inflated ball captures >= n/2 points.
-
-    The captured-fraction diagnostic is computed non-privately from the
-    released center and is excluded from the DP claim (post-processing).
-    """
+    """Privately locate a center whose inflated ball captures >= n/2 points."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidArgument(f"points must be an (n, D) array, got shape {pts.shape}")
@@ -102,6 +97,4 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None,
         accountant.charge(label, budget, mechanism="coordinate_stable_histogram")
 
     radius = INFLATION * math.sqrt(dim) * r_opt * math.sqrt(max(math.log(n), 1.0))
-    dist = np.linalg.norm(pts - center, axis=1)
-    captured = float(np.mean(dist <= radius)) if n else 0.0
-    return BallResult(center=center, radius_used=radius, captured_fraction_estimate=captured)
+    return BallResult(center=center, radius_used=radius)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, UnsupportedComposition
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -33,25 +33,8 @@ class PrivacyBudget:
         if not (0.0 <= self.delta < 1.0):
             raise InvalidArgument(f"delta must lie in [0, 1), got {self.delta}")
 
-    def split(self, shares):
-        return split_budget(self, shares)
-
     def scaled(self, factor):
         return PrivacyBudget(self.epsilon * factor, self.delta * factor)
-
-
-def split_budget(budget: PrivacyBudget, shares):
-    """Split a budget into parts (s_i * eps, s_i * delta).
-
-    Shares must be positive and sum to 1 (tolerance 1e-12); basic
-    composition of the parts gives back exactly the input budget.
-    """
-    shares = [float(s) for s in shares]
-    if not shares or any(s <= 0.0 for s in shares):
-        raise InvalidArgument("shares must be positive")
-    if abs(sum(shares) - 1.0) > 1e-12:
-        raise InvalidArgument(f"shares sum to {sum(shares)}, expected 1")
-    return [PrivacyBudget(budget.epsilon * s, budget.delta * s) for s in shares]
 
 
 def _hash_label(label):
@@ -82,10 +65,6 @@ class RandomSource:
         return RandomSource(self.seed, key)
 
     @property
-    def path_key(self):
-        return self._spawn_key
-
-    @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
@@ -112,33 +91,19 @@ class LedgerEntry:
     mechanism: str = ""
     sensitivity: float | None = None
 
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "epsilon": self.budget.epsilon,
-            "delta": self.budget.delta,
-            "mechanism": self.mechanism,
-            "sensitivity": self.sensitivity,
-        }
-
 
 @dataclass
 class Accountant:
-    """Append-only ledger of privacy charges with a composition mode.
+    """Append-only ledger of privacy charges.
 
-    ``basic`` sums charges linearly; ``advanced`` applies the sublinear
-    rule for T equal charges with slack ``advanced_delta_slack``.
+    The charges compose by basic composition only: the total is the sum of
+    the epsilons and the sum of the deltas.  Every budget in the package is
+    split by ``plan_shares``, whose equal basic shares sum back to the
+    parent budget, so the total of a ledger filled by any entry point is at
+    most the budget passed to it.
     """
 
-    mode: str = "basic"
-    advanced_delta_slack: float = 0.0
     _entries: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in ("basic", "advanced"):
-            raise InvalidArgument(f"unknown composition mode {self.mode!r}")
-        if self.mode == "advanced" and not 0.0 < self.advanced_delta_slack < 1.0:
-            raise InvalidArgument("advanced mode needs delta slack in (0, 1)")
 
     @property
     def entries(self):
@@ -147,76 +112,31 @@ class Accountant:
     def charge(self, label, budget: PrivacyBudget, mechanism="", sensitivity=None):
         self._entries.append(LedgerEntry(str(label), budget, mechanism, sensitivity))
 
-    def extend(self, other: "Accountant", prefix=""):
-        for entry in other.entries:
-            label = f"{prefix}{entry.label}" if prefix else entry.label
-            self._entries.append(LedgerEntry(label, entry.budget, entry.mechanism, entry.sensitivity))
-
     def total(self):
-        return compose(self)
+        """(sum eps_t, sum delta_t); an empty ledger totals (0, 0).
 
-    def as_dict(self):
-        eps, delta = self.total()
-        return {
-            "mode": self.mode,
-            "total_epsilon": eps,
-            "total_delta": delta,
-            "entries": [e.as_dict() for e in self._entries],
-        }
-
-
-def compose(accountant: Accountant):
-    """Total (epsilon, delta) of the accountant's ledger.
-
-    basic:    (sum eps_t, sum delta_t); an empty ledger composes to (0, 0).
-    advanced: requires T >= 1 equal charges with eps_0 <= 1; returns
-              (eps_0 * sqrt(6 T ln(1/delta_0)), delta_0 + sum delta_t).
-    """
-    entries = accountant.entries
-    if accountant.mode == "basic":
-        # fsum is the correctly rounded sum, so the total is exactly
-        # invariant under ledger permutation
+        fsum is the correctly rounded sum, so the total is exactly invariant
+        under ledger permutation.
+        """
         return (
-            math.fsum(e.budget.epsilon for e in entries),
-            math.fsum(e.budget.delta for e in entries),
+            math.fsum(e.budget.epsilon for e in self._entries),
+            math.fsum(e.budget.delta for e in self._entries),
         )
-    if not entries:
-        raise UnsupportedComposition("advanced composition needs a non-empty ledger")
-    eps0 = entries[0].budget.epsilon
-    if any(abs(e.budget.epsilon - eps0) > 1e-12 * eps0 for e in entries):
-        raise UnsupportedComposition("advanced composition needs uniform epsilon charges")
-    if eps0 > 1.0:
-        raise UnsupportedComposition("advanced composition requires eps_0 <= 1")
-    delta0 = accountant.advanced_delta_slack
-    t = len(entries)
-    eps = eps0 * math.sqrt(6.0 * t * math.log(1.0 / delta0))
-    return eps, delta0 + math.fsum(e.budget.delta for e in entries)
 
 
 @dataclass(frozen=True)
 class SharePlan:
-    """Per-call budget for a fixed number of calls, picked so the calls
-    compose to at most the parent budget.
-
-    At moderate call counts basic composition gives each call more epsilon
-    than the advanced rule, so the plan takes whichever is larger.
-    """
+    """Per-call budget for a fixed number of calls: the equal basic share
+    (eps / calls, delta / calls), so the calls compose to the parent budget."""
 
     per_call: PrivacyBudget
-    calls: int
-    mode: str
-    delta_slack: float = 0.0
 
 
 def plan_shares(budget: PrivacyBudget, calls) -> SharePlan:
+    """The one way a budget is split among ``calls`` subroutine calls."""
     if calls < 1:
         raise InvalidArgument("need at least one call")
-    basic_eps = budget.epsilon / calls
-    delta0 = budget.delta / (calls + 1)
-    adv_eps = budget.epsilon / math.sqrt(6.0 * calls * math.log(1.0 / delta0))
-    if adv_eps > basic_eps and adv_eps <= 1.0:
-        return SharePlan(PrivacyBudget(adv_eps, delta0), calls, "advanced", delta0)
-    return SharePlan(PrivacyBudget(basic_eps, budget.delta / calls), calls, "basic")
+    return SharePlan(PrivacyBudget(budget.epsilon / calls, budget.delta / calls))
 
 
 def gaussian_sigma(sensitivity, budget: PrivacyBudget):

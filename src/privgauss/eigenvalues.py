@@ -36,11 +36,10 @@ _SCHEME = BucketScheme("geometric", BUCKET_RATIO)
 
 @dataclass(frozen=True)
 class EigenvalueEstimate:
-    """Noisy eigenvalues sorted non-increasing, with the subsample layout."""
+    """Noisy eigenvalues sorted non-increasing, with the subsample count."""
 
     values: np.ndarray
     subsample_count: int
-    subsample_size: int
 
 
 def subsample_count(d, budget: PrivacyBudget, beta):
@@ -107,4 +106,4 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None, la
         released_edges[i] = _SCHEME.bounds(best_key)[0]
 
     order = np.argsort(-released_edges, kind="stable")
-    return EigenvalueEstimate(values=released_edges[order], subsample_count=t, subsample_size=m)
+    return EigenvalueEstimate(values=released_edges[order], subsample_count=t)

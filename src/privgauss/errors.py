@@ -21,10 +21,6 @@ class RangeMismatch(PrivGaussError):
     """An estimate has significant mass outside the truth's column space."""
 
 
-class UnsupportedComposition(PrivGaussError):
-    """Advanced composition was requested for a ledger it cannot handle."""
-
-
 class InsufficientSamples(PrivGaussError):
     """The dataset is too small for the requested operation."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dp_core import PrivacyBudget, RandomSource, gaussian_sigma, gue_noise, split_budget
+from .dp_core import PrivacyBudget, RandomSource, gaussian_sigma, gue_noise, plan_shares
 from .errors import InsufficientSamples, InvalidArgument
 from .eigenvalues import estimate_eigenvalues
 
@@ -23,8 +23,6 @@ from .eigenvalues import estimate_eigenvalues
 # follows exactly from the Gaussian mechanism at sensitivity 2 clip / n, so
 # sigma = 2 * CLIP_SCALE * d * kappa2 * ln(n/beta) * sqrt(2 ln(2/delta)) / (n eps).
 CLIP_SCALE = 1.0
-# Fallback when kappa2 is not supplied: spend this share on estimating it.
-KAPPA_SHARE = 0.5
 # kappa2 <- KAPPA_FACTOR * (estimated top eigenvalue)
 KAPPA_FACTOR = 4.0
 
@@ -85,7 +83,7 @@ def naive_estimate(
         raise InsufficientSamples(f"need n >= {2 * d}, got {n}")
 
     if kappa2 is None:
-        kappa_budget, noise_budget = split_budget(budget, [KAPPA_SHARE, 1.0 - KAPPA_SHARE])
+        kappa_budget = noise_budget = plan_shares(budget, 2).per_call
         est = estimate_eigenvalues(
             x, kappa_budget, beta, rng.child("kappa"), accountant=accountant, label=f"{label}/kappa"
         )

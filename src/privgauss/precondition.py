@@ -47,17 +47,6 @@ class PreconditionStep:
     iteration: int
     kind: str  # "coarse" | "fine" | "coarse+fine" | "skip"
     ratios: dict
-    epsilon_spent: float
-    delta_spent: float
-
-    def as_dict(self):
-        return {
-            "iteration": self.iteration,
-            "kind": self.kind,
-            "ratios": dict(self.ratios),
-            "epsilon_spent": self.epsilon_spent,
-            "delta_spent": self.delta_spent,
-        }
 
 
 @dataclass
@@ -65,19 +54,9 @@ class PreconditionTrace:
     steps: list = field(default_factory=list)
     final_map: np.ndarray | None = None
 
-    def as_dict(self):
-        return {
-            "steps": [s.as_dict() for s in self.steps],
-            "final_map": None if self.final_map is None else self.final_map.tolist(),
-        }
-
 
 def max_calls(d):
     return CALLS_PER_ITERATION * (d - 1) + INITIAL_CALLS
-
-
-def coarse_psi(gamma_bar_sq=GAMMA_BAR_SQ):
-    return gamma_bar_sq / COARSE_PSI_DIVISOR
 
 
 def coarse_precondition(
@@ -109,7 +88,7 @@ def coarse_precondition(
     if projector_override is not None:
         proj = projector_override
     else:
-        psi = max(coarse_psi(), subspace.feasible_psi(n, d, k, budget, beta))
+        psi = max(GAMMA_BAR_SQ / COARSE_PSI_DIVISOR, subspace.feasible_psi(n, d, k, budget, beta))
         proj = subspace.recover_subspace(
             x, k, gamma_hat, psi, budget, beta, rng.child("subspace"), accountant=accountant, label=label
         )
@@ -204,9 +183,6 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     a = np.eye(d)
     xa = x
 
-    def spent(calls):
-        return calls * per_call.epsilon, calls * per_call.delta
-
     def check_positive(values, what):
         if values[-1] <= 0.0:
             raise DegenerateSpectrum(
@@ -229,11 +205,11 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     )
 
     for i in range(1, d):
-        calls = 0
         ratio_consec = lam_hat[i] / lam_hat[i - 1]
         ratio_cumul = lam_hat[i] / lam_hat[0]
         ratios = {"consecutive": ratio_consec, "cumulative": ratio_cumul}
         kind = "skip"
+        kappa = None  # set when a fine step fires
 
         if ratio_consec < 4.0 * TAU_SQ:
             kind = "coarse"
@@ -248,7 +224,6 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
                 accountant=accountant,
                 label=f"{label}/coarse{i}",
             )
-            calls += 1
             a = linalg.symmetric_polar_factor(b @ a)
             xa = x @ a
             ratios["gamma_hat"] = gamma_hat
@@ -262,30 +237,17 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
                 accountant=accountant,
                 label=f"{label}/naive_post{i}",
             )
-            calls += 1
             lam_z = _spectrum_of(z)
             if lam_z[0] > 0.0 and lam_z[i] / lam_z[0] < 4.0 * GAMMA_BAR_SQ:
                 kind = "coarse+fine"
                 ratios["post_coarse_probe"] = lam_z[i] / lam_z[0]
                 kappa = lam_z[0]
-                c = fine_precondition(
-                    xa,
-                    i,
-                    gamma_bar,
-                    kappa,
-                    per_call,
-                    beta_i,
-                    rng.child("fine", i),
-                    accountant=accountant,
-                    label=f"{label}/fine{i}",
-                )
-                calls += 1
-                a = linalg.symmetric_polar_factor(c @ a)
-                xa = x @ a
         elif ratio_cumul < 4.0 * GAMMA_BAR_SQ:
             kind = "fine"
             lam_z = _spectrum_of(z)
             kappa = lam_z[0] if lam_z[0] > 0.0 else 4.0 * lam_hat[0]
+
+        if kappa is not None:
             c = fine_precondition(
                 xa,
                 i,
@@ -297,7 +259,6 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
                 accountant=accountant,
                 label=f"{label}/fine{i}",
             )
-            calls += 1
             a = linalg.symmetric_polar_factor(c @ a)
             xa = x @ a
 
@@ -316,21 +277,11 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
             accountant=accountant,
             label=f"{label}/naive{i}",
         )
-        calls += 2
 
         spectrum_a = _spectrum_of(a)
         if spectrum_a[-1] <= 0.0:
             raise DegenerateSpectrum("accumulated preconditioner lost positive definiteness")
-        eps_spent, delta_spent = spent(calls)
-        trace.steps.append(
-            PreconditionStep(
-                iteration=i,
-                kind=kind,
-                ratios=ratios,
-                epsilon_spent=eps_spent,
-                delta_spent=delta_spent,
-            )
-        )
+        trace.steps.append(PreconditionStep(iteration=i, kind=kind, ratios=ratios))
 
     trace.final_map = a
     return trace

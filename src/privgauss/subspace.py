@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ball_finder, linalg
-from .dp_core import PrivacyBudget, RandomSource, split_budget
+from .dp_core import PrivacyBudget, RandomSource, plan_shares
 from .errors import InsufficientSamples, InvalidArgument
 
 # q = REFS_PER_RANK * k reference points.
@@ -62,22 +62,18 @@ def _validate(d, k, gamma, psi):
 
 
 def _phase_budgets(budget: PrivacyBudget, q):
-    """Centers phase and sums phase each get half the budget; within the
-    centers phase each of the q ball-finder calls gets the source
-    algorithm's share capped so the q calls compose within the phase."""
-    centers, sums = split_budget(budget, [0.5, 0.5])
-    eps_c = min(
-        centers.epsilon / math.sqrt(q * math.log(1.0 / centers.delta)),
-        centers.epsilon / q,
-    )
-    per_center = PrivacyBudget(eps_c, centers.delta / q)
-    per_sum = PrivacyBudget(sums.epsilon / q, sums.delta / q)
-    return centers, sums, per_center, per_sum
+    """(phase, per_call): the centers phase and the sums phase each get
+    ``phase``, half the budget, and each phase makes q calls at ``per_call``,
+    an equal share of ``phase``.  Every subsample adds one point to each of
+    the q calls, so one changed row moves one point in every call and the q
+    calls compose by the basic rule."""
+    phase = plan_shares(budget, 2).per_call
+    return phase, plan_shares(phase, q).per_call
 
 
 def subsample_count(d, k, budget: PrivacyBudget, beta):
     q = REFS_PER_RANK * k
-    _, _, per_center, _ = _phase_budgets(budget, q)
+    _, per_center = _phase_budgets(budget, q)
     t_accuracy = math.ceil(
         T_SCALE
         * math.sqrt(d * k)
@@ -136,8 +132,8 @@ def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
         )
     r = R_SCALE * gamma * math.sqrt(d) * (math.sqrt(k) + math.sqrt(math.log(k * t))) / math.sqrt(m)
     trunc = TRUNC_SCALE * r * math.sqrt(math.log(t))
-    _, sums, _, _ = _phase_budgets(budget, q)
-    sigma = 4.0 * trunc * math.sqrt(q) * math.log(q / sums.delta) / (sums.epsilon * t)
+    phase, _ = _phase_budgets(budget, q)
+    sigma = 4.0 * trunc * math.sqrt(q) * math.log(q / phase.delta) / (phase.epsilon * t)
     return SubspaceParams(k=k, gamma=gamma, psi=psi, t=t, m=m, q=q, r=r, trunc_radius=trunc, sigma=sigma)
 
 
@@ -171,7 +167,7 @@ def recover_subspace(
     n, d = x.shape
     params = subspace_params(n, d, k, gamma, psi, budget, beta)
     t, m, q = params.t, params.m, params.q
-    _, _, per_center, per_sum = _phase_budgets(budget, q)
+    _, per_call = _phase_budgets(budget, q)
 
     refs = sample_reference_points(q, d, rng)
 
@@ -189,7 +185,7 @@ def recover_subspace(
         result = ball_finder.find_center(
             points,
             params.r,
-            per_center,
+            per_call,
             beta / q,
             rng.child("center", i),
             accountant=accountant,
@@ -205,7 +201,7 @@ def recover_subspace(
         if accountant is not None:
             accountant.charge(
                 f"{label}/sum{i}",
-                per_sum,
+                per_call,
                 mechanism="gaussian",
                 sensitivity=2.0 * params.trunc_radius,
             )

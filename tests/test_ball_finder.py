@@ -27,7 +27,7 @@ class TestFindCenter:
         cell = grid_cell(1.0, 3)
         # heavy bin contains p, midpoint within one bin of p, snapped to grid
         assert np.all(np.abs(result.center - p) <= 1.0)
-        assert result.captured_fraction_estimate == 1.0
+        assert np.all(np.linalg.norm(pts - result.center, axis=1) <= result.radius_used)
 
     def test_cluster_capture_rate(self):
         budget = PrivacyBudget(1.0, 1e-6)

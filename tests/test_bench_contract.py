@@ -1,0 +1,48 @@
+"""The library surface the benchmark in ``bench/`` reads.
+
+Imports ``bench/tracer.py`` and ``bench/workloads.py`` (never ``run.py``,
+which parses arguments and times whole runs) and checks that every name the
+tracer wraps still exists, that one traced estimate fills a ledger within
+the benchmark's budget, and that the tracer puts the library back.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+from privgauss.dp_core import Accountant  # noqa: E402
+
+
+def test_every_binding_resolves():
+    for owner, attr, _, _ in tracer.BINDINGS:
+        assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"
+
+
+def test_traced_estimate_within_budget_and_restored():
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in tracer.BINDINGS]
+    w = workloads.WORKLOADS["floor-d2"]
+    n = w.sizes()[0]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, n, w.lam)
+    acc = Accountant()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        sigma_hat = workloads.estimate_covariance(raw, 0, acc)
+    finally:
+        t.uninstall()
+    assert np.all(np.isfinite(sigma_hat))
+    eps, delta = acc.total()
+    assert eps <= workloads.BUDGET.epsilon
+    assert delta <= workloads.BUDGET.delta
+    assert t.totals()["precondition.calls"] == 1
+    for owner, attr, original in originals:
+        assert owner.__dict__[attr] is original
+
+
+def test_published_floor_layout_never_raises():
+    assert workloads.layout_raises() == 0

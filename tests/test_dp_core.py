@@ -9,15 +9,13 @@ from privgauss.dp_core import (
     BucketScheme,
     PrivacyBudget,
     RandomSource,
-    compose,
     gaussian_mechanism,
     gaussian_sigma,
     gue_noise,
     plan_shares,
-    split_budget,
     stable_histogram,
 )
-from privgauss.errors import InvalidArgument, UnsupportedComposition
+from privgauss.errors import InvalidArgument
 
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
@@ -48,26 +46,6 @@ class TestPrivacyBudget:
             PrivacyBudget(1.0, 1.0)
         with pytest.raises(InvalidArgument):
             PrivacyBudget(math.inf, 1e-6)
-
-    def test_split_even(self):
-        parts = split_budget(BUDGET, [0.5, 0.5])
-        assert parts == [PrivacyBudget(0.5, 5e-7)] * 2
-
-    def test_split_identity(self):
-        assert split_budget(BUDGET, [1.0]) == [BUDGET]
-
-    def test_split_three_way(self):
-        parts = split_budget(PrivacyBudget(2.0, 1e-5), [0.4, 0.4, 0.2])
-        expected = [(0.8, 4e-6), (0.8, 4e-6), (0.4, 2e-6)]
-        for part, (eps, delta) in zip(parts, expected):
-            assert part.epsilon == pytest.approx(eps, rel=1e-12)
-            assert part.delta == pytest.approx(delta, rel=1e-12)
-
-    def test_split_rejects_bad_shares(self):
-        with pytest.raises(InvalidArgument):
-            split_budget(BUDGET, [0.5, 0.6])
-        with pytest.raises(InvalidArgument):
-            split_budget(BUDGET, [])
 
 
 class TestRandomSource:
@@ -249,10 +227,10 @@ class TestCompose:
         acc = Accountant()
         acc.charge("a", PrivacyBudget(1.0, 1e-6))
         acc.charge("b", PrivacyBudget(1.0, 1e-6))
-        assert compose(acc) == (2.0, 2e-6)
+        assert acc.total() == (2.0, 2e-6)
 
     def test_basic_empty(self):
-        assert compose(Accountant()) == (0, 0)
+        assert Accountant().total() == (0, 0)
 
     def test_basic_permutation_invariant(self):
         budgets = [PrivacyBudget(0.3, 1e-7), PrivacyBudget(0.5, 2e-7), PrivacyBudget(0.1, 5e-8)]
@@ -262,56 +240,21 @@ class TestCompose:
             acc1.charge("x", b)
         for b in reversed(budgets):
             acc2.charge("x", b)
-        assert compose(acc1) == compose(acc2)
-
-    def test_advanced_single_call(self):
-        acc = Accountant(mode="advanced", advanced_delta_slack=1e-9)
-        acc.charge("a", PrivacyBudget(0.1, 0.0))
-        eps, delta = compose(acc)
-        assert eps == pytest.approx(0.1 * math.sqrt(6.0 * math.log(1e9)), rel=1e-12)
-        assert eps == pytest.approx(1.115, abs=2e-3)
-        assert delta == 1e-9
-
-    def test_advanced_rejects_nonuniform(self):
-        acc = Accountant(mode="advanced", advanced_delta_slack=1e-9)
-        acc.charge("a", PrivacyBudget(0.1, 0.0))
-        acc.charge("b", PrivacyBudget(0.2, 0.0))
-        with pytest.raises(UnsupportedComposition):
-            compose(acc)
-
-    def test_advanced_rejects_large_eps(self):
-        acc = Accountant(mode="advanced", advanced_delta_slack=1e-9)
-        acc.charge("a", PrivacyBudget(1.5, 0.0))
-        with pytest.raises(UnsupportedComposition):
-            compose(acc)
-
-    def test_advanced_rejects_empty(self):
-        acc = Accountant(mode="advanced", advanced_delta_slack=1e-9)
-        with pytest.raises(UnsupportedComposition):
-            compose(acc)
+        assert acc1.total() == acc2.total()
 
 
 class TestPlanShares:
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("delta", [1e-6, 1e-9])
-    @pytest.mark.parametrize("calls", [1, 3, 17, 200, 5000])
+    # 112, 130, 256 and 1277 (max_calls(256)) are counts where a share sized
+    # by a rule other than the ledger's would overrun the budget
+    @pytest.mark.parametrize("calls", [1, 3, 17, 112, 130, 200, 256, 1277, 5000])
     def test_composed_total_within_budget(self, eps, delta, calls):
         budget = PrivacyBudget(eps, delta)
         plan = plan_shares(budget, calls)
-        if plan.mode == "basic":
-            acc = Accountant()
-        else:
-            acc = Accountant(mode="advanced", advanced_delta_slack=plan.delta_slack)
+        acc = Accountant()
         for i in range(calls):
             acc.charge(f"c{i}", plan.per_call)
-        total_eps, total_delta = compose(acc)
+        total_eps, total_delta = acc.total()
         assert total_eps <= eps * (1.0 + 1e-9)
         assert total_delta <= delta * (1.0 + 1e-9)
-
-    def test_prefers_larger_share(self):
-        # at very large call counts the advanced rule beats basic splitting
-        small = plan_shares(PrivacyBudget(1.0, 1e-6), 10)
-        big = plan_shares(PrivacyBudget(1.0, 1e-6), 10_000)
-        assert small.mode == "basic"
-        assert big.mode == "advanced"
-        assert big.per_call.epsilon > 1.0 / 10_000
