@@ -78,8 +78,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None, la
         )
     per_index = plan_shares(budget, d).per_call
 
-    chunks = x[: t * m].reshape(t, m, d)
-    seconds = np.matmul(chunks.transpose(0, 2, 1), chunks) / m
+    seconds = linalg.gram_stack(x, t, m) / m
     vals, _ = linalg.sym_eig_batch(seconds, vectors=False)
     vals = np.maximum(vals, 0.0)
     top = vals[:, :1]

@@ -71,15 +71,28 @@ def sym_eig_batch(mats, vectors=True):
 
     Returns (values, vectors) with values sorted non-increasing per matrix
     and vectors as aligned columns; pass ``vectors=False`` to compute the
-    values only (vectors is None).
+    values only (vectors is None).  Raises InvalidMatrix when LAPACK does
+    not converge (as on NaN input).
     """
     a = np.asarray(mats, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidMatrix(f"expected a (b, d, d) stack, got shape {a.shape}")
-    if not vectors:
-        return np.linalg.eigvalsh(a)[:, ::-1], None
-    vals, vecs = np.linalg.eigh(a)
+    try:
+        if not vectors:
+            return np.linalg.eigvalsh(a)[:, ::-1], None
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidMatrix(f"eigendecomposition failed: {exc}") from exc
     return vals[:, ::-1], vecs[:, :, ::-1]
+
+
+def gram_stack(x, t, m):
+    """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
+    consecutive rows of ``x``, as a (t, d, d) stack; rows past t * m are
+    unused.  This is the subsample layout of eigenvalue estimation and
+    subspace recovery."""
+    chunks = x[: t * m].reshape(t, m, x.shape[1])
+    return np.matmul(chunks.transpose(0, 2, 1), chunks)
 
 
 def sym_eig(m) -> Spectrum:

@@ -25,6 +25,8 @@ from .eigenvalues import estimate_eigenvalues
 CLIP_SCALE = 1.0
 # kappa2 <- KAPPA_FACTOR * (estimated top eigenvalue)
 KAPPA_FACTOR = 4.0
+# Rows per block of the clip's norm test; bounds its temporary at 512 KiB.
+CLIP_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -41,15 +43,30 @@ def clip_threshold(d, kappa2, n, beta):
 def clipped_second_moment(x, threshold):
     """Pre-noise statistic: (1/n) sum of X_i X_i^T over rows passing the clip.
 
-    Swapping one row moves this by at most 2 * threshold / n in Frobenius
-    norm, which is the sensitivity the noise is calibrated to.  Re-running
-    on already-passing rows is a no-op.
+    Returns the moment and the number of rows dropped.  Swapping one row
+    moves the moment by at most 2 * threshold / n in Frobenius norm, which
+    is the sensitivity the noise is calibrated to.  Re-running on
+    already-passing rows is a no-op.
+
+    The norm test runs over blocks of CLIP_BLOCK_ROWS rows into one
+    preallocated mask, on ``x`` in its own layout: reordering ``x`` first
+    can change the summation order and flip a row lying exactly on the
+    threshold.  When no row is dropped the product runs on ``x`` itself
+    (a C-ordered copy only if ``x`` is not C-ordered), so the common case
+    allocates no full-size temporary but the mask.  The result is
+    bit-identical to a one-shot norm test and gather of the kept rows on
+    every input: the product sees the same values in the same layout.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    keep = np.einsum("ij,ij->i", x, x) <= threshold
-    kept = x[keep]
-    return (kept.T @ kept) / n, int(np.sum(~keep))
+    keep = np.empty(n, dtype=bool)
+    for start in range(0, n, CLIP_BLOCK_ROWS):
+        stop = start + CLIP_BLOCK_ROWS
+        block = x[start:stop]
+        np.less_equal(np.einsum("ij,ij->i", block, block), threshold, out=keep[start:stop])
+    dropped = n - int(np.count_nonzero(keep))
+    kept = np.ascontiguousarray(x) if dropped == 0 else x[keep]
+    return (kept.T @ kept) / n, dropped
 
 
 def naive_config(n, d, kappa2, budget: PrivacyBudget, beta) -> NaiveConfig:

@@ -19,6 +19,7 @@ the spectrum of A Sigma A^T exactly.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import linalg, subspace
 from .dp_core import PrivacyBudget, RandomSource, plan_shares
 from .eigenvalues import estimate_eigenvalues
-from .errors import DegenerateSpectrum, InvalidArgument
+from .errors import DegenerateSpectrum, InvalidArgument, PrivGaussError
 from .naive import naive_estimate
 
 # Gap thresholds of the scanning loop.
@@ -166,16 +167,33 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     Every subroutine call gets an equal share of the budget sized for the
     worst-case call count, so the ledger total always lands within
     ``budget`` no matter which branches fire.
+
+    A PrivGaussError raised mid-scan carries the trace built so far as its
+    ``trace`` attribute: the completed steps, with ``final_map`` None.  The
+    trace holds only released ratios, so attaching it is post-processing.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidArgument(f"expected an (n, d) sample matrix, got shape {x.shape}")
-    n, d = x.shape
     trace = PreconditionTrace()
-    if d == 1:
+    if x.shape[1] == 1:
         trace.final_map = np.eye(1)
         return trace
+    try:
+        trace.final_map = _scan(x, budget, beta, rng, accountant, label, trace)
+    except PrivGaussError as exc:
+        exc.trace = trace
+        # the trace is the diagnosis; free the scan's locals (the mapped rows
+        # among them) so that a caller keeping the exception keeps no data
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    return trace
 
+
+def _scan(x, budget, beta, rng, accountant, label, trace):
+    """The scanning loop of ``precondition``; appends each completed step to
+    ``trace`` and returns the accumulated map."""
+    d = x.shape[1]
     per_call = plan_shares(budget, max_calls(d)).per_call
     beta_i = beta / d
     gamma_bar = math.sqrt(GAMMA_BAR_SQ)
@@ -283,5 +301,4 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
             raise DegenerateSpectrum("accumulated preconditioner lost positive definiteness")
         trace.steps.append(PreconditionStep(iteration=i, kind=kind, ratios=ratios))
 
-    trace.final_map = a
-    return trace
+    return a

@@ -171,9 +171,7 @@ def recover_subspace(
 
     refs = sample_reference_points(q, d, rng)
 
-    chunks = x[: t * m].reshape(t, m, d)
-    seconds = np.matmul(chunks.transpose(0, 2, 1), chunks)
-    _, vecs = linalg.sym_eig_batch(seconds)
+    _, vecs = linalg.sym_eig_batch(linalg.gram_stack(x, t, m))
     bases = vecs[:, :, :k]  # (t, d, k)
     # p_i^j = Pi_j p_i for every subsample j and reference point i
     coords = np.einsum("tdk,qd->tqk", bases, refs)

@@ -60,3 +60,14 @@ def bucket_of(v):
     scheme = eigenvalues._SCHEME
     key = scheme.keys([float(v)])[0]
     return scheme.bounds(key)
+
+
+def clipped_second_moment_reference(x, threshold):
+    """One-shot form of ``naive.clipped_second_moment``: the norm test over
+    all rows at once and a gathered copy of the kept rows.  The blocked
+    kernel must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    keep = np.einsum("ij,ij->i", x, x) <= threshold
+    kept = x[keep]
+    return (kept.T @ kept) / n, int(np.sum(~keep))

@@ -94,6 +94,12 @@ class TestSymEig:
             scale = np.abs(full).max(axis=1, keepdims=True)
             assert np.all(np.abs(vals - full) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_no_convergence_is_invalid_matrix(self, vectors):
+        with pytest.raises(InvalidMatrix) as info:
+            linalg.sym_eig_batch(np.full((1, 3, 3), np.nan), vectors=vectors)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestPsdProject:
     def test_clips_negative_eigenvalue(self):

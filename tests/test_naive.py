@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import eigenvalue_band_check
+from oracles import clipped_second_moment_reference, eigenvalue_band_check
 from privgauss import linalg, naive
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
 from privgauss.errors import InsufficientSamples
@@ -122,6 +123,55 @@ class TestNaiveEstimate:
         x = np.zeros((60_000, 2))
         out = naive_estimate(x, PrivacyBudget(10.0, 1e-6), 0.05, RandomSource(0).child("z"))
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
+
+
+B = naive.CLIP_BLOCK_ROWS
+
+
+def clip_input(n, d, layout, seed):
+    """An (n, d) input in the given memory layout or dtype."""
+    rng = np.random.default_rng(seed)
+    if layout == "int64":
+        return rng.integers(-50, 50, size=(n, d))
+    if layout == "rows[::2]":
+        return rng.normal(size=(2 * n, d))[::2]
+    x = rng.normal(size=(n, d)) * np.linspace(1.0, 3.0, d)
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "cols[::-1]":
+        return x[:, ::-1]
+    return x
+
+
+class TestClippedSecondMomentKernel:
+    # n straddles the block edges; the threshold is always the norm of one
+    # row as the one-shot test computes it, so that row lies exactly on it
+    @pytest.mark.parametrize("n", [1, 7, B - 1, B, B + 1, 5 * B // 2 + 7])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("layout", ["C", "fortran", "cols[::-1]", "rows[::2]", "int64"])
+    @pytest.mark.parametrize("quantile", [0.97, 1.0])
+    def test_matches_one_shot_reference(self, n, d, layout, quantile):
+        x = clip_input(n, d, layout, seed=n * 10 + d)
+        xf = np.asarray(x, dtype=np.float64)
+        norms = np.sort(np.einsum("ij,ij->i", xf, xf))
+        threshold = norms[int(quantile * (n - 1))]
+        moment, dropped = clipped_second_moment(x, threshold)
+        ref_moment, ref_dropped = clipped_second_moment_reference(x, threshold)
+        assert np.array_equal(moment, ref_moment)
+        assert dropped == ref_dropped
+        if quantile == 1.0:
+            assert dropped == 0
+
+    def test_no_full_size_temporary_when_nothing_clipped(self):
+        x = np.random.default_rng(0).normal(size=(1_000_000, 3))
+        tracemalloc.start()
+        try:
+            _, dropped = clipped_second_moment(x, naive.clip_threshold(3, 4.0, len(x), 0.05))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dropped == 0
+        assert peak < x.nbytes / 4
 
 
 class TestEigenvalueBandCheck:

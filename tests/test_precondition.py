@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -94,6 +95,30 @@ class TestPrecondition:
             assert kinds in paths
             assert cond < max_cond
         assert raises <= max_raises
+
+    def test_failure_keeps_partial_trace(self):
+        # seed 1 takes the skip step, then the fine probe at iteration 2
+        # reports a non-positive eigenvalue
+        spectrum = (1.0, 0.3, 0.003)
+        d = len(spectrum)
+        x = np.random.default_rng(1).standard_normal((min_samples(d, BUDGET, BETA), d)) * np.sqrt(spectrum)
+        acc = Accountant()
+        with pytest.raises(DegenerateSpectrum) as info:
+            precondition(x, BUDGET, BETA, RandomSource(1).child("precondition"), accountant=acc)
+        trace = info.value.trace
+        iterations = [step.iteration for step in trace.steps]
+        assert iterations == list(range(1, len(iterations) + 1))
+        assert 1 <= len(iterations) < d - 1
+        assert trace.steps[0].kind == "skip"
+        assert trace.final_map is None
+        assert_within_budget(acc)
+        # below precondition's own frame the traceback holds no locals, so
+        # keeping the exception does not keep the mapped rows alive
+        frames = [frame for frame, _ in traceback.walk_tb(info.value.__traceback__)]
+        names = [frame.f_code.co_name for frame in frames]
+        below = frames[names.index("precondition") + 1 :]
+        assert below
+        assert all(not frame.f_locals for frame in below)
 
     def test_same_seed_same_map(self):
         x = np.random.default_rng(4).standard_normal((min_samples(2, BUDGET, BETA), 2)) * [1.0, 1e-3]
