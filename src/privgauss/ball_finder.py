@@ -70,6 +70,10 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None,
     if n < needed:
         raise InsufficientSamples(f"need at least {needed} points for D={dim}, got {n}")
 
+    # charge up front: a BottomReleased in the loop below is raised after
+    # some histograms have already been released
+    if accountant is not None:
+        accountant.charge(label, budget, mechanism="coordinate_stable_histogram")
     per_coord = plan_shares(budget, dim).per_call
     # Shared random bin offset (public randomness): makes the released
     # center distribution shift exactly with the data.
@@ -93,8 +97,6 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None,
         center[j] = offsets[j] + (best_key + 0.5) * r_opt
 
     center = np.round(center / cell) * cell
-    if accountant is not None:
-        accountant.charge(label, budget, mechanism="coordinate_stable_histogram")
 
     radius = INFLATION * math.sqrt(dim) * r_opt * math.sqrt(max(math.log(n), 1.0))
     return BallResult(center=center, radius_used=radius)

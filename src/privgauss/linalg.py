@@ -125,8 +125,7 @@ def _whitening_basis(truth):
     Rank-deficient truth is handled by a pseudo-inverse square root with
     eigenvalues below NULL_SPACE_CUTOFF * lambda_1 treated as null space.
     """
-    t = as_sym_matrix(truth)
-    spec = sym_eig(t)
+    spec = sym_eig(truth)
     lam = spec.eigenvalues
     top = lam[0] if lam.size else 0.0
     if lam.size and lam[-1] < -1e-10 * max(abs(top), 1.0):
@@ -206,8 +205,7 @@ def symmetric_polar_factor(a):
     symmetric positive definite without changing any conditioning claim.
     """
     a = np.asarray(a, dtype=np.float64)
-    gram = as_sym_matrix(a.T @ a)
-    spec = sym_eig(gram)
+    spec = sym_eig(a.T @ a)
     if spec.eigenvalues[-1] <= 0.0:
         raise DegenerateSpectrum("matrix is singular; no SPD polar factor")
     v = spec.eigenvectors

@@ -7,7 +7,9 @@ Three layers:
   top-k subspace privately and rescale it by the estimated gap ratio, which
   crushes the gap;
 * fine step -- under a bounded cumulative gap, probe the covariance with the
-  naive estimator and rescale each large eigendirection individually;
+  naive estimator for its scale kappa, probe again clipped at that scale,
+  and rescale each large eigendirection individually; the scan runs the
+  first probe only when a fine step fires;
 * the scanning loop -- walk the eigenvalue indexes once, firing whichever
   step the privately estimated ratios call for, and accumulate the map.
 
@@ -38,7 +40,11 @@ GAMMA_BAR_SQ = 40.0 / 10000.0
 COARSE_PSI_DIVISOR = 100.0
 # Fine step keeps directions with lambda_i(Z) >= lambda_{k+1}(Z) / (S_DIV gbar^2).
 FINE_S_DIVISOR = 16.0
-# Budget shares: one per call, at most this many calls.
+# Budget shares: one per call, reserved for this many calls.  The scan makes
+# at most 4 per iteration (subspace, post-coarse probe, fine step, eigenvalue
+# refresh) plus 1 initial eigenvalue estimate, so 5(d - 1) + 2 over-reserves;
+# sizing it to 4(d - 1) + 1 would raise every share and lower every
+# published floor, which is a floor change of its own.
 CALLS_PER_ITERATION = 5
 INITIAL_CALLS = 2
 
@@ -127,7 +133,7 @@ def fine_precondition(
         z = naive_estimate(
             x, budget, beta, rng.child("naive"), kappa2=kappa, accountant=accountant, label=label
         )
-    spec = linalg.sym_eig(linalg.as_sym_matrix(z))
+    spec = linalg.sym_eig(z)
     lam = spec.eigenvalues
     pivot = lam[k]  # lambda_{k+1}(Z), 0-indexed
     if pivot <= 0.0:
@@ -154,10 +160,6 @@ def min_samples(d, budget, beta):
     for k in range(1, d):
         needs.append(subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i))
     return max(needs)
-
-
-def _spectrum_of(matrix):
-    return linalg.sym_eig(linalg.as_sym_matrix(matrix)).eigenvalues
 
 
 def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=None, label="precondition"):
@@ -212,15 +214,6 @@ def _scan(x, budget, beta, rng, accountant, label, trace):
         xa, per_call, beta_i, rng.child("eig", 0), accountant=accountant, label=f"{label}/eig0"
     ).values
     check_positive(lam_hat, "initial eigenvalue estimate")
-    z = naive_estimate(
-        xa,
-        per_call,
-        beta_i,
-        rng.child("naive", 0),
-        kappa2=4.0 * lam_hat[0],
-        accountant=accountant,
-        label=f"{label}/naive0",
-    )
 
     for i in range(1, d):
         ratio_consec = lam_hat[i] / lam_hat[i - 1]
@@ -255,14 +248,26 @@ def _scan(x, budget, beta, rng, accountant, label, trace):
                 accountant=accountant,
                 label=f"{label}/naive_post{i}",
             )
-            lam_z = _spectrum_of(z)
+            lam_z = linalg.sym_eig(z).eigenvalues
             if lam_z[0] > 0.0 and lam_z[i] / lam_z[0] < 4.0 * GAMMA_BAR_SQ:
                 kind = "coarse+fine"
                 ratios["post_coarse_probe"] = lam_z[i] / lam_z[0]
                 kappa = lam_z[0]
         elif ratio_cumul < 4.0 * GAMMA_BAR_SQ:
             kind = "fine"
-            lam_z = _spectrum_of(z)
+            # keyed i - 1, like the eigenvalue estimate lam_hat came from:
+            # the stream and ledger label this probe had when the scan
+            # probed after every estimate, so seeded outputs do not move
+            z = naive_estimate(
+                xa,
+                per_call,
+                beta_i,
+                rng.child("naive", i - 1),
+                kappa2=4.0 * lam_hat[0],
+                accountant=accountant,
+                label=f"{label}/naive{i - 1}",
+            )
+            lam_z = linalg.sym_eig(z).eigenvalues
             kappa = lam_z[0] if lam_z[0] > 0.0 else 4.0 * lam_hat[0]
 
         if kappa is not None:
@@ -280,24 +285,12 @@ def _scan(x, budget, beta, rng, accountant, label, trace):
             a = linalg.symmetric_polar_factor(c @ a)
             xa = x @ a
 
-        # refresh for the next iteration: eigenvalues first so the probe's
-        # spectral bound is never stale
         lam_hat = estimate_eigenvalues(
             xa, per_call, beta_i, rng.child("eig", i), accountant=accountant, label=f"{label}/eig{i}"
         ).values
         check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
-        z = naive_estimate(
-            xa,
-            per_call,
-            beta_i,
-            rng.child("naive", i),
-            kappa2=4.0 * lam_hat[0],
-            accountant=accountant,
-            label=f"{label}/naive{i}",
-        )
 
-        spectrum_a = _spectrum_of(a)
-        if spectrum_a[-1] <= 0.0:
+        if linalg.sym_eig(a).eigenvalues[-1] <= 0.0:
             raise DegenerateSpectrum("accumulated preconditioner lost positive definiteness")
         trace.steps.append(PreconditionStep(iteration=i, kind=kind, ratios=ratios))
 

@@ -206,6 +206,6 @@ def recover_subspace(
         sums_matrix[:, i] = noisy
 
     gram = sums_matrix @ sums_matrix.T
-    spec = linalg.sym_eig(linalg.as_sym_matrix(gram))
+    spec = linalg.sym_eig(gram)
     return linalg.top_k_projector(spec, k)
 

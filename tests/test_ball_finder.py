@@ -4,7 +4,9 @@ import pytest
 from privgauss import ball_finder
 from privgauss.ball_finder import BallResult, find_center, grid_cell, n_min
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
-from privgauss.errors import InsufficientSamples, InvalidArgument
+from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
+
+FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9))
 
 
 def ks_statistic(a, b):
@@ -51,6 +53,21 @@ class TestFindCenter:
         with pytest.raises(InsufficientSamples):
             find_center(np.zeros((3, 4)), 1.0, budget, 0.1, RandomSource(0))
 
+    @pytest.mark.parametrize("dim", (2, 3, 4))
+    @pytest.mark.parametrize("budget", FLOOR_BUDGETS)
+    @pytest.mark.parametrize("beta", (0.05, 0.1))
+    def test_published_floor_is_the_smallest_accepted_n(self, dim, budget, beta):
+        floor = n_min(dim, budget, beta)
+        for n in (floor, int(1.7 * floor)):
+            pts = np.random.default_rng(n).standard_normal((n, dim))
+            try:
+                find_center(pts, 1.0, budget, beta, RandomSource(0))
+            except BottomReleased:
+                pass  # the floor promises enough points to try, not a release
+        pts = np.random.default_rng(0).standard_normal((floor - 1, dim))
+        with pytest.raises(InsufficientSamples):
+            find_center(pts, 1.0, budget, beta, RandomSource(0))
+
     def test_non_finite_points(self):
         budget = PrivacyBudget(1.0, 1e-6)
         pts = np.zeros((500, 2))
@@ -69,6 +86,19 @@ class TestFindCenter:
         acc = Accountant()
         pts = np.tile([1.0, 2.0], (200, 1))
         find_center(pts, 1.0, budget, 0.1, RandomSource(5).child("a"), accountant=acc)
+        assert len(acc.entries) == 1
+        assert acc.entries[0].budget == budget
+
+    def test_charge_precedes_release(self):
+        # one point per bin at coordinate 0: its histogram releases nothing,
+        # and the ledger still holds the charge for what was released
+        budget = PrivacyBudget(1.0, 1e-6)
+        n = n_min(2, budget, 0.1)
+        pts = np.zeros((n, 2))
+        pts[:, 0] = 10.0 * np.arange(n)
+        acc = Accountant()
+        with pytest.raises(BottomReleased):
+            find_center(pts, 1.0, budget, 0.1, RandomSource(0).child("b"), accountant=acc)
         assert len(acc.entries) == 1
         assert acc.entries[0].budget == budget
 

@@ -7,9 +7,10 @@ from oracles import bucket_of
 from privgauss import eigenvalues
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.eigenvalues import estimate_eigenvalues, subsample_count
-from privgauss.errors import InsufficientSamples, InvalidArgument
+from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
 
 BUDGET = PrivacyBudget(10.0, 1e-6)
+FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9))
 
 
 def gaussian_samples(cov_diag, n, seed):
@@ -99,6 +100,19 @@ class TestEstimateEigenvalues:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             estimate_eigenvalues(np.zeros((10, 4)), BUDGET, 0.1, RandomSource(0))
+
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("budget", FLOOR_BUDGETS)
+    @pytest.mark.parametrize("beta", (0.05, 0.1))
+    def test_published_floor_is_the_smallest_accepted_n(self, d, budget, beta):
+        floor = eigenvalues.min_samples(d, budget, beta)
+        for n in (floor, int(1.7 * floor)):
+            try:
+                estimate_eigenvalues(gaussian_samples(np.ones(d), n, n), budget, beta, RandomSource(0))
+            except BottomReleased:
+                pass  # the floor promises the subsample layout, not a release
+        with pytest.raises(InsufficientSamples):
+            estimate_eigenvalues(gaussian_samples(np.ones(d), floor - 1, 0), budget, beta, RandomSource(0))
 
     def test_ledger_charges(self):
         d = 3

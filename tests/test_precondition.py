@@ -1,4 +1,5 @@
 import math
+import re
 import traceback
 
 import numpy as np
@@ -45,6 +46,31 @@ def assert_within_budget(acc):
     assert delta <= BUDGET.delta
 
 
+def assert_probes_consumed(kinds, acc):
+    """The scan's naive probes are charged only where a step reads them.
+
+    A fine step at iteration i reads the probe naive{i-1}, charged just
+    before fine{i}; a coarse step at iteration i re-probes as naive_post{i}.
+    A skip step probes nothing.  ``kinds`` is None for a run that raised,
+    whose ledger is checked only for the first rule.
+    """
+    labels = [entry.label for entry in acc.entries]
+    probes = [label for label in labels if re.fullmatch(r"precondition/naive\w*", label)]
+    for j, label in enumerate(labels):
+        match = re.fullmatch(r"precondition/naive(\d+)", label)
+        if match:
+            assert labels[j + 1 : j + 2] == [f"precondition/fine{int(match.group(1)) + 1}"]
+    if kinds is None:
+        return
+    expected = []
+    for i, kind in enumerate(kinds, start=1):
+        if kind == "fine":
+            expected.append(f"precondition/naive{i - 1}")
+        elif kind.startswith("coarse"):
+            expected.append(f"precondition/naive_post{i}")
+    assert probes == expected
+
+
 class TestPrecondition:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_coarse_branch_conditions(self, seed):
@@ -53,6 +79,7 @@ class TestPrecondition:
         assert kinds == ["coarse"]
         assert cond <= 2.0
         assert_within_budget(acc)
+        assert_probes_consumed(kinds, acc)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_skip_branch_keeps_isotropic_data(self, seed):
@@ -60,12 +87,14 @@ class TestPrecondition:
         assert kinds == ["skip"]
         assert cond <= 1.1
         assert_within_budget(acc)
+        assert_probes_consumed(kinds, acc)
 
     def test_three_dim_coarse_then_skip(self):
         kinds, cond, acc = run((1.0, 1e-6, 1e-6), 0)
         assert kinds == ["coarse", "skip"]
         assert cond <= 2.0
         assert_within_budget(acc)
+        assert_probes_consumed(kinds, acc)
 
     # The fine step neither reaches O(1) nor always finishes: its probe can
     # report a non-positive eigenvalue, which raises DegenerateSpectrum.
@@ -89,6 +118,7 @@ class TestPrecondition:
         for seed in SEEDS:
             kinds, cond, acc = run(spectrum, seed)
             assert_within_budget(acc)
+            assert_probes_consumed(kinds, acc)
             if kinds is None:
                 raises += 1
                 continue
