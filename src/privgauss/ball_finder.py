@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp_core import PrivacyBudget, RandomSource, plan_shares, stable_counts, stable_release_threshold
-from .errors import BottomReleased, InsufficientSamples, InvalidArgument
+from .dp_core import PrivacyBudget, RandomSource, bucket_counts, heaviest, plan_shares, release_floor, stable_counts
+from .errors import InsufficientSamples, InvalidArgument
 
 # Radius inflation: radius_used = INFLATION * sqrt(D) * r_opt * sqrt(ln n).
 INFLATION = 4.0
 # Sample floor constant in n_min.
 N_MIN_SCALE = 8.0
-# A clustered bucket needs roughly this multiple of the release threshold
-# to clear it with margin even when the cluster straddles two bins.
-RELEASE_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,7 @@ def n_min(dim, budget: PrivacyBudget, beta):
     if not 0.0 < beta < 1.0:
         raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     shape = N_MIN_SCALE * math.sqrt(dim) * math.log(dim / (budget.delta * beta)) / budget.epsilon
-    per_coord = plan_shares(budget, dim).per_call
-    floor = RELEASE_MARGIN * stable_release_threshold(per_coord)
-    return max(int(math.ceil(shape)), int(math.ceil(floor)), 4)
+    return max(int(math.ceil(shape)), release_floor(budget, dim), 4)
 
 
 def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None, label="ball_finder"):
@@ -83,17 +78,8 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None,
     center = np.empty(dim)
     for j in range(dim):
         keys = np.floor((pts[:, j] - offsets[j]) / r_opt).astype(np.int64)
-        uniq, counts = np.unique(keys, return_counts=True)
-        table = {int(k): int(c) for k, c in zip(uniq, counts)}
-        released = stable_counts(table, per_coord, rng.child("hist", j))
-        if not released:
-            raise BottomReleased(f"no heavy bin released for coordinate {j}")
-        # heaviest noisy count; ties break toward the smaller coordinate
-        best_key = None
-        best_count = -math.inf
-        for key in sorted(released):
-            if released[key] > best_count:
-                best_key, best_count = key, released[key]
+        released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j))
+        best_key = heaviest(released, f"no heavy bin released for coordinate {j}")
         center[j] = offsets[j] + (best_key + 0.5) * r_opt
 
     center = np.round(center / cell) * cell

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import BottomReleased, InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -172,44 +172,29 @@ def gue_noise(d, sigma, rng: RandomSource):
 
 @dataclass(frozen=True)
 class BucketScheme:
-    """Disjoint half-open buckets [l, r) covering the target range.
+    """Geometric buckets [ratio^k, ratio^{k+1}) over (0, inf), keyed by the
+    int k, plus the distinguished zero bucket [0, 0] keyed by ZERO; negative
+    values are rejected.  ZERO sorts below every other key."""
 
-    geometric: buckets [ratio^k, ratio^{k+1}) over (0, inf) plus the
-               distinguished zero bucket [0, 0]; negative values rejected.
-    linear:    buckets [offset + k*w, offset + (k+1)*w) over the reals.
-    """
+    ratio: float
 
-    kind: str
-    ratio_or_width: float
-    offset: float = 0.0
+    ZERO = np.iinfo(np.int64).min  # key of the zero bucket, a Python int
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "linear"):
-            raise InvalidArgument(f"unknown bucket scheme kind {self.kind!r}")
-        if self.kind == "geometric" and self.ratio_or_width <= 1.0:
+        if self.ratio <= 1.0:
             raise InvalidArgument("geometric scheme needs ratio > 1")
-        if self.kind == "linear" and self.ratio_or_width <= 0.0:
-            raise InvalidArgument("linear scheme needs width > 0")
-
-    ZERO = None  # key of the geometric zero bucket
 
     def keys(self, values):
-        """Bucket key for each value; geometric keys are None for the zero
-        bucket, otherwise integers k with value in [ratio^k, ratio^{k+1})."""
+        """int64 bucket key of each value: ZERO for 0, otherwise the k with
+        value in [ratio^k, ratio^{k+1})."""
         v = np.asarray(values, dtype=np.float64)
         if v.size and not np.all(np.isfinite(v)):
             raise InvalidArgument("histogram values must be finite")
-        if self.kind == "linear":
-            idx = np.floor((v - self.offset) / self.ratio_or_width).astype(np.int64)
-            # half-open buckets: boundary values belong to the upper bucket
-            hi = self.offset + (idx + 1) * self.ratio_or_width
-            idx[v >= hi] += 1
-            return [int(k) for k in idx]
         if v.size and np.any(v < 0.0):
             raise InvalidArgument("geometric scheme covers [0, inf) only")
         pos = np.flatnonzero(v > 0.0)
         x = v[pos]
-        k = np.floor(np.log(x) / math.log(self.ratio_or_width)).astype(np.int64)
+        k = np.floor(np.log(x) / math.log(self.ratio)).astype(np.int64)
         # float boundary correction so [l, r) is exact against the edges
         # bounds() reports; only the entries still moving are re-tested
         moving = np.arange(x.size)
@@ -220,9 +205,9 @@ class BucketScheme:
         while moving.size:
             moving = moving[x[moving] < self._edges(k[moving])]
             k[moving] -= 1
-        out = np.full(v.size, None, dtype=object)
-        out[pos] = k  # the object cast makes Python ints
-        return out.tolist()
+        out = np.full(v.size, self.ZERO, dtype=np.int64)
+        out[pos] = k
+        return out
 
     def _edges(self, keys):
         """Geometric edges ratio**key with the same Python power as bounds()
@@ -230,16 +215,21 @@ class BucketScheme:
         sit on an edge), computed once per key in the span of ``keys``,
         which float64 bounds to a few thousand."""
         low = int(keys.min())
-        table = np.array([self.ratio_or_width ** key for key in range(low, int(keys.max()) + 1)])
+        table = np.array([self.ratio ** key for key in range(low, int(keys.max()) + 1)])
         return table[keys - low]
 
     def bounds(self, key):
-        if self.kind == "linear":
-            lo = self.offset + key * self.ratio_or_width
-            return lo, lo + self.ratio_or_width
-        if key is None:
+        key = int(key)
+        if key == self.ZERO:
             return 0.0, 0.0
-        return self.ratio_or_width ** key, self.ratio_or_width ** (key + 1)
+        return self.ratio ** key, self.ratio ** (key + 1)
+
+
+def bucket_counts(keys):
+    """{key: count} of the occupied buckets among int ``keys``, keyed by
+    Python ints."""
+    uniq, counts = np.unique(keys, return_counts=True)
+    return dict(zip(uniq.tolist(), counts.tolist()))
 
 
 def stable_release_threshold(budget: PrivacyBudget):
@@ -249,16 +239,24 @@ def stable_release_threshold(budget: PrivacyBudget):
     return 1.0 + 2.0 * math.log(2.0 / budget.delta) / budget.epsilon
 
 
+def release_floor(budget: PrivacyBudget, histograms):
+    """Points each of ``histograms`` equal-share histograms needs so that a
+    dataset split over two adjacent buckets still clears the release
+    threshold with margin: four times the per-call threshold, rounded up."""
+    return math.ceil(4.0 * stable_release_threshold(plan_shares(budget, histograms).per_call))
+
+
 def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):
     """Core stability-based release: Laplace(2/eps) noise on occupied
     buckets, keep those whose noisy count clears the threshold.
 
-    ``counts`` maps bucket key -> true count (> 0); keys must sort.  Only
-    occupied buckets are ever candidates, so empty buckets can never be
-    released.  Returns {key: noisy_count}, deterministic given the stream.
+    ``counts`` maps int bucket key -> true count (> 0), as ``bucket_counts``
+    makes it.  Only occupied buckets are ever candidates, so empty buckets
+    can never be released.  Noise is drawn in increasing key order; returns
+    {key: noisy_count}, deterministic given the stream.
     """
     threshold = stable_release_threshold(budget)
-    keys = sorted(counts.keys(), key=lambda k: (k is not None, k))
+    keys = sorted(counts)
     if not keys:
         return {}
     noise = rng.laplace(2.0 / budget.epsilon, size=len(keys))
@@ -270,19 +268,9 @@ def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):
     return released
 
 
-def stable_histogram(values, scheme: BucketScheme, budget, rng, accountant=None, label="stable_histogram"):
-    """(eps, delta)-DP histogram over the scheme's buckets.
-
-    Returns a list of ((lo, hi), noisy_count) for released buckets, sorted
-    by lower edge.  Empty input releases nothing (not an error).
-    """
-    keys = scheme.keys(values)
-    counts = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    if accountant is not None:
-        accountant.charge(label, budget, mechanism="stable_histogram", sensitivity=1.0)
-    released = stable_counts(counts, budget, rng)
-    out = [(scheme.bounds(k), noisy) for k, noisy in released.items()]
-    out.sort(key=lambda item: item[0][0])
-    return out
+def heaviest(released, what):
+    """The released key with the largest noisy count, ties toward the
+    smaller key; raises BottomReleased(``what``) when nothing was released."""
+    if not released:
+        raise BottomReleased(what)
+    return min(released, key=lambda key: (-released[key], key))

@@ -86,6 +86,10 @@ def sym_eig_batch(mats, vectors=True):
     return vals[:, ::-1], vecs[:, :, ::-1]
 
 
+# Rows per block of the subsample layout never drop below this many times d.
+MIN_ROWS_PER_DIM = 4
+
+
 def gram_stack(x, t, m):
     """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
     consecutive rows of ``x``, as a (t, d, d) stack; rows past t * m are
@@ -103,11 +107,6 @@ def sym_eig(m) -> Spectrum:
     a = as_sym_matrix(m)
     vals, vecs = sym_eig_batch(a[None, :, :])
     return Spectrum(eigenvalues=vals[0], eigenvectors=vecs[0])
-
-
-def reconstruct(spectrum: Spectrum):
-    v = spectrum.eigenvectors
-    return (v * spectrum.eigenvalues) @ v.T
 
 
 def psd_project(m):
@@ -172,19 +171,14 @@ def rel_mean_norm(mu_hat, mu, truth):
     return float(np.linalg.norm(inv_root * (basis.T @ x)))
 
 
-def projector_from_columns(basis):
-    """Orthogonal projector onto the span of the given orthonormal columns."""
-    b = np.asarray(basis, dtype=np.float64)
-    p = b @ b.T
-    return Projector(0.5 * (p + p.T), rank=b.shape[1])
-
-
 def top_k_projector(spectrum: Spectrum, k) -> Projector:
     """Projector onto the span of the top-k eigenvectors."""
     d = spectrum.dim
     if not 0 <= k <= d:
         raise InvalidArgument(f"k={k} out of range [0, {d}]")
-    return projector_from_columns(spectrum.eigenvectors[:, :k])
+    b = spectrum.eigenvectors[:, :k]
+    p = b @ b.T
+    return Projector(0.5 * (p + p.T), rank=k)
 
 
 def spd_inverse(m):

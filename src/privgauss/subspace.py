@@ -33,8 +33,6 @@ R_SCALE = 4.0
 TRUNC_SCALE = 4.0
 # Variance-model constant in the m >= ~ d polylog / (psi^2 t q) requirement.
 M_MIN_SCALE = 32.0
-# Rows per subsample never drop below this many times d.
-MIN_ROWS_PER_DIM = 4
 # Largest accuracy parameter the layout accepts (psi must stay below 1).
 MAX_PSI = 0.999
 
@@ -93,7 +91,7 @@ def _psi_floor(m, d, k, t):
 def _fits(m, d, k, psi, t):
     """The one layout predicate behind n_min, feasible_psi and subspace_params,
     so their answers never contradict each other in floating point."""
-    return m >= MIN_ROWS_PER_DIM * d and psi >= _psi_floor(m, d, k, t)
+    return m >= linalg.MIN_ROWS_PER_DIM * d and psi >= _psi_floor(m, d, k, t)
 
 
 def n_min(d, k, psi, budget, beta):
@@ -101,10 +99,10 @@ def n_min(d, k, psi, budget, beta):
     t = subsample_count(d, k, budget, beta)
     # _psi_floor falls as 1/sqrt(m); in floats this closed form can miss the
     # predicate by a row either way
-    m = max(MIN_ROWS_PER_DIM * d, math.ceil((_psi_floor(1, d, k, t) / psi) ** 2))
+    m = max(linalg.MIN_ROWS_PER_DIM * d, math.ceil((_psi_floor(1, d, k, t) / psi) ** 2))
     while not _fits(m, d, k, psi, t):
         m += 1
-    while m > MIN_ROWS_PER_DIM * d and _fits(m - 1, d, k, psi, t):
+    while m > linalg.MIN_ROWS_PER_DIM * d and _fits(m - 1, d, k, psi, t):
         m -= 1
     return t * m
 

@@ -8,6 +8,12 @@ from privgauss import eigenvalues, linalg
 from privgauss.errors import DegenerateSpectrum, InvalidArgument
 
 
+def reconstruct(spectrum: linalg.Spectrum):
+    """V diag(lambda) V^T: the matrix a spectrum decomposes."""
+    v = spectrum.eigenvectors
+    return (v * spectrum.eigenvalues) @ v.T
+
+
 def condition_ratio(m, i, j):
     """lambda_i / lambda_j of a symmetric matrix (1-based eigenvalue indices)."""
     spec = linalg.sym_eig(m)

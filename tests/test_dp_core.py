@@ -3,22 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from privgauss import dp_core
+from privgauss import ball_finder, eigenvalues, precondition
 from privgauss.dp_core import (
     Accountant,
     BucketScheme,
     PrivacyBudget,
     RandomSource,
+    bucket_counts,
     gaussian_mechanism,
     gaussian_sigma,
     gue_noise,
+    heaviest,
     plan_shares,
-    stable_histogram,
+    stable_counts,
 )
-from privgauss.errors import InvalidArgument
+from privgauss.errors import BottomReleased, InvalidArgument
 
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
+FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9))
+GEOMETRIC = BucketScheme(2.0 ** 0.25)
+ZERO = BucketScheme.ZERO
 
 
 def loop_geometric_keys(ratio, values):
@@ -27,7 +32,7 @@ def loop_geometric_keys(ratio, values):
     ln_ratio = math.log(ratio)
     for x in np.asarray(values, dtype=np.float64):
         if x == 0.0:
-            out.append(None)
+            out.append(ZERO)
             continue
         k = math.floor(math.log(x) / ln_ratio)
         while ratio ** (k + 1) <= x:
@@ -142,70 +147,73 @@ class TestGueNoise:
         assert math.sqrt(d) <= med <= 4.0 * math.sqrt(d)
 
 
+def release(values, rng, budget=BUDGET):
+    """The histogram path of both callers: keys, counts, stable release."""
+    return stable_counts(bucket_counts(GEOMETRIC.keys(values)), budget, rng)
+
+
 class TestStableHistogram:
     def test_identical_values_single_bucket(self):
-        scheme = BucketScheme("linear", 1.0)
         hits = 0
         for seed in range(100):
-            out = stable_histogram(
-                np.full(1000, 3.25), scheme, BUDGET, RandomSource(seed).child("h")
-            )
+            out = release(np.full(1000, 3.25), RandomSource(seed).child("h"))
             assert len(out) == 1
-            (lo, hi), count = out[0]
+            key = heaviest(out, "none released")
+            lo, hi = GEOMETRIC.bounds(key)
             assert lo <= 3.25 < hi
-            if 940.0 <= count <= 1060.0:
+            if 940.0 <= out[key] <= 1060.0:
                 hits += 1
         assert hits >= 99
 
     def test_empty_input(self):
-        scheme = BucketScheme("linear", 1.0)
-        assert stable_histogram([], scheme, BUDGET, RandomSource(0)) == []
+        assert bucket_counts(GEOMETRIC.keys([])) == {}
+        assert release([], RandomSource(0)) == {}
 
     def test_singleton_suppression(self):
-        scheme = BucketScheme("linear", 1.0)
         releases = 0
         trials = 20_000
         for seed in range(trials):
-            out = stable_histogram([0.5], scheme, BUDGET, RandomSource(seed).child("s"))
+            out = release([0.5], RandomSource(seed).child("s"))
             releases += bool(out)
         assert releases / trials <= 1e-3
 
     def test_never_releases_unoccupied_buckets(self):
-        # adversarial mix of near-boundary values; released buckets must all
-        # contain at least one input value
-        scheme = BucketScheme("linear", 1.0)
+        # adversarial mix of zeros, bucket edges and values a rounding step
+        # below the edge 2 = ratio^4; released buckets must all contain at
+        # least one input value
         rng = np.random.default_rng(0)
+        below_edge = np.nextafter(2.0, 0.0)
         for seed in range(2000):
             values = np.concatenate(
                 [
                     rng.integers(0, 3, size=40).astype(float),
-                    np.full(int(rng.integers(0, 60)), 7.0 - 1e-12),
+                    np.full(int(rng.integers(0, 60)), below_edge),
                 ]
             )
-            out = stable_histogram(values, scheme, BUDGET, RandomSource(seed).child("adv"))
-            occupied = {scheme.keys([v])[0] for v in values}
-            for (lo, hi), _ in out:
-                key = scheme.keys([lo])[0]
-                assert key in occupied
+            out = release(values, RandomSource(seed).child("adv"))
+            occupied = set(GEOMETRIC.keys(values).tolist())
+            assert set(out) <= occupied
 
     def test_geometric_zero_bucket(self):
-        scheme = BucketScheme("geometric", 2.0 ** 0.25)
-        out = stable_histogram(np.zeros(500), scheme, BUDGET, RandomSource(3).child("z"))
-        assert len(out) == 1
-        assert out[0][0] == (0.0, 0.0)
+        out = release(np.zeros(500), RandomSource(3).child("z"))
+        assert list(out) == [ZERO]
+        assert GEOMETRIC.bounds(heaviest(out, "none released")) == (0.0, 0.0)
 
     def test_geometric_rejects_negative(self):
-        scheme = BucketScheme("geometric", 2.0 ** 0.25)
         with pytest.raises(InvalidArgument):
-            stable_histogram([-1.0], scheme, BUDGET, RandomSource(0))
+            release([-1.0], RandomSource(0))
 
     def test_boundary_belongs_to_upper_bucket(self):
-        lin = BucketScheme("linear", 0.5)
-        assert lin.keys([1.0]) == [2]
-        geo = BucketScheme("geometric", 2.0 ** 0.25)
-        assert geo.keys([1.0]) == [0]
-        lo, hi = geo.bounds(0)
+        keys = GEOMETRIC.keys([1.0, np.nextafter(1.0, 0.0), 2.0])
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [0, -1, 4]
+        lo, hi = GEOMETRIC.bounds(0)
         assert lo == 1.0 and hi == pytest.approx(2.0 ** 0.25)
+
+    def test_counts_are_python_ints(self):
+        counts = bucket_counts(GEOMETRIC.keys([0.0, 1.0, 1.1, 0.0, 0.0]))
+        assert counts == {ZERO: 3, 0: 2}
+        assert all(type(k) is int and type(c) is int for k, c in counts.items())
 
     @pytest.mark.parametrize("ratio", [2.0 ** 0.25, 1.5, 2.0, 10.0])
     def test_geometric_keys_match_loop(self, ratio):
@@ -217,9 +225,49 @@ class TestStableHistogram:
         values = np.concatenate(
             [random, edges, np.nextafter(edges, 0.0), [0.0], subnormal, np.nextafter(subnormal, 1.0)]
         )
-        got = BucketScheme("geometric", ratio).keys(values)
-        assert got == loop_geometric_keys(ratio, values)
-        assert all(type(k) is int for k in got if k is not None)
+        got = BucketScheme(ratio).keys(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == loop_geometric_keys(ratio, values)
+
+
+class TestHeaviest:
+    def test_nothing_released_raises(self):
+        with pytest.raises(BottomReleased, match="no bucket released for index 3"):
+            heaviest({}, "no bucket released for index 3")
+
+    def test_largest_noisy_count_wins(self):
+        assert heaviest({-4: 12.5, 0: 30.25, 9: 29.0}, "none") == 0
+
+    def test_exact_tie_goes_to_smaller_key(self):
+        assert heaviest({7: 1.0, 3: 5.0, -2: 5.0}, "none") == -2
+
+    def test_zero_bucket_can_win(self):
+        assert heaviest({ZERO: 10.0, 0: 9.0}, "none") == ZERO
+        assert heaviest({5: 10.0, ZERO: 10.0}, "none") == ZERO
+
+
+class TestPublishedFloors:
+    def test_floors_are_pinned(self):
+        # release_floor sets the histogram share of every floor below.
+        # precondition.min_samples at the composed estimator's half budget,
+        # beta = 0.05, d = 2..5:
+        half = PrivacyBudget(0.5, 5e-7)
+        assert [precondition.min_samples(d, half, 0.05) for d in range(2, 6)] == [
+            285_616,
+            2_384_184,
+            9_441_904,
+            26_321_820,
+        ]
+        # (eigenvalues.min_samples, ball_finder.n_min) at beta = 0.05, one
+        # row per budget of FLOOR_BUDGETS, d = 2..5:
+        pinned = [
+            [(4664, 513), (10716, 787), (19360, 1066), (30600, 1349)],
+            [(2248, 248), (5160, 379), (9328, 513), (14740, 649)],
+            [(320, 40), (720, 59), (1296, 77), (2040, 97)],
+        ]
+        for budget, floors in zip(FLOOR_BUDGETS, pinned):
+            got = [(eigenvalues.min_samples(d, budget, 0.05), ball_finder.n_min(d, budget, 0.05)) for d in range(2, 6)]
+            assert got == floors
 
 
 class TestCompose:

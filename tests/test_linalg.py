@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import condition_ratio, weyl_interval
+from oracles import condition_ratio, reconstruct, weyl_interval
 from privgauss import linalg
 from privgauss.errors import (
     DegenerateSpectrum,
@@ -59,7 +59,7 @@ class TestSymEig:
             m = random_symmetric(rng, d)
             spec = linalg.sym_eig(m)
             fro = np.linalg.norm(m)
-            recon = linalg.reconstruct(spec)
+            recon = reconstruct(spec)
             assert np.linalg.norm(recon - m) <= 1e-10 * max(1.0, fro)
             v = spec.eigenvectors
             assert np.linalg.norm(v.T @ v - np.eye(d)) <= 1e-10
