@@ -51,7 +51,7 @@ def n_min(dim, budget: PrivacyBudget, beta):
     return max(int(math.ceil(shape)), release_floor(budget, dim), 4)
 
 
-def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None, label="ball_finder"):
+def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None):
     """Privately locate a center whose inflated ball captures >= n/2 points."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -65,10 +65,6 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None,
     if n < needed:
         raise InsufficientSamples(f"need at least {needed} points for D={dim}, got {n}")
 
-    # charge up front: a BottomReleased in the loop below is raised after
-    # some histograms have already been released
-    if accountant is not None:
-        accountant.charge(label, budget, mechanism="coordinate_stable_histogram")
     per_coord = plan_shares(budget, dim).per_call
     # Shared random bin offset (public randomness): makes the released
     # center distribution shift exactly with the data.
@@ -78,7 +74,7 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None,
     center = np.empty(dim)
     for j in range(dim):
         keys = np.floor((pts[:, j] - offsets[j]) / r_opt).astype(np.int64)
-        released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j))
+        released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j), accountant)
         best_key = heaviest(released, f"no heavy bin released for coordinate {j}")
         center[j] = offsets[j] + (best_key + 0.5) * r_opt
 

@@ -2,7 +2,10 @@
 
 Budgets are (epsilon, delta) pairs; every mechanism draws its noise from an
 explicit RandomSource so that a fixed (seed, stream path) reproduces outputs
-bit for bit, and records what it spent on an optional Accountant.
+bit for bit.  The stream is the identity of a release: a mechanism given an
+Accountant charges it, in the same call that draws the noise, under the
+stream's ``name`` (its path joined with "/"), so the ledger's labels are the
+call tree's stream paths and two releases never share a label.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,19 +54,27 @@ class RandomSource:
 
     Identical (seed, stream path) always reproduce the same draw sequence;
     children derived with distinct labels are statistically independent.
-    Each instance owns one generator, consumed sequentially.
+    Each instance owns one generator, consumed sequentially.  ``path`` is the
+    tuple of labels the stream was derived with and ``name`` that path joined
+    with "/" (the root's is ""); mechanisms charge their releases under
+    ``name``.
     """
 
-    def __init__(self, seed, _spawn_key=()):
+    def __init__(self, seed, _spawn_key=(), _path=()):
         self.seed = int(seed)
         self._spawn_key = tuple(_spawn_key)
+        self.path = tuple(_path)
         self._generator = None
+
+    @property
+    def name(self):
+        return "/".join(map(str, self.path))
 
     def child(self, *labels) -> "RandomSource":
         key = self._spawn_key
         for label in labels:
             key = key + _hash_label(label)
-        return RandomSource(self.seed, key)
+        return RandomSource(self.seed, key, self.path + labels)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -86,7 +98,7 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    label: str
+    label: str  # name of the stream the release drew its noise from
     budget: PrivacyBudget
     mechanism: str = ""
     sensitivity: float | None = None
@@ -94,11 +106,14 @@ class LedgerEntry:
 
 @dataclass
 class Accountant:
-    """Append-only ledger of privacy charges.
+    """Append-only ledger of privacy charges, one entry per release.
 
-    The charges compose by basic composition only: the total is the sum of
-    the epsilons and the sum of the deltas.  Every budget in the package is
-    split by ``plan_shares``, whose equal basic shares sum back to the
+    Each entry's label is the name of the RandomSource the release drew its
+    noise from, e.g. ``precondition/coarse/1/subspace/center/0/hist/1``, so
+    the labels mirror the call tree and are unique within one run.  The
+    charges compose by basic composition only: the total is the sum of the
+    epsilons and the sum of the deltas.  Every budget in the package is
+    split by ``plan_shares``, whose equal basic shares sum to at most the
     parent budget, so the total of a ledger filled by any entry point is at
     most the budget passed to it.
     """
@@ -127,16 +142,27 @@ class Accountant:
 @dataclass(frozen=True)
 class SharePlan:
     """Per-call budget for a fixed number of calls: the equal basic share
-    (eps / calls, delta / calls), so the calls compose to the parent budget."""
+    (eps / calls, delta / calls), rounded down so that the calls compose to
+    at most the parent budget."""
 
     per_call: PrivacyBudget
+
+
+def _share(total, calls):
+    """total / calls, stepped down an ulp at a time until ``calls`` copies
+    sum exactly to at most ``total``; the rounded quotient alone can sum
+    past it."""
+    share = total / calls
+    while Fraction(share) * calls > Fraction(total):
+        share = math.nextafter(share, 0.0)
+    return share
 
 
 def plan_shares(budget: PrivacyBudget, calls) -> SharePlan:
     """The one way a budget is split among ``calls`` subroutine calls."""
     if calls < 1:
         raise InvalidArgument("need at least one call")
-    return SharePlan(PrivacyBudget(budget.epsilon / calls, budget.delta / calls))
+    return SharePlan(PrivacyBudget(_share(budget.epsilon, calls), _share(budget.delta, calls)))
 
 
 def gaussian_sigma(sensitivity, budget: PrivacyBudget):
@@ -148,12 +174,12 @@ def gaussian_sigma(sensitivity, budget: PrivacyBudget):
     return sensitivity * math.sqrt(2.0 * math.log(2.0 / budget.delta)) / budget.epsilon
 
 
-def gaussian_mechanism(values, sensitivity, budget, rng: RandomSource, accountant=None, label="gaussian"):
+def gaussian_mechanism(values, sensitivity, budget, rng: RandomSource, accountant=None):
     """Add calibrated iid Gaussian noise to a statistic with known l2 sensitivity."""
     v = np.asarray(values, dtype=np.float64)
     sigma = gaussian_sigma(sensitivity, budget)
     if accountant is not None:
-        accountant.charge(label, budget, mechanism="gaussian", sensitivity=sensitivity)
+        accountant.charge(rng.name, budget, mechanism="gaussian", sensitivity=sensitivity)
     return v + rng.normal(scale=sigma, size=v.shape)
 
 
@@ -168,6 +194,15 @@ def gue_noise(d, sigma, rng: RandomSource):
     draws = rng.normal(scale=sigma, size=(d, d))
     upper = np.triu(draws)
     return upper + np.triu(draws, k=1).T
+
+
+def gue_mechanism(matrix, sensitivity, budget, rng: RandomSource, accountant=None):
+    """Add symmetric Gaussian noise calibrated to a d x d statistic's
+    Frobenius sensitivity."""
+    sigma = gaussian_sigma(sensitivity, budget)
+    if accountant is not None:
+        accountant.charge(rng.name, budget, mechanism="gue_gaussian", sensitivity=sensitivity)
+    return matrix + gue_noise(matrix.shape[0], sigma, rng)
 
 
 @dataclass(frozen=True)
@@ -246,16 +281,19 @@ def release_floor(budget: PrivacyBudget, histograms):
     return math.ceil(4.0 * stable_release_threshold(plan_shares(budget, histograms).per_call))
 
 
-def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):
+def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource, accountant=None):
     """Core stability-based release: Laplace(2/eps) noise on occupied
     buckets, keep those whose noisy count clears the threshold.
 
     ``counts`` maps int bucket key -> true count (> 0), as ``bucket_counts``
     makes it.  Only occupied buckets are ever candidates, so empty buckets
     can never be released.  Noise is drawn in increasing key order; returns
-    {key: noisy_count}, deterministic given the stream.
+    {key: noisy_count}, deterministic given the stream.  The release is
+    charged to ``accountant`` before any noise is drawn.
     """
     threshold = stable_release_threshold(budget)
+    if accountant is not None:
+        accountant.charge(rng.name, budget, mechanism="stable_histogram", sensitivity=1.0)
     keys = sorted(counts)
     if not keys:
         return {}

@@ -67,7 +67,7 @@ def min_samples(d, budget, beta):
     return subsample_count(d, budget, beta) * linalg.MIN_ROWS_PER_DIM * d
 
 
-def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None, label="eigenvalues"):
+def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None):
     """Estimate all d eigenvalues of the data covariance under (eps, delta)-DP.
 
     The rows of ``x`` are assumed centered (pair-differenced upstream); each
@@ -98,9 +98,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None, la
     released_edges = np.empty(d)
     for i in range(d):
         counts = bucket_counts(_SCHEME.keys(vals[:, i]))
-        if accountant is not None:
-            accountant.charge(f"{label}/index{i}", per_index, mechanism="stable_histogram", sensitivity=1.0)
-        noisy = stable_counts(counts, per_index, rng.child("hist", i))
+        noisy = stable_counts(counts, per_index, rng.child("hist", i), accountant)
         best = heaviest(noisy, f"no bucket released for eigenvalue index {i}")
         released_edges[i] = _SCHEME.bounds(best)[0]
 

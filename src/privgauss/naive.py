@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dp_core import PrivacyBudget, RandomSource, gaussian_sigma, gue_noise, plan_shares
+from .dp_core import PrivacyBudget, RandomSource, gaussian_sigma, gue_mechanism, plan_shares
 from .errors import InsufficientSamples, InvalidArgument
 from .eigenvalues import estimate_eigenvalues
 
@@ -82,7 +82,6 @@ def naive_estimate(
     rng: RandomSource,
     kappa2=None,
     accountant=None,
-    label="naive",
 ):
     """(eps, delta)-DP PSD estimate of the second-moment matrix of ``x``.
 
@@ -101,9 +100,7 @@ def naive_estimate(
 
     if kappa2 is None:
         kappa_budget = noise_budget = plan_shares(budget, 2).per_call
-        est = estimate_eigenvalues(
-            x, kappa_budget, beta, rng.child("kappa"), accountant=accountant, label=f"{label}/kappa"
-        )
+        est = estimate_eigenvalues(x, kappa_budget, beta, rng.child("kappa"), accountant=accountant)
         kappa2 = KAPPA_FACTOR * float(est.values[0])
     else:
         noise_budget = budget
@@ -116,13 +113,6 @@ def naive_estimate(
 
     config = naive_config(n, d, kappa2, noise_budget, beta)
     moment, _ = clipped_second_moment(x, config.clip_threshold)
-    noise = gue_noise(d, config.sigma, rng.child("noise"))
-    if accountant is not None:
-        accountant.charge(
-            label,
-            noise_budget,
-            mechanism="gue_gaussian",
-            sensitivity=2.0 * config.clip_threshold / n,
-        )
-    return linalg.psd_project(moment + noise)
+    sensitivity = 2.0 * config.clip_threshold / n
+    return linalg.psd_project(gue_mechanism(moment, sensitivity, noise_budget, rng.child("noise"), accountant))
 

@@ -30,7 +30,7 @@ from . import linalg, subspace
 from .dp_core import PrivacyBudget, RandomSource, plan_shares
 from .eigenvalues import estimate_eigenvalues
 from .errors import DegenerateSpectrum, InvalidArgument, PrivGaussError
-from .naive import naive_estimate
+from .naive import naive_config, naive_estimate
 
 # Gap thresholds of the scanning loop.
 TAU_SQ = 1.0 / 10000.0
@@ -75,7 +75,6 @@ def coarse_precondition(
     rng: RandomSource,
     accountant=None,
     projector_override=None,
-    label="coarse",
 ):
     """One coarse step: A = gamma_hat * P + (I - P) for the privately
     recovered top-k projector P.
@@ -97,7 +96,7 @@ def coarse_precondition(
     else:
         psi = max(GAMMA_BAR_SQ / COARSE_PSI_DIVISOR, subspace.feasible_psi(n, d, k, budget, beta))
         proj = subspace.recover_subspace(
-            x, k, gamma_hat, psi, budget, beta, rng.child("subspace"), accountant=accountant, label=label
+            x, k, gamma_hat, psi, budget, beta, rng.child("subspace"), accountant=accountant
         )
     p = proj.matrix
     return gamma_hat * p + (np.eye(d) - p)
@@ -113,13 +112,13 @@ def fine_precondition(
     rng: RandomSource,
     accountant=None,
     probe_override=None,
-    label="fine",
 ):
     """One fine step: probe the covariance and shrink every direction with
-    lambda_i(Z) >= lambda_{k+1}(Z) / (16 gamma_bar^2) down to that level.
+    lambda_i(Z) >= pivot / (16 gamma_bar^2) down to that level, where the
+    pivot is lambda_{k+1}(Z) floored at the probe's noise level sigma sqrt(d).
 
     Promise: lambda_{k+1} / lambda_1 >= tau^2 gamma_bar^2.  ``probe_override``
-    substitutes a noiseless Z for closed-form tests.
+    substitutes a noiseless Z (sigma = 0) for closed-form tests.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
@@ -129,13 +128,15 @@ def fine_precondition(
         raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
     if probe_override is not None:
         z = np.asarray(probe_override, dtype=np.float64)
+        sigma = 0.0
     else:
-        z = naive_estimate(
-            x, budget, beta, rng.child("naive"), kappa2=kappa, accountant=accountant, label=label
-        )
+        z = naive_estimate(x, budget, beta, rng.child("naive"), kappa2=kappa, accountant=accountant)
+        sigma = naive_config(x.shape[0], d, kappa, budget, beta).sigma
     spec = linalg.sym_eig(z)
     lam = spec.eigenvalues
-    pivot = lam[k]  # lambda_{k+1}(Z), 0-indexed
+    # lambda_{k+1}(Z), 0-indexed, is not resolved below the probe's noise
+    # level; sigma depends only on released and public values
+    pivot = max(lam[k], sigma * math.sqrt(d))
     if pivot <= 0.0:
         raise DegenerateSpectrum(f"lambda_{k + 1}(Z) = {pivot} is not positive")
     gbar_sq = gamma_bar * gamma_bar
@@ -162,7 +163,7 @@ def min_samples(d, budget, beta):
     return max(needs)
 
 
-def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=None, label="precondition"):
+def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=None):
     """Scan eigenvalue indexes once, firing coarse/fine steps as the private
     estimates call for, and return the accumulated SPD map with its trace.
 
@@ -182,7 +183,7 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
         trace.final_map = np.eye(1)
         return trace
     try:
-        trace.final_map = _scan(x, budget, beta, rng, accountant, label, trace)
+        trace.final_map = _scan(x, budget, beta, rng, accountant, trace)
     except PrivGaussError as exc:
         exc.trace = trace
         # the trace is the diagnosis; free the scan's locals (the mapped rows
@@ -192,7 +193,7 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     return trace
 
 
-def _scan(x, budget, beta, rng, accountant, label, trace):
+def _scan(x, budget, beta, rng, accountant, trace):
     """The scanning loop of ``precondition``; appends each completed step to
     ``trace`` and returns the accumulated map."""
     d = x.shape[1]
@@ -210,9 +211,7 @@ def _scan(x, budget, beta, rng, accountant, label, trace):
                 "rank-deficient input must be projected out upstream"
             )
 
-    lam_hat = estimate_eigenvalues(
-        xa, per_call, beta_i, rng.child("eig", 0), accountant=accountant, label=f"{label}/eig0"
-    ).values
+    lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", 0), accountant=accountant).values
     check_positive(lam_hat, "initial eigenvalue estimate")
 
     for i in range(1, d):
@@ -226,28 +225,14 @@ def _scan(x, budget, beta, rng, accountant, label, trace):
             kind = "coarse"
             gamma_hat = math.sqrt(ratio_consec)
             b = coarse_precondition(
-                xa,
-                i,
-                gamma_hat,
-                per_call,
-                beta_i,
-                rng.child("coarse", i),
-                accountant=accountant,
-                label=f"{label}/coarse{i}",
+                xa, i, gamma_hat, per_call, beta_i, rng.child("coarse", i), accountant=accountant
             )
             a = linalg.symmetric_polar_factor(b @ a)
             xa = x @ a
             ratios["gamma_hat"] = gamma_hat
             # fresh probe of the transformed data; its own internal scale
             # estimate, since lam_hat is stale after the coarse rescale
-            z = naive_estimate(
-                xa,
-                per_call,
-                beta_i,
-                rng.child("naive_post", i),
-                accountant=accountant,
-                label=f"{label}/naive_post{i}",
-            )
+            z = naive_estimate(xa, per_call, beta_i, rng.child("naive_post", i), accountant=accountant)
             lam_z = linalg.sym_eig(z).eigenvalues
             if lam_z[0] > 0.0 and lam_z[i] / lam_z[0] < 4.0 * GAMMA_BAR_SQ:
                 kind = "coarse+fine"
@@ -255,39 +240,20 @@ def _scan(x, budget, beta, rng, accountant, label, trace):
                 kappa = lam_z[0]
         elif ratio_cumul < 4.0 * GAMMA_BAR_SQ:
             kind = "fine"
-            # keyed i - 1, like the eigenvalue estimate lam_hat came from:
-            # the stream and ledger label this probe had when the scan
-            # probed after every estimate, so seeded outputs do not move
             z = naive_estimate(
-                xa,
-                per_call,
-                beta_i,
-                rng.child("naive", i - 1),
-                kappa2=4.0 * lam_hat[0],
-                accountant=accountant,
-                label=f"{label}/naive{i - 1}",
+                xa, per_call, beta_i, rng.child("naive", i - 1), kappa2=4.0 * lam_hat[0], accountant=accountant
             )
             lam_z = linalg.sym_eig(z).eigenvalues
             kappa = lam_z[0] if lam_z[0] > 0.0 else 4.0 * lam_hat[0]
 
         if kappa is not None:
             c = fine_precondition(
-                xa,
-                i,
-                gamma_bar,
-                kappa,
-                per_call,
-                beta_i,
-                rng.child("fine", i),
-                accountant=accountant,
-                label=f"{label}/fine{i}",
+                xa, i, gamma_bar, kappa, per_call, beta_i, rng.child("fine", i), accountant=accountant
             )
             a = linalg.symmetric_polar_factor(c @ a)
             xa = x @ a
 
-        lam_hat = estimate_eigenvalues(
-            xa, per_call, beta_i, rng.child("eig", i), accountant=accountant, label=f"{label}/eig{i}"
-        ).values
+        lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i), accountant=accountant).values
         check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
 
         if linalg.sym_eig(a).eigenvalues[-1] <= 0.0:

@@ -151,7 +151,6 @@ def recover_subspace(
     beta,
     rng: RandomSource,
     accountant=None,
-    label="subspace",
 ) -> linalg.Projector:
     """Privately recover the projector onto the top-k eigenspace.
 
@@ -179,29 +178,19 @@ def recover_subspace(
     for i in range(q):
         points = projected[:, i, :]
         result = ball_finder.find_center(
-            points,
-            params.r,
-            per_call,
-            beta / q,
-            rng.child("center", i),
-            accountant=accountant,
-            label=f"{label}/center{i}",
+            points, params.r, per_call, beta / q, rng.child("center", i), accountant=accountant
         )
         delta_vec = points - result.center
         dist = np.linalg.norm(delta_vec, axis=1)
         scale = np.minimum(1.0, params.trunc_radius / np.maximum(dist, 1e-300))
         truncated = result.center + delta_vec * scale[:, None]
-        noisy = truncated.sum(axis=0) + rng.child("sum", i).normal(
-            scale=params.sigma, size=d
-        )
+        # the one release charged by hand: params.sigma is sized for the mean
+        # of the t truncated points, not for this sum, so routing it through
+        # gaussian_mechanism would change the noise (ROADMAP item 1)
+        sum_rng = rng.child("sum", i)
         if accountant is not None:
-            accountant.charge(
-                f"{label}/sum{i}",
-                per_call,
-                mechanism="gaussian",
-                sensitivity=2.0 * params.trunc_radius,
-            )
-        sums_matrix[:, i] = noisy
+            accountant.charge(sum_rng.name, per_call, mechanism="gaussian", sensitivity=2.0 * params.trunc_radius)
+        sums_matrix[:, i] = truncated.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
 
     gram = sums_matrix @ sums_matrix.T
     spec = linalg.sym_eig(gram)

@@ -3,7 +3,7 @@ import pytest
 
 from privgauss import ball_finder
 from privgauss.ball_finder import BallResult, find_center, grid_cell, n_min
-from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
+from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
 
 FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9))
@@ -81,26 +81,30 @@ class TestFindCenter:
         result = find_center(pts, 0.5, budget, 0.1, RandomSource(3).child("r"))
         assert result.radius_used >= 0.5
 
-    def test_single_accountant_charge(self):
+    def test_one_charge_per_coordinate(self):
+        # each coordinate histogram charges its equal share under its own
+        # stream, and the shares compose to the budget
         budget = PrivacyBudget(5.0, 1e-6)
         acc = Accountant()
         pts = np.tile([1.0, 2.0], (200, 1))
         find_center(pts, 1.0, budget, 0.1, RandomSource(5).child("a"), accountant=acc)
-        assert len(acc.entries) == 1
-        assert acc.entries[0].budget == budget
+        assert [e.label for e in acc.entries] == ["a/hist/0", "a/hist/1"]
+        assert all(e.budget == plan_shares(budget, 2).per_call for e in acc.entries)
+        assert all(e.mechanism == "stable_histogram" and e.sensitivity == 1.0 for e in acc.entries)
+        assert acc.total() == (budget.epsilon, budget.delta)
 
     def test_charge_precedes_release(self):
-        # one point per bin at coordinate 0: its histogram releases nothing,
-        # and the ledger still holds the charge for what was released
+        # one point per bin at coordinate 1: its histogram releases nothing,
+        # and the ledger holds a charge for exactly the histograms drawn
         budget = PrivacyBudget(1.0, 1e-6)
-        n = n_min(2, budget, 0.1)
-        pts = np.zeros((n, 2))
-        pts[:, 0] = 10.0 * np.arange(n)
+        n = n_min(3, budget, 0.1)
+        pts = np.zeros((n, 3))
+        pts[:, 1] = 10.0 * np.arange(n)
         acc = Accountant()
         with pytest.raises(BottomReleased):
             find_center(pts, 1.0, budget, 0.1, RandomSource(0).child("b"), accountant=acc)
-        assert len(acc.entries) == 1
-        assert acc.entries[0].budget == budget
+        assert [e.label for e in acc.entries] == ["b/hist/0", "b/hist/1"]
+        assert all(e.budget == plan_shares(budget, 3).per_call for e in acc.entries)
 
     def test_center_on_rounding_grid(self):
         budget = PrivacyBudget(5.0, 1e-6)

@@ -3,13 +3,15 @@
 Imports ``bench/tracer.py`` and ``bench/workloads.py`` (never ``run.py``,
 which parses arguments and times whole runs) and checks that every name the
 tracer wraps still exists, that one traced estimate fills a ledger within
-the benchmark's budget, and that the tracer puts the library back.
+the benchmark's budget, that the tracer puts the library back, and that no
+two releases of one estimate share a noise stream.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -46,3 +48,17 @@ def test_traced_estimate_within_budget_and_restored():
 
 def test_published_floor_layout_never_raises():
     assert workloads.layout_raises() == 0
+
+
+@pytest.mark.parametrize("name, step", [("floor-d2", "/coarse/"), ("fine-d3", "/fine/")])
+def test_ledger_labels_are_unique(name, step):
+    # each release is charged under the path of the stream it draws from,
+    # so a repeated label would mean two releases share their noise; the
+    # workload's distribution at its published floor takes its usual step
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    acc = Accountant()
+    workloads.estimate_covariance(raw, 0, acc)
+    labels = [e.label for e in acc.entries]
+    assert len(set(labels)) == len(labels)
+    assert any(step in label for label in labels)

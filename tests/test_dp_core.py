@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privgauss import ball_finder, eigenvalues, precondition
 from privgauss.dp_core import (
@@ -12,6 +14,7 @@ from privgauss.dp_core import (
     bucket_counts,
     gaussian_mechanism,
     gaussian_sigma,
+    gue_mechanism,
     gue_noise,
     heaviest,
     plan_shares,
@@ -78,6 +81,12 @@ class TestRandomSource:
         b = RandomSource(5).child("x").child("y").standard_normal(8)
         np.testing.assert_array_equal(a, b)
 
+    def test_path_and_name(self):
+        rng = RandomSource(5).child("x", 0).child("hist", 1)
+        assert rng.path == ("x", 0, "hist", 1)
+        assert rng.name == "x/0/hist/1"
+        assert RandomSource(5).name == ""
+
 
 class TestGaussianMechanism:
     def test_sigma_formula(self):
@@ -105,8 +114,9 @@ class TestGaussianMechanism:
 
     def test_accountant_charge(self):
         acc = Accountant()
-        gaussian_mechanism(np.zeros(3), 2.0, BUDGET, RandomSource(1).child("g"), accountant=acc)
+        gaussian_mechanism(np.zeros(3), 2.0, BUDGET, RandomSource(1).child("g", 0), accountant=acc)
         assert len(acc.entries) == 1
+        assert acc.entries[0].label == "g/0"
         assert acc.entries[0].budget == BUDGET
         assert acc.entries[0].sensitivity == 2.0
 
@@ -145,6 +155,18 @@ class TestGueNoise:
             norms.append(np.abs(np.linalg.eigvalsh(m)).max())
         med = np.median(norms)
         assert math.sqrt(d) <= med <= 4.0 * math.sqrt(d)
+
+
+class TestGueMechanism:
+    def test_adds_gue_noise_and_charges_its_stream(self):
+        acc = Accountant()
+        m = np.arange(9.0).reshape(3, 3)
+        out = gue_mechanism(m, 0.5, BUDGET, RandomSource(2).child("noise"), accountant=acc)
+        noise = gue_noise(3, gaussian_sigma(0.5, BUDGET), RandomSource(2).child("noise"))
+        np.testing.assert_array_equal(out, m + noise)
+        assert [(e.label, e.budget, e.mechanism, e.sensitivity) for e in acc.entries] == [
+            ("noise", BUDGET, "gue_gaussian", 0.5)
+        ]
 
 
 def release(values, rng, budget=BUDGET):
@@ -209,6 +231,13 @@ class TestStableHistogram:
         assert keys.tolist() == [0, -1, 4]
         lo, hi = GEOMETRIC.bounds(0)
         assert lo == 1.0 and hi == pytest.approx(2.0 ** 0.25)
+
+    def test_charges_its_stream_even_when_nothing_is_released(self):
+        acc = Accountant()
+        assert stable_counts({0: 1}, BUDGET, RandomSource(0).child("h", 2), acc) == {}
+        assert [(e.label, e.budget, e.mechanism, e.sensitivity) for e in acc.entries] == [
+            ("h/2", BUDGET, "stable_histogram", 1.0)
+        ]
 
     def test_counts_are_python_ints(self):
         counts = bucket_counts(GEOMETRIC.keys([0.0, 1.0, 1.1, 0.0, 0.0]))
@@ -304,5 +333,32 @@ class TestPlanShares:
         for i in range(calls):
             acc.charge(f"c{i}", plan.per_call)
         total_eps, total_delta = acc.total()
-        assert total_eps <= eps * (1.0 + 1e-9)
-        assert total_delta <= delta * (1.0 + 1e-9)
+        assert total_eps <= eps
+        assert total_delta <= delta
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(1e-3, 10.0),
+        delta=st.floats(1e-12, 1e-3),
+        tree=st.recursive(
+            st.none(), lambda inner: st.tuples(st.integers(1, 40), st.lists(inner, max_size=3)), max_leaves=8
+        ),
+    )
+    def test_nested_split_leaves_within_budget(self, eps, delta, tree):
+        # a node (calls, subtrees) splits its budget into ``calls`` shares,
+        # the first of which are split again by ``subtrees``; every other
+        # share is charged as one release
+        def fill(acc, budget, node):
+            if node is None:
+                acc.charge("leaf", budget)
+                return
+            calls, subtrees = node
+            share = plan_shares(budget, calls).per_call
+            for i in range(calls):
+                fill(acc, share, subtrees[i] if i < len(subtrees) else None)
+
+        acc = Accountant()
+        fill(acc, PrivacyBudget(eps, delta), tree)
+        total_eps, total_delta = acc.total()
+        assert total_eps <= eps
+        assert total_delta <= delta

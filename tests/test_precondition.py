@@ -7,7 +7,8 @@ import pytest
 
 from privgauss import linalg
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
-from privgauss.errors import DegenerateSpectrum, InvalidArgument
+from privgauss.errors import DegenerateSpectrum, InsufficientSamples, InvalidArgument
+from privgauss.naive import naive_config, naive_estimate
 from privgauss.precondition import (
     GAMMA_BAR_SQ,
     coarse_precondition,
@@ -21,23 +22,30 @@ BETA = 0.1
 SEEDS = range(6)
 
 
+def samples(spectrum, seed, n=None):
+    """n rows (min_samples by default) of N(0, diag(spectrum))."""
+    d = len(spectrum)
+    n = min_samples(d, BUDGET, BETA) if n is None else n
+    return np.random.default_rng(seed).standard_normal((n, d)) * np.sqrt(spectrum)
+
+
 def run(spectrum, seed):
     """precondition on min_samples rows of N(0, diag(spectrum)), on the rng
-    stream the composed estimator uses.  Returns (kinds, cond, ledger):
-    the step kinds and cond(A Sigma A) of the final map, both None when the
-    run raised DegenerateSpectrum, and the ledger it filled either way."""
-    d = len(spectrum)
-    n = min_samples(d, BUDGET, BETA)
-    x = np.random.default_rng(seed).standard_normal((n, d)) * np.sqrt(spectrum)
+    stream the composed estimator uses.  Returns (kinds, cond, ledger): the
+    step kinds, cond(A Sigma A) of the final map and the ledger filled."""
     acc = Accountant()
     rng = RandomSource(seed).child("precondition")
-    try:
-        trace = precondition(x, BUDGET, BETA, rng, accountant=acc)
-    except DegenerateSpectrum:
-        return None, None, acc
+    trace = precondition(samples(spectrum, seed), BUDGET, BETA, rng, accountant=acc)
+    assert_labels_unique(acc)
     a = trace.final_map
     lam = np.linalg.eigvalsh(a @ np.diag(spectrum) @ a)
     return [step.kind for step in trace.steps], lam[-1] / lam[0], acc
+
+
+def assert_labels_unique(acc):
+    """Each release draws from its own stream, whose name is its label."""
+    labels = [entry.label for entry in acc.entries]
+    assert len(set(labels)) == len(labels)
 
 
 def assert_within_budget(acc):
@@ -49,25 +57,24 @@ def assert_within_budget(acc):
 def assert_probes_consumed(kinds, acc):
     """The scan's naive probes are charged only where a step reads them.
 
-    A fine step at iteration i reads the probe naive{i-1}, charged just
-    before fine{i}; a coarse step at iteration i re-probes as naive_post{i}.
-    A skip step probes nothing.  ``kinds`` is None for a run that raised,
-    whose ledger is checked only for the first rule.
+    A fine step at iteration i reads the probe released under
+    precondition/naive/{i-1}/noise, charged just before its own
+    precondition/fine/{i}/naive/noise; a coarse step at iteration i
+    re-probes under precondition/naive_post/{i}.  A skip step probes
+    nothing.
     """
     labels = [entry.label for entry in acc.entries]
-    probes = [label for label in labels if re.fullmatch(r"precondition/naive\w*", label)]
+    probes = [label for label in labels if re.fullmatch(r"precondition/naive\w*/\d+/noise", label)]
     for j, label in enumerate(labels):
-        match = re.fullmatch(r"precondition/naive(\d+)", label)
+        match = re.fullmatch(r"precondition/naive/(\d+)/noise", label)
         if match:
-            assert labels[j + 1 : j + 2] == [f"precondition/fine{int(match.group(1)) + 1}"]
-    if kinds is None:
-        return
+            assert labels[j + 1 : j + 2] == [f"precondition/fine/{int(match.group(1)) + 1}/naive/noise"]
     expected = []
     for i, kind in enumerate(kinds, start=1):
         if kind == "fine":
-            expected.append(f"precondition/naive{i - 1}")
+            expected.append(f"precondition/naive/{i - 1}/noise")
         elif kind.startswith("coarse"):
-            expected.append(f"precondition/naive_post{i}")
+            expected.append(f"precondition/naive_post/{i}/noise")
     assert probes == expected
 
 
@@ -96,50 +103,49 @@ class TestPrecondition:
         assert_within_budget(acc)
         assert_probes_consumed(kinds, acc)
 
-    # The fine step neither reaches O(1) nor always finishes: its probe can
-    # report a non-positive eigenvalue, which raises DegenerateSpectrum.
-    # Each case asserts only what seeds 0-5 measured: the branches taken,
-    # a ceiling on the raises, a condition number below the input's, and
-    # the ledger within budget on every run, raised or not.
+    # The fine step does not reach O(1), but with its pivot floored at the
+    # probe's noise level it always finishes.  Each case asserts what seeds
+    # 0-5 measured: the branches taken, a condition number below the
+    # input's, and the ledger within budget.
     @pytest.mark.parametrize(
-        "spectrum, paths, max_raises, max_cond",
+        "spectrum, paths, max_cond",
         [
-            # cond 100 -> 8.8-56; 1 of 6 raised
-            ((1.0, 1e-2), [["fine"]], 1, 100.0),
-            # cond 333 -> 1.4-31; 3 of 6 raised
-            ((1.0, 0.3, 0.003), [["skip", "fine"]], 3, 333.0),
-            # cond 1e7 -> 9.0-12 after coarse+fine (3 seeds), 177 after a
-            # coarse step alone (1 seed); 2 of 6 raised
-            ((1.0, 1e-3, 1e-7), [["fine", "coarse+fine"], ["fine", "coarse"]], 2, 1e3),
+            # cond 100 -> 37-57
+            ((1.0, 1e-2), [["fine"]], 100.0),
+            # cond 333 -> 55-61
+            ((1.0, 0.3, 0.003), [["skip", "fine"]], 333.0),
+            # cond 1e7 -> 30-38 after coarse+fine (5 seeds), 177 after a
+            # coarse step alone (1 seed)
+            ((1.0, 1e-3, 1e-7), [["fine", "coarse+fine"], ["fine", "coarse"]], 1e3),
         ],
     )
-    def test_fine_paths(self, spectrum, paths, max_raises, max_cond):
-        raises = 0
+    def test_fine_paths(self, spectrum, paths, max_cond):
         for seed in SEEDS:
             kinds, cond, acc = run(spectrum, seed)
             assert_within_budget(acc)
             assert_probes_consumed(kinds, acc)
-            if kinds is None:
-                raises += 1
-                continue
             assert kinds in paths
             assert cond < max_cond
-        assert raises <= max_raises
 
-    def test_failure_keeps_partial_trace(self):
-        # seed 1 takes the skip step, then the fine probe at iteration 2
-        # reports a non-positive eigenvalue
-        spectrum = (1.0, 0.3, 0.003)
-        d = len(spectrum)
-        x = np.random.default_rng(1).standard_normal((min_samples(d, BUDGET, BETA), d)) * np.sqrt(spectrum)
+    @pytest.mark.parametrize(
+        "spectrum, rows, error, kinds",
+        [
+            # rank-deficient input: the initial estimate releases the [0, 0]
+            # bucket for the bottom eigenvalue, before any step
+            ((1.0, 1.0, 0.0), None, DegenerateSpectrum, []),
+            # half the floor: the skip step completes, then the coarse step
+            # at iteration 2 cannot form its subsample layout
+            ((1.0, 1.0, 1e-6), min_samples(3, BUDGET, BETA) // 2, InsufficientSamples, ["skip"]),
+        ],
+    )
+    def test_failure_keeps_partial_trace(self, spectrum, rows, error, kinds):
         acc = Accountant()
-        with pytest.raises(DegenerateSpectrum) as info:
-            precondition(x, BUDGET, BETA, RandomSource(1).child("precondition"), accountant=acc)
+        rng = RandomSource(1).child("precondition")
+        with pytest.raises(error) as info:
+            precondition(samples(spectrum, 1, rows), BUDGET, BETA, rng, accountant=acc)
         trace = info.value.trace
-        iterations = [step.iteration for step in trace.steps]
-        assert iterations == list(range(1, len(iterations) + 1))
-        assert 1 <= len(iterations) < d - 1
-        assert trace.steps[0].kind == "skip"
+        assert [step.iteration for step in trace.steps] == list(range(1, len(kinds) + 1))
+        assert [step.kind for step in trace.steps] == kinds
         assert trace.final_map is None
         assert_within_budget(acc)
         # below precondition's own frame the traceback holds no locals, so
@@ -205,6 +211,20 @@ class TestFineStep:
         np.testing.assert_allclose(a, (q * [top, 1.0]) @ q.T, atol=1e-12)
         lam = np.linalg.eigvalsh(a @ z @ a)
         np.testing.assert_allclose(sorted(lam), sorted([top**2, 1e-2]), rtol=1e-9)
+
+    def test_pivot_floored_at_probe_noise(self):
+        # rank-one rows: lambda_2 of the probe is a rounding zero (-1.7e-21
+        # at this seed), and the pivot becomes the probe's noise level
+        # sigma sqrt(d), which keeps the top direction's scale finite
+        gamma_bar = math.sqrt(GAMMA_BAR_SQ)
+        x = np.random.default_rng(0).standard_normal((200_000, 2)) * [1.0, 0.0]
+        z = naive_estimate(x, BUDGET, BETA, RandomSource(1).child("naive"), kappa2=4.0)
+        lam = np.linalg.eigvalsh(z)
+        assert lam[0] <= 0.0
+        a = fine_precondition(x, 1, gamma_bar, 4.0, BUDGET, BETA, RandomSource(1))
+        pivot = naive_config(len(x), 2, 4.0, BUDGET, BETA).sigma * math.sqrt(2)
+        top = 1.0 / (4.0 * gamma_bar * math.sqrt(lam[1] / pivot))
+        np.testing.assert_allclose(np.linalg.eigvalsh(a), [top, 1.0], rtol=1e-12)
 
     def test_non_positive_pivot_raises(self):
         with pytest.raises(DegenerateSpectrum):

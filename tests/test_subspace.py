@@ -102,10 +102,13 @@ class TestRecoverSubspace:
         x = gapped_samples(d, k, 1e-8, n, 1)
         acc = Accountant()
         recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(1).child("l"), accountant=acc)
-        centers = [e for e in acc.entries if "center" in e.label]
+        # per reference point i: d coordinate histograms of the ball
+        # finder, then the noisy sum, each under its own stream
+        expected = []
+        for i in range(q):
+            expected += [f"l/center/{i}/hist/{j}" for j in range(d)] + [f"l/sum/{i}"]
+        assert [e.label for e in acc.entries] == expected
         sums = [e for e in acc.entries if "sum" in e.label]
-        assert len(centers) == q
-        assert len(sums) == q
         params = subspace_params(n, d, k, 1e-2, 0.5, BUDGET, BETA)
         for e in sums:
             assert e.sensitivity == pytest.approx(2.0 * params.trunc_radius)
