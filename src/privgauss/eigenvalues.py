@@ -70,17 +70,17 @@ def min_samples(d, budget, beta):
 def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None):
     """Estimate all d eigenvalues of the data covariance under (eps, delta)-DP.
 
-    The rows of ``x`` are assumed centered (pair-differenced upstream); each
-    subsample uses the raw second-moment matrix X^T X / m.  Raises
-    BottomReleased if any index's histogram releases nothing, and
-    InsufficientSamples when the subsample layout cannot be formed.
+    ``x`` is an (n, d) array or a ``linalg.MappedRows`` view, whose cached
+    subsample Gram stack is mapped instead of the rows.  The rows are
+    assumed centered (pair-differenced upstream); each subsample uses the
+    raw second-moment matrix X^T X / m.  Raises BottomReleased if any
+    index's histogram releases nothing, and InsufficientSamples when the
+    subsample layout cannot be formed.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidArgument(f"expected an (n, d) sample matrix, got shape {x.shape}")
+    rows = linalg.MappedRows.of(x)
     if not 0.0 < beta < 1.0:
         raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
-    n, d = x.shape
+    n, d = rows.shape
     t = subsample_count(d, budget, beta)
     m = n // t
     if m < linalg.MIN_ROWS_PER_DIM * d:
@@ -89,7 +89,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None):
         )
     per_index = plan_shares(budget, d).per_call
 
-    seconds = linalg.gram_stack(x, t, m) / m
+    seconds = rows.gram_stack(t, m) / m
     vals, _ = linalg.sym_eig_batch(seconds, vectors=False)
     vals = np.maximum(vals, 0.0)
     top = vals[:, :1]

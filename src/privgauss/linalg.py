@@ -8,7 +8,7 @@ plain float64 ``numpy`` arrays; construction helpers symmetrize and validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +97,107 @@ def gram_stack(x, t, m):
     subspace recovery."""
     chunks = x[: t * m].reshape(t, m, x.shape[1])
     return np.matmul(chunks.transpose(0, 2, 1), chunks)
+
+
+# Rows per block of a blocked pass over the rows; bounds its temporaries.
+BLOCK_ROWS = 1 << 16
+
+
+@dataclass
+class _RowStats:
+    """Statistics of one raw row array, each computed on first use."""
+
+    stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)
+    moment: np.ndarray | None = None  # X^T X over all rows
+    max_sq_norm: float | None = None  # largest squared row norm
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+class MappedRows:
+    """The rows ``x @ a`` of an (n, d) array, held as the raw rows and the
+    map (``a`` None means the identity); the product is never formed.
+
+    Every statistic the estimators read of their rows is quadratic, so under
+    the map it is a^T (statistic of the raw rows) a: each statistic is
+    computed once from the raw rows, cached for the life of the view and of
+    every view ``mapped`` derives from it, and transformed per request.
+    With ``a`` None the cached values are returned untouched, read-only.
+
+    A mapped statistic equals the statistic of x @ a in exact arithmetic.
+    In floating point it carries the rounding of the raw statistic, about
+    eps ||a||_2^2 ||X^T X|| in absolute terms, so its relative error grows
+    with how far the map flattens the spectrum: for raw rows of condition
+    number 1e6 mapped to near 1, about 1e-11, where squaring the mapped rows
+    gives about 1e-15.
+    """
+
+    def __init__(self, x, a=None, stats=None):
+        self.x = x
+        self.a = a
+        self._stats = _RowStats() if stats is None else stats
+
+    @classmethod
+    def of(cls, x):
+        """``x`` itself if it is a view, else a view of ``x`` as float64 rows."""
+        if isinstance(x, cls):
+            return x
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise InvalidArgument(f"expected an (n, d) sample matrix, got shape {x.shape}")
+        return cls(x)
+
+    @property
+    def shape(self):
+        return self.x.shape
+
+    def mapped(self, b):
+        """The view of these rows times ``b``, sharing this view's cache."""
+        return MappedRows(self.x, b if self.a is None else self.a @ b, self._stats)
+
+    def _map(self, s):
+        if self.a is None:
+            return s
+        out = np.matmul(self.a.T, np.matmul(s, self.a))
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+    def gram_stack(self, t, m):
+        """``gram_stack`` of the mapped rows; the raw stack is computed once
+        per layout."""
+        stacks = self._stats.stacks
+        if (t, m) not in stacks:
+            stacks[(t, m)] = _frozen(gram_stack(self.x, t, m))
+        return self._map(stacks[(t, m)])
+
+    def moment(self):
+        """Unscaled second moment X^T X of all mapped rows.  From a cached
+        stack it costs only the tail rows past the layout."""
+        stats = self._stats
+        if stats.moment is None:
+            if stats.stacks:
+                (t, m), stack = next(iter(stats.stacks.items()))
+                tail = self.x[t * m :]
+                full = stack.sum(axis=0) + tail.T @ tail
+            else:
+                full = self.x.T @ self.x
+            stats.moment = _frozen(0.5 * (full + full.T))
+        return self._map(stats.moment)
+
+    def norm_bound(self):
+        """Upper bound ||a||_2^2 max_i ||x_i||^2 on every mapped squared row
+        norm, up to the rounding of both factors; one blocked pass over the
+        raw rows, made once."""
+        stats = self._stats
+        if stats.max_sq_norm is None:
+            stats.max_sq_norm = 0.0
+            for start in range(0, self.x.shape[0], BLOCK_ROWS):
+                block = self.x[start : start + BLOCK_ROWS]
+                stats.max_sq_norm = max(stats.max_sq_norm, float(np.einsum("ij,ij->i", block, block).max()))
+        scale = 1.0 if self.a is None else float(np.linalg.norm(self.a, 2)) ** 2
+        return scale * stats.max_sq_norm
 
 
 def sym_eig(m) -> Spectrum:

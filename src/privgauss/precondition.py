@@ -16,6 +16,12 @@ Three layers:
 The accumulated map is kept symmetric positive definite by replacing the
 raw step product A with its SPD polar factor (A^T A)^{1/2}, which preserves
 the spectrum of A Sigma A^T exactly.
+
+The mapped rows x @ A are never formed.  Every statistic the steps read is
+quadratic in the rows -- subsample Gram stacks, the full second moment, the
+clip test's norms -- so the scan holds one ``linalg.MappedRows`` view of the
+raw rows: each statistic is computed once from them and mapped as
+A^T (statistic) A at every later step.
 """
 
 from __future__ import annotations
@@ -77,7 +83,8 @@ def coarse_precondition(
     projector_override=None,
 ):
     """One coarse step: A = gamma_hat * P + (I - P) for the privately
-    recovered top-k projector P.
+    recovered top-k projector P.  ``x`` is an (n, d) array or a
+    ``linalg.MappedRows`` view.
 
     Promise: lambda_k / lambda_1 >= gamma_bar^2 and the true consecutive
     ratio lambda_{k+1} / lambda_k lies within a factor 4 of gamma_hat^2.
@@ -85,7 +92,7 @@ def coarse_precondition(
     best the sample size supports; the noiseless ``projector_override``
     hook bypasses recovery for closed-form tests.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.MappedRows.of(x)
     n, d = x.shape
     if not 0.0 < gamma_hat <= 1.0:
         raise InvalidArgument(f"gamma_hat must lie in (0, 1], got {gamma_hat}")
@@ -117,10 +124,11 @@ def fine_precondition(
     lambda_i(Z) >= pivot / (16 gamma_bar^2) down to that level, where the
     pivot is lambda_{k+1}(Z) floored at the probe's noise level sigma sqrt(d).
 
-    Promise: lambda_{k+1} / lambda_1 >= tau^2 gamma_bar^2.  ``probe_override``
+    Promise: lambda_{k+1} / lambda_1 >= tau^2 gamma_bar^2.  ``x`` is an
+    (n, d) array or a ``linalg.MappedRows`` view.  ``probe_override``
     substitutes a noiseless Z (sigma = 0) for closed-form tests.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = linalg.MappedRows.of(x)
     d = x.shape[1]
     if not 0.0 < gamma_bar <= 1.0:
         raise InvalidArgument(f"gamma_bar must lie in (0, 1], got {gamma_bar}")
@@ -175,9 +183,7 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     ``trace`` attribute: the completed steps, with ``final_map`` None.  The
     trace holds only released ratios, so attaching it is post-processing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidArgument(f"expected an (n, d) sample matrix, got shape {x.shape}")
+    x = linalg.MappedRows.of(x)
     trace = PreconditionTrace()
     if x.shape[1] == 1:
         trace.final_map = np.eye(1)
@@ -186,16 +192,18 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
         trace.final_map = _scan(x, budget, beta, rng, accountant, trace)
     except PrivGaussError as exc:
         exc.trace = trace
-        # the trace is the diagnosis; free the scan's locals (the mapped rows
-        # among them) so that a caller keeping the exception keeps no data
+        # the trace is the diagnosis; free the scan's locals (the cached row
+        # statistics among them) so that a caller keeping the exception keeps
+        # no data
         traceback.clear_frames(exc.__traceback__)
         raise
     return trace
 
 
 def _scan(x, budget, beta, rng, accountant, trace):
-    """The scanning loop of ``precondition``; appends each completed step to
-    ``trace`` and returns the accumulated map."""
+    """The scanning loop of ``precondition`` on the view ``x`` of the raw
+    rows; appends each completed step to ``trace`` and returns the
+    accumulated map."""
     d = x.shape[1]
     per_call = plan_shares(budget, max_calls(d)).per_call
     beta_i = beta / d
@@ -228,7 +236,7 @@ def _scan(x, budget, beta, rng, accountant, trace):
                 xa, i, gamma_hat, per_call, beta_i, rng.child("coarse", i), accountant=accountant
             )
             a = linalg.symmetric_polar_factor(b @ a)
-            xa = x @ a
+            xa = x.mapped(a)
             ratios["gamma_hat"] = gamma_hat
             # fresh probe of the transformed data; its own internal scale
             # estimate, since lam_hat is stale after the coarse rescale
@@ -251,7 +259,7 @@ def _scan(x, budget, beta, rng, accountant, trace):
                 xa, i, gamma_bar, kappa, per_call, beta_i, rng.child("fine", i), accountant=accountant
             )
             a = linalg.symmetric_polar_factor(c @ a)
-            xa = x @ a
+            xa = x.mapped(a)
 
         lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i), accountant=accountant).values
         check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")

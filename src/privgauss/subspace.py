@@ -154,29 +154,28 @@ def recover_subspace(
 ) -> linalg.Projector:
     """Privately recover the projector onto the top-k eigenspace.
 
-    The promise is lambda_{k+1}(Sigma) / lambda_k(Sigma) < gamma^2.  The
-    two phases (ball-finder centers, truncated noisy sums) each spend half
-    the passed budget, so the ledger total stays within ``budget``.
+    ``x`` is an (n, d) array or a ``linalg.MappedRows`` view, whose cached
+    subsample Gram stack is mapped instead of the rows.  The promise is
+    lambda_{k+1}(Sigma) / lambda_k(Sigma) < gamma^2.  The two phases
+    (ball-finder centers, truncated noisy sums) each spend half the passed
+    budget, so the ledger total stays within ``budget``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidArgument(f"expected an (n, d) sample matrix, got shape {x.shape}")
-    n, d = x.shape
+    rows = linalg.MappedRows.of(x)
+    n, d = rows.shape
     params = subspace_params(n, d, k, gamma, psi, budget, beta)
     t, m, q = params.t, params.m, params.q
     _, per_call = _phase_budgets(budget, q)
 
     refs = sample_reference_points(q, d, rng)
 
-    _, vecs = linalg.sym_eig_batch(linalg.gram_stack(x, t, m))
+    _, vecs = linalg.sym_eig_batch(rows.gram_stack(t, m))
     bases = vecs[:, :, :k]  # (t, d, k)
-    # p_i^j = Pi_j p_i for every subsample j and reference point i
     coords = np.einsum("tdk,qd->tqk", bases, refs)
-    projected = np.einsum("tqk,tdk->tqd", coords, bases)
 
     sums_matrix = np.empty((d, q))
     for i in range(q):
-        points = projected[:, i, :]
+        # p_i^j = Pi_j p_i for every subsample j, one reference point at a time
+        points = np.einsum("tk,tdk->td", coords[:, i, :], bases)
         result = ball_finder.find_center(
             points, params.r, per_call, beta / q, rng.child("center", i), accountant=accountant
         )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import condition_ratio, reconstruct, weyl_interval
 from privgauss import linalg
@@ -290,3 +292,77 @@ class TestPolarAndInverse:
             lam_a = np.linalg.eigvalsh(a @ sigma @ a.T)
             lam_s = np.linalg.eigvalsh(s @ sigma @ s)
             np.testing.assert_allclose(lam_a, lam_s, rtol=1e-8)
+
+
+def random_spd(rng, d, lo, hi):
+    """SPD matrix with eigenvalues drawn from [lo, hi] in a random basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (q * rng.uniform(lo, hi, size=d)) @ q.T
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestMappedRows:
+    # ||a||_2 up to 5 and cond(a) up to 25: the mapped statistic's rounding
+    # is a few cond(a)^2 ulps, far below the tolerance
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(60, 400),
+        st.sampled_from([(0.2, 1.0), (0.5, 2.0), (1.0, 5.0)]),
+        st.booleans(),
+    )
+    def test_statistics_match_mapped_rows(self, seed, d, n, spread, moment_first):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        a = random_spd(rng, d, *spread)
+        y = x @ a
+        layouts = [(n // (2 * d), 2 * d), (7, n // 9)]
+        view = linalg.MappedRows.of(x).mapped(a)
+        if moment_first:
+            assert rel_err(view.moment(), y.T @ y) <= 1e-12
+        for t, m in layouts:
+            assert rel_err(view.gram_stack(t, m), linalg.gram_stack(y, t, m)) <= 1e-12
+        assert rel_err(view.moment(), y.T @ y) <= 1e-12
+        assert view.shape == y.shape
+
+    def test_unmapped_statistics_are_the_cached_values(self):
+        x = np.random.default_rng(1).normal(size=(500, 3))
+        view = linalg.MappedRows.of(x)
+        stack = view.gram_stack(40, 12)
+        assert np.array_equal(stack, linalg.gram_stack(x, 40, 12))
+        assert view.gram_stack(40, 12) is stack
+        assert not stack.flags.writeable
+        assert view.norm_bound() == np.einsum("ij,ij->i", x, x).max()
+
+    def test_mapped_views_share_one_cache_and_compose(self, monkeypatch):
+        calls = []
+        original = linalg.gram_stack
+        monkeypatch.setattr(linalg, "gram_stack", lambda x, t, m: calls.append((t, m)) or original(x, t, m))
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(300, 3))
+        a, b = random_spd(rng, 3, 0.5, 2.0), random_spd(rng, 3, 0.5, 2.0)
+        base = linalg.MappedRows.of(x)
+        base.gram_stack(30, 10)
+        composed = base.mapped(a).mapped(b)
+        y = x @ a @ b
+        assert rel_err(composed.gram_stack(30, 10), original(y, 30, 10)) <= 1e-12
+        assert rel_err(composed.moment(), y.T @ y) <= 1e-12
+        assert calls == [(30, 10)]
+
+    def test_norm_bound_covers_every_mapped_row(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2000, 4))
+        a = random_spd(rng, 4, 0.1, 3.0)
+        y = x @ a
+        assert np.einsum("ij,ij->i", y, y).max() <= linalg.MappedRows.of(x).mapped(a).norm_bound()
+
+    def test_of_validates_rows_and_keeps_views(self):
+        view = linalg.MappedRows.of(np.ones((4, 2), dtype=np.int64))
+        assert view.x.dtype == np.float64
+        assert linalg.MappedRows.of(view) is view
+        with pytest.raises(InvalidArgument):
+            linalg.MappedRows.of(np.ones(4))

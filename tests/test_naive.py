@@ -174,6 +174,87 @@ class TestClippedSecondMomentKernel:
         assert peak < x.nbytes / 4
 
 
+def record_clips(monkeypatch):
+    """Patch naive.clipped_second_moment to record the dropped count of
+    every exact clip test it runs."""
+    dropped = []
+    original = naive.clipped_second_moment
+
+    def recording(x, threshold, a=None):
+        result = original(x, threshold, a)
+        dropped.append(result[1])
+        return result
+
+    monkeypatch.setattr(naive, "clipped_second_moment", recording)
+    return dropped
+
+
+# A map with ||a||_2 = 2 whose products are exact in floating point, so a
+# row can be placed exactly on the clip threshold after mapping.
+EXACT_MAP = np.diag([2.0, 0.5, 1.0])
+
+
+def on_threshold(n, beta):
+    """(kappa2, s): kappa2's clip threshold at (n, d = 3, beta) is exactly s * s."""
+    for kappa2 in np.linspace(1.0, 2.0, 101):
+        threshold = naive.clip_threshold(3, kappa2, n, beta)
+        root = math.sqrt(threshold)
+        for s in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            if s * s == threshold:
+                return kappa2, s
+    raise AssertionError("no threshold with an exact square root")
+
+
+class TestMappedRowsProbe:
+    """naive_estimate on a MappedRows view makes the clip decisions of the
+    row path on x @ a and releases the same estimate up to rounding."""
+
+    N, BETA = 1000, 0.05
+
+    def both_paths(self, x, kappa2, monkeypatch):
+        dropped = record_clips(monkeypatch)
+        budget = PrivacyBudget(1.0, 1e-6)
+        outs = [
+            naive_estimate(rows, budget, self.BETA, RandomSource(3).child("probe"), kappa2=kappa2)
+            for rows in (linalg.MappedRows.of(x).mapped(EXACT_MAP), x @ EXACT_MAP)
+        ]
+        assert np.linalg.norm(outs[0] - outs[1]) <= 1e-12 * np.linalg.norm(outs[1])
+        return dropped
+
+    def rows(self, first):
+        x = np.random.default_rng(5).normal(size=(self.N, 3)) * 0.5
+        x[0] = [first / 2.0, 0.0, 0.0]  # maps to (first, 0, 0)
+        return x
+
+    def test_row_on_threshold_falls_back_to_exact_test_and_is_kept(self, monkeypatch):
+        kappa2, s = on_threshold(self.N, self.BETA)
+        assert self.both_paths(self.rows(s), kappa2, monkeypatch) == [0, 0]
+
+    def test_row_past_threshold_is_dropped_by_both(self, monkeypatch):
+        kappa2, s = on_threshold(self.N, self.BETA)
+        past = math.nextafter(s, math.inf)
+        assert past * past > s * s
+        assert self.both_paths(self.rows(past), kappa2, monkeypatch) == [1, 1]
+
+    def test_bound_skips_the_row_pass(self, monkeypatch):
+        kappa2, s = on_threshold(self.N, self.BETA)
+        # ||a||_2^2 max ||x_i||^2 = 4 (s / 4)^2, well inside the threshold
+        assert self.both_paths(self.rows(s / 2.0), kappa2, monkeypatch) == []
+
+    @pytest.mark.parametrize("quantile", [0.5, 0.97, 1.0])
+    def test_mapped_clip_matches_clip_of_mapped_rows(self, quantile):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(B - 1, 3)) * [1.0, 3.0, 0.2]
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a = (q * [2.5, 1.0, 0.3]) @ q.T
+        y = x @ a
+        threshold = np.sort(np.einsum("ij,ij->i", y, y))[int(quantile * (len(y) - 1))]
+        moment, dropped = clipped_second_moment(x, threshold, a)
+        ref_moment, ref_dropped = clipped_second_moment(y, threshold)
+        assert dropped == ref_dropped
+        assert np.linalg.norm(moment - ref_moment) <= 1e-12 * np.linalg.norm(ref_moment)
+
+
 class TestEigenvalueBandCheck:
     def test_exact_match(self):
         truth = linalg.sym_eig(np.diag([4.0, 1.0]))

@@ -1,11 +1,12 @@
 import math
 import re
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from privgauss import linalg
+from privgauss import linalg, naive
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
 from privgauss.errors import DegenerateSpectrum, InsufficientSamples, InvalidArgument
 from privgauss.naive import naive_config, naive_estimate
@@ -167,6 +168,40 @@ class TestPrecondition:
         trace = precondition(np.ones((10, 1)), BUDGET, BETA, RandomSource(0), accountant=acc)
         np.testing.assert_array_equal(trace.final_map, np.eye(1))
         assert acc.total() == (0, 0)
+
+
+class TestMappedStatistics:
+    """The scan maps cached statistics of the raw rows and never forms x @ a."""
+
+    @staticmethod
+    def skip_then_fine():
+        return samples((1.0, 0.3, 0.003), 0, 1_000_000)
+
+    @staticmethod
+    def scan(x):
+        trace = precondition(x, BUDGET, BETA, RandomSource(0).child("precondition"))
+        assert [step.kind for step in trace.steps] == ["skip", "fine"]
+
+    def test_peak_memory_is_a_fraction_of_the_rows(self):
+        x = self.skip_then_fine()
+        tracemalloc.start()
+        try:
+            self.scan(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4
+
+    def test_one_gram_pass_per_layout_and_no_clip_pass(self, monkeypatch):
+        layouts = []
+        gram_stack = linalg.gram_stack
+        monkeypatch.setattr(linalg, "gram_stack", lambda x, t, m: layouts.append((t, m)) or gram_stack(x, t, m))
+        clips = []
+        monkeypatch.setattr(naive, "clipped_second_moment", lambda *args: clips.append(args))
+        self.scan(self.skip_then_fine())
+        # three eigenvalue estimates and two probes read one raw stack
+        assert len(layouts) == 1
+        assert clips == []
 
 
 class TestCoarseStep:
