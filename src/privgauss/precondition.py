@@ -46,13 +46,6 @@ GAMMA_BAR_SQ = 40.0 / 10000.0
 COARSE_PSI_DIVISOR = 100.0
 # Fine step keeps directions with lambda_i(Z) >= lambda_{k+1}(Z) / (S_DIV gbar^2).
 FINE_S_DIVISOR = 16.0
-# Budget shares: one per call, reserved for this many calls.  The scan makes
-# at most 4 per iteration (subspace, post-coarse probe, fine step, eigenvalue
-# refresh) plus 1 initial eigenvalue estimate, so 5(d - 1) + 2 over-reserves;
-# sizing it to 4(d - 1) + 1 would raise every share and lower every
-# published floor, which is a floor change of its own.
-CALLS_PER_ITERATION = 5
-INITIAL_CALLS = 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,9 @@ class PreconditionTrace:
 
 
 def max_calls(d):
-    return CALLS_PER_ITERATION * (d - 1) + INITIAL_CALLS
+    """Worst-case number of budgeted calls the scan makes, 4(d - 1) (see
+    ``precondition``); at least 1, so that a share is defined at d = 1."""
+    return max(1, 4 * (d - 1))
 
 
 def coarse_precondition(
@@ -160,7 +155,9 @@ def fine_precondition(
 
 def min_samples(d, budget, beta):
     """Published sample floor for the scanning loop (subroutine needs at the
-    per-call budget share)."""
+    per-call budget share).  At d = 1 the scan releases nothing; the floor
+    is then the initial estimate's at a one-call share, which keeps it
+    defined."""
     from . import eigenvalues as eig_mod
 
     per_call = plan_shares(budget, max_calls(d)).per_call
@@ -177,7 +174,13 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
 
     Every subroutine call gets an equal share of the budget sized for the
     worst-case call count, so the ledger total always lands within
-    ``budget`` no matter which branches fire.
+    ``budget`` no matter which branches fire.  That count is
+    1 + 3(d - 1) + (d - 2) = 4(d - 1) (``max_calls``): the initial
+    eigenvalue estimate, at most a subspace recovery, a post-coarse probe
+    and a fine step per iteration, and one eigenvalue refresh between
+    iterations.  No refresh is released after the last iteration: nothing
+    would read it, and the final map's positive definiteness is checked on
+    the map itself.  At d = 1 nothing is released.
 
     A PrivGaussError raised mid-scan carries the trace built so far as its
     ``trace`` attribute: the completed steps, with ``final_map`` None.  The
@@ -261,8 +264,9 @@ def _scan(x, budget, beta, rng, accountant, trace):
             a = linalg.symmetric_polar_factor(c @ a)
             xa = x.mapped(a)
 
-        lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i), accountant=accountant).values
-        check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
+        if i < d - 1:
+            lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i), accountant=accountant).values
+            check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
 
         if linalg.sym_eig(a).eigenvalues[-1] <= 0.0:
             raise DegenerateSpectrum("accumulated preconditioner lost positive definiteness")

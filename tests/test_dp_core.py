@@ -282,10 +282,10 @@ class TestPublishedFloors:
         # beta = 0.05, d = 2..5:
         half = PrivacyBudget(0.5, 5e-7)
         assert [precondition.min_samples(d, half, 0.05) for d in range(2, 6)] == [
-            285_616,
-            2_384_184,
-            9_441_904,
-            26_321_820,
+            158_640,
+            1_559_580,
+            6_562_176,
+            18_882_300,
         ]
         # (eigenvalues.min_samples, ball_finder.n_min) at beta = 0.05, one
         # row per budget of FLOOR_BUDGETS, d = 2..5:
@@ -323,9 +323,10 @@ class TestCompose:
 class TestPlanShares:
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("delta", [1e-6, 1e-9])
-    # 112, 130, 256 and 1277 (max_calls(256)) are counts where a share sized
-    # by a rule other than the ledger's would overrun the budget
-    @pytest.mark.parametrize("calls", [1, 3, 17, 112, 130, 200, 256, 1277, 5000])
+    # 112, 130, 256, 1020 (precondition.max_calls(256)) and 1277 (its
+    # earlier value) are counts where a share sized by a rule other than the
+    # ledger's would overrun the budget
+    @pytest.mark.parametrize("calls", [1, 3, 17, 112, 130, 200, 256, 1020, 1277, 5000])
     def test_composed_total_within_budget(self, eps, delta, calls):
         budget = PrivacyBudget(eps, delta)
         plan = plan_shares(budget, calls)

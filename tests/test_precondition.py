@@ -6,14 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privgauss import linalg, naive
+from privgauss import linalg, naive, subspace
+from privgauss import precondition as precondition_module
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
+from privgauss.eigenvalues import EigenvalueEstimate
 from privgauss.errors import DegenerateSpectrum, InsufficientSamples, InvalidArgument
 from privgauss.naive import naive_config, naive_estimate
 from privgauss.precondition import (
     GAMMA_BAR_SQ,
     coarse_precondition,
     fine_precondition,
+    max_calls,
     min_samples,
     precondition,
 )
@@ -38,6 +41,7 @@ def run(spectrum, seed):
     rng = RandomSource(seed).child("precondition")
     trace = precondition(samples(spectrum, seed), BUDGET, BETA, rng, accountant=acc)
     assert_labels_unique(acc)
+    assert_calls_within_reserve(acc, len(spectrum))
     a = trace.final_map
     lam = np.linalg.eigvalsh(a @ np.diag(spectrum) @ a)
     return [step.kind for step in trace.steps], lam[-1] / lam[0], acc
@@ -47,6 +51,16 @@ def assert_labels_unique(acc):
     """Each release draws from its own stream, whose name is its label."""
     labels = [entry.label for entry in acc.entries]
     assert len(set(labels)) == len(labels)
+
+
+def assert_calls_within_reserve(acc, d):
+    """The scan makes at most max_calls(d) budgeted calls, each charging
+    under its own prefix precondition/<call>/<i>, and releases no eigenvalue
+    refresh after its last iteration."""
+    prefix = re.compile(r"precondition/(eig|coarse|naive_post|naive|fine)/\d+")
+    calls = {prefix.match(entry.label).group() for entry in acc.entries}
+    assert len(calls) <= max_calls(d)
+    assert f"precondition/eig/{d - 1}" not in calls
 
 
 def assert_within_budget(acc):
@@ -169,6 +183,55 @@ class TestPrecondition:
         np.testing.assert_array_equal(trace.final_map, np.eye(1))
         assert acc.total() == (0, 0)
 
+    def test_one_dimension_floor_is_defined(self):
+        # the scan releases nothing at d = 1, but the reserve stays one call
+        # so that the floor and its share are defined
+        assert max_calls(1) == 1
+        floor = min_samples(1, BUDGET, BETA)
+        assert floor >= 2
+        acc = Accountant()
+        trace = precondition(np.ones((floor, 1)), BUDGET, BETA, RandomSource(0), accountant=acc)
+        np.testing.assert_array_equal(trace.final_map, np.eye(1))
+        assert acc.entries == ()
+
+
+class TestCallCount:
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_reserve_is_the_worst_case_scan(self, d):
+        # 1 initial estimate, at most 3 calls per iteration (subspace,
+        # post-coarse probe, fine step), a refresh between iterations
+        assert max_calls(d) == 1 + 3 * (d - 1) + (d - 2) == 4 * (d - 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coarse_fine_at_every_iteration_fills_the_reserve(self, d, monkeypatch):
+        # stub releases charge their share and steer every iteration into
+        # its costliest branch: a gap of 1e-6 at every index, which the
+        # post-coarse probe still reports
+        spectrum = 1e-6 ** np.arange(d)
+
+        def eigenvalue_release(x, budget, beta, rng, accountant=None):
+            accountant.charge(rng.name, budget)
+            return EigenvalueEstimate(spectrum, 1)
+
+        def probe_release(x, budget, beta, rng, kappa2=None, accountant=None):
+            accountant.charge(rng.name, budget)
+            return np.diag(spectrum)
+
+        def subspace_release(x, k, gamma, psi, budget, beta, rng, accountant=None):
+            accountant.charge(rng.name, budget)
+            return linalg.Projector(np.diag(np.arange(d) < k).astype(float), k)
+
+        monkeypatch.setattr(precondition_module, "estimate_eigenvalues", eigenvalue_release)
+        monkeypatch.setattr(precondition_module, "naive_estimate", probe_release)
+        monkeypatch.setattr(subspace, "recover_subspace", subspace_release)
+        acc = Accountant()
+        x = np.zeros((min_samples(d, BUDGET, BETA), d))
+        trace = precondition(x, BUDGET, BETA, RandomSource(0).child("precondition"), accountant=acc)
+        assert [step.kind for step in trace.steps] == ["coarse+fine"] * (d - 1)
+        assert len(acc.entries) == max_calls(d)
+        assert_calls_within_reserve(acc, d)
+        assert_within_budget(acc)
+
 
 class TestMappedStatistics:
     """The scan maps cached statistics of the raw rows and never forms x @ a."""
@@ -199,7 +262,7 @@ class TestMappedStatistics:
         clips = []
         monkeypatch.setattr(naive, "clipped_second_moment", lambda *args: clips.append(args))
         self.scan(self.skip_then_fine())
-        # three eigenvalue estimates and two probes read one raw stack
+        # two eigenvalue estimates and two probes read one raw stack
         assert len(layouts) == 1
         assert clips == []
 

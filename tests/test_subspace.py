@@ -208,12 +208,15 @@ class TestLayoutContract:
             subspace_params(n - 1, d, k, 0.01, psi, per_call, beta_i)
 
     def test_exact_boundary_psi(self):
-        # here m = 9 rows per subsample, and re-deriving the rows that this
-        # psi needs evaluates to 9.000000000000002, which rounds up to 10
+        # here m = 10 rows per subsample, and re-deriving the rows that this
+        # psi needs evaluates to 10.000000000000002, which rounds up to 11
         budget = PrivacyBudget(1.0, 1e-6)
         d, k = 2, 1
         per_call = plan_shares(budget, precondition.max_calls(d)).per_call
-        n = 314_519
+        n = 95_625
         psi = feasible_psi(n, d, k, per_call, 0.1 / d)
         params = subspace_params(n, d, k, 0.01, psi, per_call, 0.1 / d)
-        assert params.m == n // params.t
+        assert params.m == n // params.t == 10
+        # n sits on the rounding edge: the closed form overshoots m
+        assert (subspace._psi_floor(1, d, k, params.t) / psi) ** 2 > params.m
+        assert n_min(d, k, psi, per_call, 0.1 / d) == params.t * params.m
