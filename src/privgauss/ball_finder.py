@@ -51,7 +51,7 @@ def n_min(dim, budget: PrivacyBudget, beta):
     return max(int(math.ceil(shape)), release_floor(budget, dim), 4)
 
 
-def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None):
+def find_center(points, r_opt, budget, beta, rng: RandomSource):
     """Privately locate a center whose inflated ball captures >= n/2 points."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -74,7 +74,7 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource, accountant=None)
     center = np.empty(dim)
     for j in range(dim):
         keys = np.floor((pts[:, j] - offsets[j]) / r_opt).astype(np.int64)
-        released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j), accountant)
+        released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j))
         best_key = heaviest(released, f"no heavy bin released for coordinate {j}")
         center[j] = offsets[j] + (best_key + 0.5) * r_opt
 

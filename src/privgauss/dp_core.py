@@ -2,10 +2,12 @@
 
 Budgets are (epsilon, delta) pairs; every mechanism draws its noise from an
 explicit RandomSource so that a fixed (seed, stream path) reproduces outputs
-bit for bit.  The stream is the identity of a release: a mechanism given an
-Accountant charges it, in the same call that draws the noise, under the
-stream's ``name`` (its path joined with "/"), so the ledger's labels are the
-call tree's stream paths and two releases never share a label.
+bit for bit.  The stream is the identity of a release and carries the run's
+ledger: every mechanism charges the Accountant its stream shares with its
+root, in the same call that draws the noise, under the stream's ``name``
+(its path joined with "/").  So no release goes uncharged, the ledger's
+labels are the call tree's stream paths, and two releases never share a
+label.
 """
 
 from __future__ import annotations
@@ -50,18 +52,20 @@ def _hash_label(label):
 
 
 class RandomSource:
-    """A seeded, hierarchically splittable random stream.
+    """A seeded, hierarchically splittable random stream and its run's ledger.
 
     Identical (seed, stream path) always reproduce the same draw sequence;
     children derived with distinct labels are statistically independent.
     Each instance owns one generator, consumed sequentially.  ``path`` is the
     tuple of labels the stream was derived with and ``name`` that path joined
-    with "/" (the root's is ""); mechanisms charge their releases under
-    ``name``.
+    with "/" (the root's is "").  A root stream owns ``ledger``, the
+    Accountant passed in or a fresh one, and every child shares its
+    parent's; mechanisms ``charge`` their releases to it under ``name``.
     """
 
-    def __init__(self, seed, _spawn_key=(), _path=()):
+    def __init__(self, seed, ledger=None, _spawn_key=(), _path=()):
         self.seed = int(seed)
+        self.ledger = Accountant() if ledger is None else ledger
         self._spawn_key = tuple(_spawn_key)
         self.path = tuple(_path)
         self._generator = None
@@ -74,7 +78,22 @@ class RandomSource:
         key = self._spawn_key
         for label in labels:
             key = key + _hash_label(label)
-        return RandomSource(self.seed, key, self.path + labels)
+        return RandomSource(self.seed, self.ledger, key, self.path + labels)
+
+    def charging_to(self, ledger):
+        """This stream continued, with its and its children's releases
+        charged to ``ledger``; None keeps this stream's own.  The result
+        has the same seed, spawn key and path and shares the generator, so
+        its draws follow this stream's and none repeats."""
+        if ledger is None:
+            return self
+        rebound = RandomSource(self.seed, ledger, self._spawn_key, self.path)
+        rebound._generator = self.generator
+        return rebound
+
+    def charge(self, budget, mechanism, sensitivity):
+        """Record a release drawn from this stream in the ledger, under ``name``."""
+        self.ledger.charge(self.name, budget, mechanism, sensitivity)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -108,14 +127,16 @@ class LedgerEntry:
 class Accountant:
     """Append-only ledger of privacy charges, one entry per release.
 
-    Each entry's label is the name of the RandomSource the release drew its
-    noise from, e.g. ``precondition/coarse/1/subspace/center/0/hist/1``, so
-    the labels mirror the call tree and are unique within one run.  The
-    charges compose by basic composition only: the total is the sum of the
-    epsilons and the sum of the deltas.  Every budget in the package is
-    split by ``plan_shares``, whose equal basic shares sum to at most the
-    parent budget, so the total of a ledger filled by any entry point is at
-    most the budget passed to it.
+    A run's ledger rides on its root RandomSource, and every stream derived
+    from that root charges it.  Each entry's label is the name of the
+    stream the release drew its noise from, e.g.
+    ``precondition/coarse/1/subspace/center/0/hist/1``, so the labels mirror
+    the call tree and are unique within one run.  The charges compose by
+    basic composition only: the total is the sum of the epsilons and the
+    sum of the deltas.  Every budget in the package is split by
+    ``plan_shares``, whose equal basic shares sum to at most the parent
+    budget, so the total of a ledger filled by any entry point is at most
+    the budget passed to it.
     """
 
     _entries: list = field(default_factory=list)
@@ -174,12 +195,11 @@ def gaussian_sigma(sensitivity, budget: PrivacyBudget):
     return sensitivity * math.sqrt(2.0 * math.log(2.0 / budget.delta)) / budget.epsilon
 
 
-def gaussian_mechanism(values, sensitivity, budget, rng: RandomSource, accountant=None):
+def gaussian_mechanism(values, sensitivity, budget, rng: RandomSource):
     """Add calibrated iid Gaussian noise to a statistic with known l2 sensitivity."""
     v = np.asarray(values, dtype=np.float64)
     sigma = gaussian_sigma(sensitivity, budget)
-    if accountant is not None:
-        accountant.charge(rng.name, budget, mechanism="gaussian", sensitivity=sensitivity)
+    rng.charge(budget, "gaussian", sensitivity)
     return v + rng.normal(scale=sigma, size=v.shape)
 
 
@@ -196,12 +216,11 @@ def gue_noise(d, sigma, rng: RandomSource):
     return upper + np.triu(draws, k=1).T
 
 
-def gue_mechanism(matrix, sensitivity, budget, rng: RandomSource, accountant=None):
+def gue_mechanism(matrix, sensitivity, budget, rng: RandomSource):
     """Add symmetric Gaussian noise calibrated to a d x d statistic's
     Frobenius sensitivity."""
     sigma = gaussian_sigma(sensitivity, budget)
-    if accountant is not None:
-        accountant.charge(rng.name, budget, mechanism="gue_gaussian", sensitivity=sensitivity)
+    rng.charge(budget, "gue_gaussian", sensitivity)
     return matrix + gue_noise(matrix.shape[0], sigma, rng)
 
 
@@ -281,7 +300,7 @@ def release_floor(budget: PrivacyBudget, histograms):
     return math.ceil(4.0 * stable_release_threshold(plan_shares(budget, histograms).per_call))
 
 
-def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource, accountant=None):
+def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):
     """Core stability-based release: Laplace(2/eps) noise on occupied
     buckets, keep those whose noisy count clears the threshold.
 
@@ -289,11 +308,10 @@ def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource, accountant=N
     makes it.  Only occupied buckets are ever candidates, so empty buckets
     can never be released.  Noise is drawn in increasing key order; returns
     {key: noisy_count}, deterministic given the stream.  The release is
-    charged to ``accountant`` before any noise is drawn.
+    charged to ``rng``'s ledger before any noise is drawn.
     """
     threshold = stable_release_threshold(budget)
-    if accountant is not None:
-        accountant.charge(rng.name, budget, mechanism="stable_histogram", sensitivity=1.0)
+    rng.charge(budget, "stable_histogram", 1.0)
     keys = sorted(counts)
     if not keys:
         return {}

@@ -67,7 +67,7 @@ def min_samples(d, budget, beta):
     return subsample_count(d, budget, beta) * linalg.MIN_ROWS_PER_DIM * d
 
 
-def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None):
+def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     """Estimate all d eigenvalues of the data covariance under (eps, delta)-DP.
 
     ``x`` is an (n, d) array or a ``linalg.MappedRows`` view, whose cached
@@ -98,7 +98,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource, accountant=None):
     released_edges = np.empty(d)
     for i in range(d):
         counts = bucket_counts(_SCHEME.keys(vals[:, i]))
-        noisy = stable_counts(counts, per_index, rng.child("hist", i), accountant)
+        noisy = stable_counts(counts, per_index, rng.child("hist", i))
         best = heaviest(noisy, f"no bucket released for eigenvalue index {i}")
         released_edges[i] = _SCHEME.bounds(best)[0]
 

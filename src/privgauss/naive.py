@@ -26,8 +26,6 @@ from .eigenvalues import estimate_eigenvalues
 CLIP_SCALE = 1.0
 # kappa2 <- KAPPA_FACTOR * (estimated top eigenvalue)
 KAPPA_FACTOR = 4.0
-# Rows per block of the clip's norm test; bounds its temporaries.
-CLIP_BLOCK_ROWS = linalg.BLOCK_ROWS
 # Relative slack of the no-clip bound ||a||_2^2 max ||x_i||^2 <= threshold.
 # It covers the rounding of ||a||_2, of the squared norms and of the mapped
 # rows in the exact test: each is a few times d ulps, under 1e-12 for every
@@ -56,7 +54,7 @@ def clipped_second_moment(x, threshold, a=None):
     is the sensitivity the noise is calibrated to.  Re-running on
     already-passing rows is a no-op.
 
-    The norm test runs over blocks of CLIP_BLOCK_ROWS rows into one
+    The norm test runs over blocks of linalg.BLOCK_ROWS rows into one
     preallocated mask, each block mapped by ``a`` on its own, so the (n, d)
     mapped array is never formed; the kept raw rows' moment is mapped after.
     The test reads ``x`` in its own layout: reordering ``x`` first can change
@@ -70,8 +68,8 @@ def clipped_second_moment(x, threshold, a=None):
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     keep = np.empty(n, dtype=bool)
-    for start in range(0, n, CLIP_BLOCK_ROWS):
-        stop = start + CLIP_BLOCK_ROWS
+    for start in range(0, n, linalg.BLOCK_ROWS):
+        stop = start + linalg.BLOCK_ROWS
         block = x[start:stop] if a is None else x[start:stop] @ a
         np.less_equal(np.einsum("ij,ij->i", block, block), threshold, out=keep[start:stop])
     dropped = n - int(np.count_nonzero(keep))
@@ -98,7 +96,8 @@ def naive_estimate(
 
     If ``kappa2`` (a spectral upper bound) is not supplied, half the budget
     is spent estimating eigenvalues privately and kappa2 is set to four
-    times the top estimate.
+    times the top estimate.  Every release is charged to ``rng``'s ledger,
+    or to ``accountant`` when one is given.
 
     When ||a||_2^2 max_i ||x_i||^2 (1 + BOUND_MARGIN) <= threshold, no row
     can be clipped, in exact or in floating-point arithmetic, so the
@@ -111,6 +110,7 @@ def naive_estimate(
     only its floating-point rounding differs (see ``linalg.MappedRows``).
     """
     rows = linalg.MappedRows.of(x)
+    rng = rng.charging_to(accountant)
     if not 0.0 < beta < 1.0:
         raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     n, d = rows.shape
@@ -119,7 +119,7 @@ def naive_estimate(
 
     if kappa2 is None:
         kappa_budget = noise_budget = plan_shares(budget, 2).per_call
-        est = estimate_eigenvalues(rows, kappa_budget, beta, rng.child("kappa"), accountant=accountant)
+        est = estimate_eigenvalues(rows, kappa_budget, beta, rng.child("kappa"))
         kappa2 = KAPPA_FACTOR * float(est.values[0])
     else:
         noise_budget = budget
@@ -136,4 +136,4 @@ def naive_estimate(
     else:
         moment, _ = clipped_second_moment(rows.x, config.clip_threshold, rows.a)
     sensitivity = 2.0 * config.clip_threshold / n
-    return linalg.psd_project(gue_mechanism(moment, sensitivity, noise_budget, rng.child("noise"), accountant))
+    return linalg.psd_project(gue_mechanism(moment, sensitivity, noise_budget, rng.child("noise")))

@@ -74,7 +74,6 @@ def coarse_precondition(
     budget: PrivacyBudget,
     beta,
     rng: RandomSource,
-    accountant=None,
     projector_override=None,
 ):
     """One coarse step: A = gamma_hat * P + (I - P) for the privately
@@ -97,9 +96,7 @@ def coarse_precondition(
         proj = projector_override
     else:
         psi = max(GAMMA_BAR_SQ / COARSE_PSI_DIVISOR, subspace.feasible_psi(n, d, k, budget, beta))
-        proj = subspace.recover_subspace(
-            x, k, gamma_hat, psi, budget, beta, rng.child("subspace"), accountant=accountant
-        )
+        proj = subspace.recover_subspace(x, k, gamma_hat, psi, budget, beta, rng.child("subspace"))
     p = proj.matrix
     return gamma_hat * p + (np.eye(d) - p)
 
@@ -112,7 +109,6 @@ def fine_precondition(
     budget: PrivacyBudget,
     beta,
     rng: RandomSource,
-    accountant=None,
     probe_override=None,
 ):
     """One fine step: probe the covariance and shrink every direction with
@@ -133,7 +129,7 @@ def fine_precondition(
         z = np.asarray(probe_override, dtype=np.float64)
         sigma = 0.0
     else:
-        z = naive_estimate(x, budget, beta, rng.child("naive"), kappa2=kappa, accountant=accountant)
+        z = naive_estimate(x, budget, beta, rng.child("naive"), kappa2=kappa)
         sigma = naive_config(x.shape[0], d, kappa, budget, beta).sigma
     spec = linalg.sym_eig(z)
     lam = spec.eigenvalues
@@ -182,17 +178,22 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     would read it, and the final map's positive definiteness is checked on
     the map itself.  At d = 1 nothing is released.
 
+    Every release is charged to ``rng``'s ledger under its stream's path,
+    or to ``accountant`` when one is given; either way this call's charges
+    total at most ``budget``.
+
     A PrivGaussError raised mid-scan carries the trace built so far as its
     ``trace`` attribute: the completed steps, with ``final_map`` None.  The
     trace holds only released ratios, so attaching it is post-processing.
     """
     x = linalg.MappedRows.of(x)
+    rng = rng.charging_to(accountant)
     trace = PreconditionTrace()
     if x.shape[1] == 1:
         trace.final_map = np.eye(1)
         return trace
     try:
-        trace.final_map = _scan(x, budget, beta, rng, accountant, trace)
+        trace.final_map = _scan(x, budget, beta, rng, trace)
     except PrivGaussError as exc:
         exc.trace = trace
         # the trace is the diagnosis; free the scan's locals (the cached row
@@ -203,7 +204,7 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     return trace
 
 
-def _scan(x, budget, beta, rng, accountant, trace):
+def _scan(x, budget, beta, rng, trace):
     """The scanning loop of ``precondition`` on the view ``x`` of the raw
     rows; appends each completed step to ``trace`` and returns the
     accumulated map."""
@@ -222,7 +223,7 @@ def _scan(x, budget, beta, rng, accountant, trace):
                 "rank-deficient input must be projected out upstream"
             )
 
-    lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", 0), accountant=accountant).values
+    lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", 0)).values
     check_positive(lam_hat, "initial eigenvalue estimate")
 
     for i in range(1, d):
@@ -235,15 +236,13 @@ def _scan(x, budget, beta, rng, accountant, trace):
         if ratio_consec < 4.0 * TAU_SQ:
             kind = "coarse"
             gamma_hat = math.sqrt(ratio_consec)
-            b = coarse_precondition(
-                xa, i, gamma_hat, per_call, beta_i, rng.child("coarse", i), accountant=accountant
-            )
+            b = coarse_precondition(xa, i, gamma_hat, per_call, beta_i, rng.child("coarse", i))
             a = linalg.symmetric_polar_factor(b @ a)
             xa = x.mapped(a)
             ratios["gamma_hat"] = gamma_hat
             # fresh probe of the transformed data; its own internal scale
             # estimate, since lam_hat is stale after the coarse rescale
-            z = naive_estimate(xa, per_call, beta_i, rng.child("naive_post", i), accountant=accountant)
+            z = naive_estimate(xa, per_call, beta_i, rng.child("naive_post", i))
             lam_z = linalg.sym_eig(z).eigenvalues
             if lam_z[0] > 0.0 and lam_z[i] / lam_z[0] < 4.0 * GAMMA_BAR_SQ:
                 kind = "coarse+fine"
@@ -251,21 +250,17 @@ def _scan(x, budget, beta, rng, accountant, trace):
                 kappa = lam_z[0]
         elif ratio_cumul < 4.0 * GAMMA_BAR_SQ:
             kind = "fine"
-            z = naive_estimate(
-                xa, per_call, beta_i, rng.child("naive", i - 1), kappa2=4.0 * lam_hat[0], accountant=accountant
-            )
+            z = naive_estimate(xa, per_call, beta_i, rng.child("naive", i - 1), kappa2=4.0 * lam_hat[0])
             lam_z = linalg.sym_eig(z).eigenvalues
             kappa = lam_z[0] if lam_z[0] > 0.0 else 4.0 * lam_hat[0]
 
         if kappa is not None:
-            c = fine_precondition(
-                xa, i, gamma_bar, kappa, per_call, beta_i, rng.child("fine", i), accountant=accountant
-            )
+            c = fine_precondition(xa, i, gamma_bar, kappa, per_call, beta_i, rng.child("fine", i))
             a = linalg.symmetric_polar_factor(c @ a)
             xa = x.mapped(a)
 
         if i < d - 1:
-            lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i), accountant=accountant).values
+            lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i)).values
             check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
 
         if linalg.sym_eig(a).eigenvalues[-1] <= 0.0:

@@ -150,7 +150,6 @@ def recover_subspace(
     budget: PrivacyBudget,
     beta,
     rng: RandomSource,
-    accountant=None,
 ) -> linalg.Projector:
     """Privately recover the projector onto the top-k eigenspace.
 
@@ -176,9 +175,7 @@ def recover_subspace(
     for i in range(q):
         # p_i^j = Pi_j p_i for every subsample j, one reference point at a time
         points = np.einsum("tk,tdk->td", coords[:, i, :], bases)
-        result = ball_finder.find_center(
-            points, params.r, per_call, beta / q, rng.child("center", i), accountant=accountant
-        )
+        result = ball_finder.find_center(points, params.r, per_call, beta / q, rng.child("center", i))
         delta_vec = points - result.center
         dist = np.linalg.norm(delta_vec, axis=1)
         scale = np.minimum(1.0, params.trunc_radius / np.maximum(dist, 1e-300))
@@ -187,8 +184,7 @@ def recover_subspace(
         # of the t truncated points, not for this sum, so routing it through
         # gaussian_mechanism would change the noise (ROADMAP item 1)
         sum_rng = rng.child("sum", i)
-        if accountant is not None:
-            accountant.charge(sum_rng.name, per_call, mechanism="gaussian", sensitivity=2.0 * params.trunc_radius)
+        sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
         sums_matrix[:, i] = truncated.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
 
     gram = sums_matrix @ sums_matrix.T

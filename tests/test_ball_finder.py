@@ -87,7 +87,7 @@ class TestFindCenter:
         budget = PrivacyBudget(5.0, 1e-6)
         acc = Accountant()
         pts = np.tile([1.0, 2.0], (200, 1))
-        find_center(pts, 1.0, budget, 0.1, RandomSource(5).child("a"), accountant=acc)
+        find_center(pts, 1.0, budget, 0.1, RandomSource(5, acc).child("a"))
         assert [e.label for e in acc.entries] == ["a/hist/0", "a/hist/1"]
         assert all(e.budget == plan_shares(budget, 2).per_call for e in acc.entries)
         assert all(e.mechanism == "stable_histogram" and e.sensitivity == 1.0 for e in acc.entries)
@@ -102,7 +102,7 @@ class TestFindCenter:
         pts[:, 1] = 10.0 * np.arange(n)
         acc = Accountant()
         with pytest.raises(BottomReleased):
-            find_center(pts, 1.0, budget, 0.1, RandomSource(0).child("b"), accountant=acc)
+            find_center(pts, 1.0, budget, 0.1, RandomSource(0, acc).child("b"))
         assert [e.label for e in acc.entries] == ["b/hist/0", "b/hist/1"]
         assert all(e.budget == plan_shares(budget, 3).per_call for e in acc.entries)
 

@@ -3,8 +3,9 @@
 Imports ``bench/tracer.py`` and ``bench/workloads.py`` (never ``run.py``,
 which parses arguments and times whole runs) and checks that every name the
 tracer wraps still exists, that one traced estimate fills a ledger within
-the benchmark's budget, that the tracer puts the library back, and that no
-two releases of one estimate share a noise stream.
+the benchmark's budget, that the tracer puts the library back, that no
+two releases of one estimate share a noise stream, and that every noise
+draw is charged to the benchmark's ledger.
 """
 
 import sys
@@ -17,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from privgauss.dp_core import Accountant  # noqa: E402
+from privgauss.dp_core import Accountant, RandomSource  # noqa: E402
 
 
 def test_every_binding_resolves():
@@ -62,3 +63,27 @@ def test_ledger_labels_are_unique(name, step):
     labels = [e.label for e in acc.entries]
     assert len(set(labels)) == len(labels)
     assert any(step in label for label in labels)
+
+
+@pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])
+def test_every_noise_draw_is_charged(name, monkeypatch):
+    # a release charges before it draws, so every Gaussian or Laplace draw
+    # comes from a stream whose name is already in the benchmark's ledger;
+    # reference points and bin offsets are public standard_normal and
+    # uniform draws, and exempt
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    acc = Accountant()
+    draws, uncharged = [], []
+    for method in ("normal", "laplace"):
+
+        def draw(self, *args, _original=getattr(RandomSource, method), **kwargs):
+            draws.append(self.name)
+            if self.name not in {e.label for e in acc.entries}:
+                uncharged.append(self.name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomSource, method, draw)
+    workloads.estimate_covariance(raw, 0, acc)
+    assert draws
+    assert uncharged == []

@@ -88,6 +88,48 @@ class TestRandomSource:
         assert RandomSource(5).name == ""
 
 
+class TestLedger:
+    def test_children_share_their_roots_ledger(self):
+        root = RandomSource(0)
+        assert root.child("a").ledger is root.ledger
+        assert root.child("a").child("b", 1).ledger is root.ledger
+        assert RandomSource(0).ledger is not root.ledger
+        acc = Accountant()
+        assert RandomSource(0, acc).child("a").ledger is acc
+
+    def test_mechanisms_charge_their_roots_ledger(self):
+        # no caller-supplied ledger: each release still lands in the one
+        # its root created, and another root's stays empty
+        root = RandomSource(3)
+        gaussian_mechanism(np.zeros(2), 1.0, BUDGET, root.child("g"))
+        stable_counts({0: 5}, BUDGET, root.child("h"))
+        gue_mechanism(np.zeros((2, 2)), 1.0, BUDGET, root.child("n", 0))
+        assert [(e.label, e.mechanism) for e in root.ledger.entries] == [
+            ("g", "gaussian"),
+            ("h", "stable_histogram"),
+            ("n/0", "gue_gaussian"),
+        ]
+        assert RandomSource(3).ledger.entries == ()
+
+    def test_rebound_stream_continues(self):
+        rng = RandomSource(7).child("s")
+        head = rng.normal(size=3)
+        acc = Accountant()
+        rebound = rng.charging_to(acc)
+        assert (rebound.seed, rebound.path, rebound.ledger) == (rng.seed, rng.path, acc)
+        reference = RandomSource(7).child("s").normal(size=8)
+        np.testing.assert_array_equal(np.concatenate([head, rebound.normal(size=3)]), reference[:6])
+        # one generator: the caller's stream goes on after the rebound's draws
+        np.testing.assert_array_equal(rng.normal(size=2), reference[6:])
+        # the rebound stream's children are the caller's, charged to acc
+        out = gaussian_mechanism(np.zeros(2), 1.0, BUDGET, rebound.child("g"))
+        same = gaussian_mechanism(np.zeros(2), 1.0, BUDGET, RandomSource(7).child("s", "g"))
+        np.testing.assert_array_equal(out, same)
+        assert [e.label for e in acc.entries] == ["s/g"]
+        assert rng.ledger.entries == ()
+        assert rng.charging_to(None) is rng
+
+
 class TestGaussianMechanism:
     def test_sigma_formula(self):
         sigma = gaussian_sigma(1.0, BUDGET)
@@ -114,7 +156,7 @@ class TestGaussianMechanism:
 
     def test_accountant_charge(self):
         acc = Accountant()
-        gaussian_mechanism(np.zeros(3), 2.0, BUDGET, RandomSource(1).child("g", 0), accountant=acc)
+        gaussian_mechanism(np.zeros(3), 2.0, BUDGET, RandomSource(1, acc).child("g", 0))
         assert len(acc.entries) == 1
         assert acc.entries[0].label == "g/0"
         assert acc.entries[0].budget == BUDGET
@@ -161,7 +203,7 @@ class TestGueMechanism:
     def test_adds_gue_noise_and_charges_its_stream(self):
         acc = Accountant()
         m = np.arange(9.0).reshape(3, 3)
-        out = gue_mechanism(m, 0.5, BUDGET, RandomSource(2).child("noise"), accountant=acc)
+        out = gue_mechanism(m, 0.5, BUDGET, RandomSource(2, acc).child("noise"))
         noise = gue_noise(3, gaussian_sigma(0.5, BUDGET), RandomSource(2).child("noise"))
         np.testing.assert_array_equal(out, m + noise)
         assert [(e.label, e.budget, e.mechanism, e.sensitivity) for e in acc.entries] == [
@@ -234,7 +276,7 @@ class TestStableHistogram:
 
     def test_charges_its_stream_even_when_nothing_is_released(self):
         acc = Accountant()
-        assert stable_counts({0: 1}, BUDGET, RandomSource(0).child("h", 2), acc) == {}
+        assert stable_counts({0: 1}, BUDGET, RandomSource(0, acc).child("h", 2)) == {}
         assert [(e.label, e.budget, e.mechanism, e.sensitivity) for e in acc.entries] == [
             ("h/2", BUDGET, "stable_histogram", 1.0)
         ]

@@ -119,7 +119,7 @@ class TestEstimateEigenvalues:
         n = 50 * subsample_count(d, BUDGET, 0.1) * d
         x = gaussian_samples(np.ones(d), n, 0)
         acc = Accountant()
-        estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(0).child("l"), accountant=acc)
+        estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(0, acc).child("l"))
         assert len(acc.entries) == d
         per_index = plan_shares(BUDGET, d).per_call
         for entry in acc.entries:

@@ -104,9 +104,7 @@ class TestNaiveEstimate:
         d = 2
         x = gaussian_samples(np.ones(d), 60_000, 5)
         acc = Accountant()
-        out = naive_estimate(
-            x, PrivacyBudget(10.0, 1e-6), 0.05, RandomSource(2).child("fb"), accountant=acc
-        )
+        out = naive_estimate(x, PrivacyBudget(10.0, 1e-6), 0.05, RandomSource(2, acc).child("fb"))
         assert out.shape == (d, d)
         labels = [e.label for e in acc.entries]
         assert any("kappa" in lbl for lbl in labels)
@@ -114,6 +112,18 @@ class TestNaiveEstimate:
         assert eps_total <= 10.0 * (1 + 1e-9)
         # half the budget went to the noise charge
         assert acc.entries[-1].budget.epsilon == pytest.approx(5.0)
+
+    def test_given_ledger_gets_the_streams_entries(self):
+        x = gaussian_samples(np.ones(2), 60_000, 5)
+        plain = RandomSource(2).child("fb")
+        expected = naive_estimate(x, PrivacyBudget(10.0, 1e-6), 0.05, plain)
+        acc = Accountant()
+        routed = RandomSource(2).child("fb")
+        out = naive_estimate(x, PrivacyBudget(10.0, 1e-6), 0.05, routed, accountant=acc)
+        np.testing.assert_array_equal(out, expected)
+        assert [e.label for e in acc.entries] == ["fb/kappa/hist/0", "fb/kappa/hist/1", "fb/noise"]
+        assert acc.entries == plain.ledger.entries
+        assert routed.ledger.entries == ()
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
@@ -125,7 +135,7 @@ class TestNaiveEstimate:
         np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
 
-B = naive.CLIP_BLOCK_ROWS
+B = linalg.BLOCK_ROWS
 
 
 def clip_input(n, d, layout, seed):

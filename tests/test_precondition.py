@@ -38,8 +38,8 @@ def run(spectrum, seed):
     stream the composed estimator uses.  Returns (kinds, cond, ledger): the
     step kinds, cond(A Sigma A) of the final map and the ledger filled."""
     acc = Accountant()
-    rng = RandomSource(seed).child("precondition")
-    trace = precondition(samples(spectrum, seed), BUDGET, BETA, rng, accountant=acc)
+    rng = RandomSource(seed, acc).child("precondition")
+    trace = precondition(samples(spectrum, seed), BUDGET, BETA, rng)
     assert_labels_unique(acc)
     assert_calls_within_reserve(acc, len(spectrum))
     a = trace.final_map
@@ -155,9 +155,9 @@ class TestPrecondition:
     )
     def test_failure_keeps_partial_trace(self, spectrum, rows, error, kinds):
         acc = Accountant()
-        rng = RandomSource(1).child("precondition")
+        rng = RandomSource(1, acc).child("precondition")
         with pytest.raises(error) as info:
-            precondition(samples(spectrum, 1, rows), BUDGET, BETA, rng, accountant=acc)
+            precondition(samples(spectrum, 1, rows), BUDGET, BETA, rng)
         trace = info.value.trace
         assert [step.iteration for step in trace.steps] == list(range(1, len(kinds) + 1))
         assert [step.kind for step in trace.steps] == kinds
@@ -179,7 +179,7 @@ class TestPrecondition:
 
     def test_one_dimension_is_identity(self):
         acc = Accountant()
-        trace = precondition(np.ones((10, 1)), BUDGET, BETA, RandomSource(0), accountant=acc)
+        trace = precondition(np.ones((10, 1)), BUDGET, BETA, RandomSource(0, acc))
         np.testing.assert_array_equal(trace.final_map, np.eye(1))
         assert acc.total() == (0, 0)
 
@@ -190,7 +190,7 @@ class TestPrecondition:
         floor = min_samples(1, BUDGET, BETA)
         assert floor >= 2
         acc = Accountant()
-        trace = precondition(np.ones((floor, 1)), BUDGET, BETA, RandomSource(0), accountant=acc)
+        trace = precondition(np.ones((floor, 1)), BUDGET, BETA, RandomSource(0, acc))
         np.testing.assert_array_equal(trace.final_map, np.eye(1))
         assert acc.entries == ()
 
@@ -209,16 +209,16 @@ class TestCallCount:
         # post-coarse probe still reports
         spectrum = 1e-6 ** np.arange(d)
 
-        def eigenvalue_release(x, budget, beta, rng, accountant=None):
-            accountant.charge(rng.name, budget)
+        def eigenvalue_release(x, budget, beta, rng):
+            rng.charge(budget, "stub", 1.0)
             return EigenvalueEstimate(spectrum, 1)
 
-        def probe_release(x, budget, beta, rng, kappa2=None, accountant=None):
-            accountant.charge(rng.name, budget)
+        def probe_release(x, budget, beta, rng, kappa2=None):
+            rng.charge(budget, "stub", 1.0)
             return np.diag(spectrum)
 
-        def subspace_release(x, k, gamma, psi, budget, beta, rng, accountant=None):
-            accountant.charge(rng.name, budget)
+        def subspace_release(x, k, gamma, psi, budget, beta, rng):
+            rng.charge(budget, "stub", 1.0)
             return linalg.Projector(np.diag(np.arange(d) < k).astype(float), k)
 
         monkeypatch.setattr(precondition_module, "estimate_eigenvalues", eigenvalue_release)
@@ -226,11 +226,28 @@ class TestCallCount:
         monkeypatch.setattr(subspace, "recover_subspace", subspace_release)
         acc = Accountant()
         x = np.zeros((min_samples(d, BUDGET, BETA), d))
-        trace = precondition(x, BUDGET, BETA, RandomSource(0).child("precondition"), accountant=acc)
+        trace = precondition(x, BUDGET, BETA, RandomSource(0, acc).child("precondition"))
         assert [step.kind for step in trace.steps] == ["coarse+fine"] * (d - 1)
         assert len(acc.entries) == max_calls(d)
         assert_calls_within_reserve(acc, d)
         assert_within_budget(acc)
+
+
+class TestLedgerRouting:
+    @pytest.mark.parametrize("spectrum", [(1.0, 1e-6), (1.0, 0.3, 0.003)])
+    def test_given_ledger_gets_the_streams_entries(self, spectrum):
+        # accountant= routes every charge of the call, and nothing else
+        # changes: the map is bit-identical and the caller's stream's own
+        # ledger stays empty
+        x = samples(spectrum, 0)
+        plain = RandomSource(0).child("precondition")
+        expected = precondition(x, BUDGET, BETA, plain).final_map
+        acc = Accountant()
+        routed = RandomSource(0).child("precondition")
+        np.testing.assert_array_equal(precondition(x, BUDGET, BETA, routed, accountant=acc).final_map, expected)
+        assert acc.entries
+        assert acc.entries == plain.ledger.entries
+        assert routed.ledger.entries == ()
 
 
 class TestMappedStatistics:

@@ -101,7 +101,7 @@ class TestRecoverSubspace:
         n = n_min(d, k, 0.5, BUDGET, BETA)
         x = gapped_samples(d, k, 1e-8, n, 1)
         acc = Accountant()
-        recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(1).child("l"), accountant=acc)
+        recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(1, acc).child("l"))
         # per reference point i: d coordinate histograms of the ball
         # finder, then the noisy sum, each under its own stream
         expected = []
