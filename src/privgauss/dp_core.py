@@ -247,30 +247,18 @@ class BucketScheme:
         if v.size and np.any(v < 0.0):
             raise InvalidArgument("geometric scheme covers [0, inf) only")
         pos = np.flatnonzero(v > 0.0)
-        x = v[pos]
-        k = np.floor(np.log(x) / math.log(self.ratio)).astype(np.int64)
-        # float boundary correction so [l, r) is exact against the edges
-        # bounds() reports; only the entries still moving are re-tested
-        moving = np.arange(x.size)
-        while moving.size:
-            moving = moving[x[moving] >= self._edges(k[moving] + 1)]
-            k[moving] += 1
-        moving = np.arange(x.size)
-        while moving.size:
-            moving = moving[x[moving] < self._edges(k[moving])]
-            k[moving] -= 1
         out = np.full(v.size, self.ZERO, dtype=np.int64)
-        out[pos] = k
+        if pos.size:
+            x = v[pos]
+            k = np.floor(np.log(x) / math.log(self.ratio))
+            # the log estimate is off by at most one key near an edge, so
+            # each exact key is found among the edges of keys k - 1 .. k + 1,
+            # computed with the same Python power as bounds() (NumPy's array
+            # power rounds differently and would move values on an edge)
+            low = int(k.min()) - 1
+            edges = np.array([self.ratio ** key for key in range(low, int(k.max()) + 2)])
+            out[pos] = low - 1 + np.searchsorted(edges, x, side="right")
         return out
-
-    def _edges(self, keys):
-        """Geometric edges ratio**key with the same Python power as bounds()
-        (NumPy's array power rounds differently and would move values that
-        sit on an edge), computed once per key in the span of ``keys``,
-        which float64 bounds to a few thousand."""
-        low = int(keys.min())
-        table = np.array([self.ratio ** key for key in range(low, int(keys.max()) + 1)])
-        return table[keys - low]
 
     def bounds(self, key):
         key = int(key)

@@ -22,7 +22,7 @@ NULL_SPACE_CUTOFF = 1e-12
 RANGE_TOL = 1e-8
 
 
-def as_sym_matrix(m, dim=None):
+def as_sym_matrix(m):
     """Validate and symmetrize a square matrix, returning a float64 copy.
 
     Raises InvalidMatrix for non-square/non-finite input and for dimensions
@@ -34,8 +34,6 @@ def as_sym_matrix(m, dim=None):
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise InvalidMatrix(f"dimension {a.shape[0]} exceeds the supported cap {MAX_DIM}")
-    if dim is not None and a.shape[0] != dim:
-        raise InvalidArgument(f"expected dimension {dim}, got {a.shape[0]}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix contains NaN or Inf entries")
     sym = 0.5 * (a + a.T)
@@ -56,14 +54,6 @@ class Spectrum:
     @property
     def dim(self):
         return self.eigenvalues.shape[0]
-
-
-@dataclass(frozen=True)
-class Projector:
-    """A symmetric idempotent matrix of known rank."""
-
-    matrix: np.ndarray
-    rank: int
 
 
 def sym_eig_batch(mats, vectors=True):
@@ -272,14 +262,14 @@ def rel_mean_norm(mu_hat, mu, truth):
     return float(np.linalg.norm(inv_root * (basis.T @ x)))
 
 
-def top_k_projector(spectrum: Spectrum, k) -> Projector:
-    """Projector onto the span of the top-k eigenvectors."""
+def top_k_projector(spectrum: Spectrum, k):
+    """The (d, d) projector onto the span of the top-k eigenvectors."""
     d = spectrum.dim
     if not 0 <= k <= d:
         raise InvalidArgument(f"k={k} out of range [0, {d}]")
     b = spectrum.eigenvectors[:, :k]
     p = b @ b.T
-    return Projector(0.5 * (p + p.T), rank=k)
+    return 0.5 * (p + p.T)
 
 
 def spd_inverse(m):

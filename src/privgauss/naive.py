@@ -35,8 +35,8 @@ BOUND_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class NaiveConfig:
-    kappa2: float
     clip_threshold: float
+    sensitivity: float  # 2 clip_threshold / n, the Frobenius sensitivity
     sigma: float
 
 
@@ -79,8 +79,9 @@ def clipped_second_moment(x, threshold, a=None):
 
 def naive_config(n, d, kappa2, budget: PrivacyBudget, beta) -> NaiveConfig:
     clip = clip_threshold(d, kappa2, n, beta)
-    sigma = gaussian_sigma(2.0 * clip / n, budget) if clip > 0.0 else 0.0
-    return NaiveConfig(kappa2=kappa2, clip_threshold=clip, sigma=sigma)
+    sensitivity = 2.0 * clip / n
+    sigma = gaussian_sigma(sensitivity, budget) if clip > 0.0 else 0.0
+    return NaiveConfig(clip_threshold=clip, sensitivity=sensitivity, sigma=sigma)
 
 
 def naive_estimate(
@@ -135,5 +136,4 @@ def naive_estimate(
         moment = rows.moment() / n
     else:
         moment, _ = clipped_second_moment(rows.x, config.clip_threshold, rows.a)
-    sensitivity = 2.0 * config.clip_threshold / n
-    return linalg.psd_project(gue_mechanism(moment, sensitivity, noise_budget, rng.child("noise")))
+    return linalg.psd_project(gue_mechanism(moment, config.sensitivity, noise_budget, rng.child("noise")))

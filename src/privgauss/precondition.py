@@ -13,6 +13,12 @@ Three layers:
 * the scanning loop -- walk the eigenvalue indexes once, firing whichever
   step the privately estimated ratios call for, and accumulate the map.
 
+Each step is one DP release followed by a pure map of the released matrix:
+the coarse step releases a projector and ``coarse_map`` turns it into the
+step's map, the fine step releases a covariance probe and ``fine_map`` does
+the same.  The maps read no rows, so they are post-processing, and a step
+costs exactly its release's budget.
+
 The accumulated map is kept symmetric positive definite by replacing the
 raw step product A with its SPD polar factor (A^T A)^{1/2}, which preserves
 the spectrum of A Sigma A^T exactly.
@@ -41,9 +47,6 @@ from .naive import naive_config, naive_estimate
 # Gap thresholds of the scanning loop.
 TAU_SQ = 1.0 / 10000.0
 GAMMA_BAR_SQ = 40.0 / 10000.0
-# Requested subspace accuracy for the coarse step is gamma_bar^2 / this
-# (clamped up to what the available sample size supports).
-COARSE_PSI_DIVISOR = 100.0
 # Fine step keeps directions with lambda_i(Z) >= lambda_{k+1}(Z) / (S_DIV gbar^2).
 FINE_S_DIVISOR = 16.0
 
@@ -67,24 +70,29 @@ def max_calls(d):
     return max(1, 4 * (d - 1))
 
 
-def coarse_precondition(
-    x,
-    k,
-    gamma_hat,
-    budget: PrivacyBudget,
-    beta,
-    rng: RandomSource,
-    projector_override=None,
-):
-    """One coarse step: A = gamma_hat * P + (I - P) for the privately
-    recovered top-k projector P.  ``x`` is an (n, d) array or a
-    ``linalg.MappedRows`` view.
+def _shares(d, budget, beta):
+    """(per_call, beta_i): the budget and failure probability of each
+    budgeted call the scan makes, an equal share of ``budget`` over
+    ``max_calls(d)`` calls and beta / d (see ``precondition``)."""
+    return plan_shares(budget, max_calls(d)).per_call, beta / d
+
+
+def coarse_map(p, gamma_hat):
+    """The coarse step's map of a released top-k projector ``p``:
+    A = gamma_hat * P + (I - P), which shrinks the top-k subspace by
+    gamma_hat and leaves its complement alone."""
+    return gamma_hat * p + (np.eye(p.shape[0]) - p)
+
+
+def coarse_precondition(x, k, gamma_hat, budget: PrivacyBudget, beta, rng: RandomSource):
+    """One coarse step: one release, the privately recovered top-k
+    projector P, then the pure map ``coarse_map(P, gamma_hat)``.  ``x`` is
+    an (n, d) array or a ``linalg.MappedRows`` view.
 
     Promise: lambda_k / lambda_1 >= gamma_bar^2 and the true consecutive
     ratio lambda_{k+1} / lambda_k lies within a factor 4 of gamma_hat^2.
-    The requested subspace accuracy gamma_bar^2/100 is clamped up to the
-    best the sample size supports; the noiseless ``projector_override``
-    hook bypasses recovery for closed-form tests.
+    The recovery claims the best accuracy psi the sample size supports;
+    psi gates the subsample layout only.
     """
     x = linalg.MappedRows.of(x)
     n, d = x.shape
@@ -92,61 +100,51 @@ def coarse_precondition(
         raise InvalidArgument(f"gamma_hat must lie in (0, 1], got {gamma_hat}")
     if gamma_hat == 1.0:
         return np.eye(d)
-    if projector_override is not None:
-        proj = projector_override
-    else:
-        psi = max(GAMMA_BAR_SQ / COARSE_PSI_DIVISOR, subspace.feasible_psi(n, d, k, budget, beta))
-        proj = subspace.recover_subspace(x, k, gamma_hat, psi, budget, beta, rng.child("subspace"))
-    p = proj.matrix
-    return gamma_hat * p + (np.eye(d) - p)
+    psi = subspace.feasible_psi(n, d, k, budget, beta)
+    p = subspace.recover_subspace(x, k, gamma_hat, psi, budget, beta, rng.child("subspace"))
+    return coarse_map(p, gamma_hat)
 
 
-def fine_precondition(
-    x,
-    k,
-    gamma_bar,
-    kappa,
-    budget: PrivacyBudget,
-    beta,
-    rng: RandomSource,
-    probe_override=None,
-):
-    """One fine step: probe the covariance and shrink every direction with
-    lambda_i(Z) >= pivot / (16 gamma_bar^2) down to that level, where the
-    pivot is lambda_{k+1}(Z) floored at the probe's noise level sigma sqrt(d).
-
-    Promise: lambda_{k+1} / lambda_1 >= tau^2 gamma_bar^2.  ``x`` is an
-    (n, d) array or a ``linalg.MappedRows`` view.  ``probe_override``
-    substitutes a noiseless Z (sigma = 0) for closed-form tests.
-    """
-    x = linalg.MappedRows.of(x)
-    d = x.shape[1]
-    if not 0.0 < gamma_bar <= 1.0:
-        raise InvalidArgument(f"gamma_bar must lie in (0, 1], got {gamma_bar}")
-    if not 1 <= k <= d - 1:
-        raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
-    if probe_override is not None:
-        z = np.asarray(probe_override, dtype=np.float64)
-        sigma = 0.0
-    else:
-        z = naive_estimate(x, budget, beta, rng.child("naive"), kappa2=kappa)
-        sigma = naive_config(x.shape[0], d, kappa, budget, beta).sigma
+def fine_map(z, k, gamma_bar, noise_level):
+    """The fine step's map of a released covariance probe ``z``: shrink
+    every direction with lambda_i(Z) >= pivot / (16 gamma_bar^2) down to
+    that level, where the pivot is lambda_{k+1}(Z) floored at
+    ``noise_level``, the probe's noise scale (0 for a noiseless Z)."""
     spec = linalg.sym_eig(z)
     lam = spec.eigenvalues
-    # lambda_{k+1}(Z), 0-indexed, is not resolved below the probe's noise
-    # level; sigma depends only on released and public values
-    pivot = max(lam[k], sigma * math.sqrt(d))
+    # lambda_{k+1}(Z), 0-indexed, is not resolved below the probe's noise level
+    pivot = max(lam[k], noise_level)
     if pivot <= 0.0:
         raise DegenerateSpectrum(f"lambda_{k + 1}(Z) = {pivot} is not positive")
     gbar_sq = gamma_bar * gamma_bar
     cutoff = pivot / (FINE_S_DIVISOR * gbar_sq)
-    scales = np.ones(d)
+    scales = np.ones_like(lam)
     in_s = lam >= cutoff
     g = np.sqrt(np.maximum(lam, 0.0) / pivot)
     scales[in_s] = 1.0 / (4.0 * g[in_s] * gamma_bar)
     v = spec.eigenvectors
     a = (v * scales) @ v.T
     return 0.5 * (a + a.T)
+
+
+def fine_precondition(x, k, gamma_bar, kappa, budget: PrivacyBudget, beta, rng: RandomSource):
+    """One fine step: one release, the naive probe Z clipped at scale
+    ``kappa``, then the pure map ``fine_map`` of Z with its pivot floored at
+    the probe's noise level sigma sqrt(d), which depends only on public and
+    released values.
+
+    Promise: lambda_{k+1} / lambda_1 >= tau^2 gamma_bar^2.  ``x`` is an
+    (n, d) array or a ``linalg.MappedRows`` view.
+    """
+    x = linalg.MappedRows.of(x)
+    n, d = x.shape
+    if not 0.0 < gamma_bar <= 1.0:
+        raise InvalidArgument(f"gamma_bar must lie in (0, 1], got {gamma_bar}")
+    if not 1 <= k <= d - 1:
+        raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
+    z = naive_estimate(x, budget, beta, rng.child("naive"), kappa2=kappa)
+    noise_level = naive_config(n, d, kappa, budget, beta).sigma * math.sqrt(d)
+    return fine_map(z, k, gamma_bar, noise_level)
 
 
 def min_samples(d, budget, beta):
@@ -156,8 +154,7 @@ def min_samples(d, budget, beta):
     defined."""
     from . import eigenvalues as eig_mod
 
-    per_call = plan_shares(budget, max_calls(d)).per_call
-    beta_i = beta / d
+    per_call, beta_i = _shares(d, budget, beta)
     needs = [eig_mod.min_samples(d, per_call, beta_i), 2 * d]
     for k in range(1, d):
         needs.append(subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i))
@@ -177,6 +174,11 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     iterations.  No refresh is released after the last iteration: nothing
     would read it, and the final map's positive definiteness is checked on
     the map itself.  At d = 1 nothing is released.
+
+    Each call fails with probability at most beta / d, and up to 4(d - 1)
+    calls run, so the union bound on the scan's failure probability is
+    4(d - 1) / d * beta, not beta: 2 beta at d = 2.  The share is kept
+    because the published floors are computed at it (ROADMAP, "Carried").
 
     Every release is charged to ``rng``'s ledger under its stream's path,
     or to ``accountant`` when one is given; either way this call's charges
@@ -209,8 +211,7 @@ def _scan(x, budget, beta, rng, trace):
     rows; appends each completed step to ``trace`` and returns the
     accumulated map."""
     d = x.shape[1]
-    per_call = plan_shares(budget, max_calls(d)).per_call
-    beta_i = beta / d
+    per_call, beta_i = _shares(d, budget, beta)
     gamma_bar = math.sqrt(GAMMA_BAR_SQ)
 
     a = np.eye(d)

@@ -9,6 +9,11 @@ subspace of the noisy sums is returned.
 Requires lambda_{k+1} / lambda_k < gamma^2 (the caller's promise); under
 the sample bound the output projector is within psi * gamma of the truth
 in spectral norm with constant probability.
+
+psi is the claimed accuracy, not a knob: it gates the subsample layout
+(m rows per subsample must support it) and enters no computation, so the
+radius, truncation and noise scale are the same at every psi the layout
+accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ def n_min(d, k, psi, budget, beta):
 
 
 def feasible_psi(n, d, k, budget, beta):
-    """Smallest psi the given n supports (callers clamp their request);
+    """Smallest psi the given n supports;
     raises below n_min at MAX_PSI, the any-accuracy floor."""
     t = subsample_count(d, k, budget, beta)
     m = n // t
@@ -142,16 +147,8 @@ def sample_reference_points(q, d, rng: RandomSource):
     return rng.child("refs").standard_normal((q, d))
 
 
-def recover_subspace(
-    x,
-    k,
-    gamma,
-    psi,
-    budget: PrivacyBudget,
-    beta,
-    rng: RandomSource,
-) -> linalg.Projector:
-    """Privately recover the projector onto the top-k eigenspace.
+def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomSource):
+    """Privately recover the (d, d) projector onto the top-k eigenspace.
 
     ``x`` is an (n, d) array or a ``linalg.MappedRows`` view, whose cached
     subsample Gram stack is mapped instead of the rows.  The promise is

@@ -14,7 +14,9 @@ from privgauss.errors import DegenerateSpectrum, InsufficientSamples, InvalidArg
 from privgauss.naive import naive_config, naive_estimate
 from privgauss.precondition import (
     GAMMA_BAR_SQ,
+    coarse_map,
     coarse_precondition,
+    fine_map,
     fine_precondition,
     max_calls,
     min_samples,
@@ -207,23 +209,7 @@ class TestCallCount:
         # stub releases charge their share and steer every iteration into
         # its costliest branch: a gap of 1e-6 at every index, which the
         # post-coarse probe still reports
-        spectrum = 1e-6 ** np.arange(d)
-
-        def eigenvalue_release(x, budget, beta, rng):
-            rng.charge(budget, "stub", 1.0)
-            return EigenvalueEstimate(spectrum, 1)
-
-        def probe_release(x, budget, beta, rng, kappa2=None):
-            rng.charge(budget, "stub", 1.0)
-            return np.diag(spectrum)
-
-        def subspace_release(x, k, gamma, psi, budget, beta, rng):
-            rng.charge(budget, "stub", 1.0)
-            return linalg.Projector(np.diag(np.arange(d) < k).astype(float), k)
-
-        monkeypatch.setattr(precondition_module, "estimate_eigenvalues", eigenvalue_release)
-        monkeypatch.setattr(precondition_module, "naive_estimate", probe_release)
-        monkeypatch.setattr(subspace, "recover_subspace", subspace_release)
+        stub_releases(monkeypatch, 1e-6 ** np.arange(d))
         acc = Accountant()
         x = np.zeros((min_samples(d, BUDGET, BETA), d))
         trace = precondition(x, BUDGET, BETA, RandomSource(0, acc).child("precondition"))
@@ -231,6 +217,49 @@ class TestCallCount:
         assert len(acc.entries) == max_calls(d)
         assert_calls_within_reserve(acc, d)
         assert_within_budget(acc)
+
+
+def stub_releases(monkeypatch, spectrum):
+    """Replace the scan's three releases with data-free ones: each charges
+    its share and reports ``spectrum`` (the eigenvalue estimate and the
+    naive probe) or the projector onto the first k axes, whatever the rows."""
+
+    def eigenvalue_release(x, budget, beta, rng):
+        rng.charge(budget, "stub", 1.0)
+        return EigenvalueEstimate(spectrum, 1)
+
+    def probe_release(x, budget, beta, rng, kappa2=None):
+        rng.charge(budget, "stub", 1.0)
+        return np.diag(spectrum)
+
+    def subspace_release(x, k, gamma, psi, budget, beta, rng):
+        rng.charge(budget, "stub", 1.0)
+        return np.diag(np.arange(len(spectrum)) < k).astype(float)
+
+    monkeypatch.setattr(precondition_module, "estimate_eigenvalues", eigenvalue_release)
+    monkeypatch.setattr(precondition_module, "naive_estimate", probe_release)
+    monkeypatch.setattr(subspace, "recover_subspace", subspace_release)
+
+
+class TestPostProcessing:
+    def test_map_depends_on_the_rows_only_through_the_releases(self, monkeypatch):
+        # with the releases made data-free, two different row arrays of one
+        # shape must give the same steps and the same map: every step's map
+        # reads its release and public values (n, d, the shares), no row
+        spectrum = np.array([1.0, 1e-2, 1e-8])
+        stub_releases(monkeypatch, spectrum)
+        n = min_samples(3, BUDGET, BETA)
+        runs = []
+        for seed, scale in [(0, [1.0, 1.0, 1.0]), (1, [1e3, 1e-2, 1e-5])]:
+            x = np.random.default_rng(seed).standard_normal((n, 3)) * scale
+            acc = Accountant()
+            trace = precondition(x, BUDGET, BETA, RandomSource(0, acc).child("precondition"))
+            runs.append((trace, acc))
+        (first, first_acc), (second, second_acc) = runs
+        assert [step.kind for step in first.steps] == ["fine", "coarse+fine"]
+        assert first.steps == second.steps
+        np.testing.assert_array_equal(first.final_map, second.final_map)
+        assert first_acc.entries == second_acc.entries
 
 
 class TestLedgerRouting:
@@ -288,16 +317,7 @@ class TestCoarseStep:
     def test_closed_form(self):
         # A = gamma_hat P + (I - P) with P onto e1 maps diag(1, g^2) to g^2 I
         gamma_hat = 1e-3
-        p = np.diag([1.0, 0.0])
-        a = coarse_precondition(
-            np.zeros((4, 2)),
-            1,
-            gamma_hat,
-            BUDGET,
-            BETA,
-            RandomSource(0),
-            projector_override=linalg.Projector(p, 1),
-        )
+        a = coarse_map(np.diag([1.0, 0.0]), gamma_hat)
         np.testing.assert_array_equal(a, np.diag([gamma_hat, 1.0]))
         mapped = a @ np.diag([1.0, gamma_hat**2]) @ a
         np.testing.assert_allclose(mapped, gamma_hat**2 * np.eye(2), rtol=1e-12)
@@ -319,9 +339,7 @@ class TestFineStep:
         gamma_bar = math.sqrt(GAMMA_BAR_SQ)
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
         z = (q * [1.0, 1e-2]) @ q.T
-        a = fine_precondition(
-            np.zeros((4, 2)), 1, gamma_bar, 1.0, BUDGET, BETA, RandomSource(0), probe_override=z
-        )
+        a = fine_map(z, 1, gamma_bar, noise_level=0.0)
         top = 1.0 / (4.0 * gamma_bar * math.sqrt(1.0 / 1e-2))
         np.testing.assert_allclose(a, (q * [top, 1.0]) @ q.T, atol=1e-12)
         lam = np.linalg.eigvalsh(a @ z @ a)
@@ -343,13 +361,4 @@ class TestFineStep:
 
     def test_non_positive_pivot_raises(self):
         with pytest.raises(DegenerateSpectrum):
-            fine_precondition(
-                np.zeros((4, 2)),
-                1,
-                math.sqrt(GAMMA_BAR_SQ),
-                1.0,
-                BUDGET,
-                BETA,
-                RandomSource(0),
-                probe_override=np.diag([1.0, 0.0]),
-            )
+            fine_map(np.diag([1.0, 0.0]), 1, math.sqrt(GAMMA_BAR_SQ), noise_level=0.0)

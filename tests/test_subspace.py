@@ -36,8 +36,8 @@ class TestRecoverSubspace:
         wins = 0
         for seed in range(40):
             x = gapped_samples(d, k, 1e-8, n, seed)
-            proj = recover_subspace(x, k, gamma, psi, BUDGET, BETA, RandomSource(seed).child("t"))
-            wins += spectral_dist(proj.matrix, truth) <= psi * gamma
+            p = recover_subspace(x, k, gamma, psi, BUDGET, BETA, RandomSource(seed).child("t"))
+            wins += spectral_dist(p, truth) <= psi * gamma
         assert wins >= 28  # single-shot bar is 70%
 
     def test_exact_rank_data(self):
@@ -48,8 +48,8 @@ class TestRecoverSubspace:
         x = np.zeros((n, d))
         x[:, :2] = rng.normal(size=(n, 2))
         truth = np.diag([1.0, 1.0, 0.0, 0.0])
-        proj = recover_subspace(x, k, gamma, 0.5, BUDGET, BETA, RandomSource(0).child("ex"))
-        assert spectral_dist(proj.matrix, truth) <= 1e-9
+        p = recover_subspace(x, k, gamma, 0.5, BUDGET, BETA, RandomSource(0).child("ex"))
+        assert spectral_dist(p, truth) <= 1e-9
 
     def test_k_equals_d_minus_one(self):
         d, k, gamma, psi = 4, 3, 1e-2, 0.3
@@ -58,8 +58,8 @@ class TestRecoverSubspace:
         wins = 0
         for seed in range(30):
             x = gapped_samples(d, k, 1e-10, n, seed)
-            proj = recover_subspace(x, k, gamma, psi, BUDGET, BETA, RandomSource(seed).child("kd"))
-            wins += spectral_dist(proj.matrix, truth) <= psi * gamma
+            p = recover_subspace(x, k, gamma, psi, BUDGET, BETA, RandomSource(seed).child("kd"))
+            wins += spectral_dist(p, truth) <= psi * gamma
         assert wins >= 24
 
     def test_output_is_valid_projector(self):
@@ -67,9 +67,8 @@ class TestRecoverSubspace:
         n = n_min(d, k, 0.5, BUDGET, BETA)
         for seed in range(5):
             x = gapped_samples(d, k, 1e-6, n, seed)
-            proj = recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(seed).child("p"))
-            p = proj.matrix
-            assert proj.rank == k
+            p = recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(seed).child("p"))
+            assert p.shape == (d, d)
             assert np.linalg.norm(p @ p - p) <= 1e-9
             assert abs(np.trace(p) - k) <= 1e-9 * d
 
@@ -93,7 +92,7 @@ class TestRecoverSubspace:
         x = gapped_samples(d, k, 1e-8, n, 5)
         a = recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(7).child("d"))
         b = recover_subspace(x, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(7).child("d"))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(a, b)
 
     def test_privacy_ledger(self):
         d, k = 4, 2
@@ -144,11 +143,11 @@ class TestRecoverSubspace:
         for seed in range(200):
             x = gapped_samples(d, k, 1e-8, n, 100 + seed)
             p1 = recover_subspace(x, k, gamma, psi, BUDGET, BETA, RandomSource(seed).child("r0"))
-            errs_plain.append(spectral_dist(p1.matrix, truth))
+            errs_plain.append(spectral_dist(p1, truth))
             p2 = recover_subspace(
                 x @ q_mat.T, k, gamma, psi, BUDGET, BETA, RandomSource(5000 + seed).child("r1")
             )
-            errs_rot.append(spectral_dist(p2.matrix, truth_rot))
+            errs_rot.append(spectral_dist(p2, truth_rot))
         a = np.sort(errs_plain)
         b = np.sort(errs_rot)
         grid = np.concatenate([a, b])
