@@ -1,23 +1,20 @@
 """Private preconditioning: make the data covariance O(1)-conditioned with
 no prior bound on its spectrum.
 
-Three layers:
+The scan walks the eigenvalue indexes once and, where the privately
+estimated ratios call for it, takes a step.  Each step is one DP release
+paired with a pure map of the released matrix, both written in the scan:
 
-* coarse step -- under a large consecutive eigengap at index k, recover the
-  top-k subspace privately and rescale it by the estimated gap ratio, which
-  crushes the gap;
-* fine step -- under a bounded cumulative gap, probe the covariance with the
-  naive estimator for its scale kappa, probe again clipped at that scale,
-  and rescale each large eigendirection individually; the scan runs the
-  first probe only when a fine step fires;
-* the scanning loop -- walk the eigenvalue indexes once, firing whichever
-  step the privately estimated ratios call for, and accumulate the map.
+* coarse step -- under a large consecutive eigengap at index k, the release
+  is the privately recovered top-k projector and ``coarse_map`` rescales
+  that subspace by the estimated gap ratio, which crushes the gap;
+* fine step -- under a bounded cumulative gap, the release is a naive probe
+  of the covariance clipped at a scale kappa and ``fine_map`` rescales each
+  large eigendirection individually; kappa is read from an earlier probe,
+  which the scan releases only when a fine step fires.
 
-Each step is one DP release followed by a pure map of the released matrix:
-the coarse step releases a projector and ``coarse_map`` turns it into the
-step's map, the fine step releases a covariance probe and ``fine_map`` does
-the same.  The maps read no rows, so they are post-processing, and a step
-costs exactly its release's budget.
+The maps read no rows, so they are post-processing, and a step costs
+exactly its release's budget.
 
 The accumulated map is kept symmetric positive definite by replacing the
 raw step product A with its SPD polar factor (A^T A)^{1/2}, which preserves
@@ -38,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, subspace
+from . import eigenvalues, linalg, subspace
 from .dp_core import PrivacyBudget, RandomSource, plan_shares
 from .eigenvalues import estimate_eigenvalues
-from .errors import DegenerateSpectrum, InvalidArgument, PrivGaussError
+from .errors import DegenerateSpectrum, PrivGaussError
 from .naive import naive_config, naive_estimate
 
 # Gap thresholds of the scanning loop.
@@ -84,27 +81,6 @@ def coarse_map(p, gamma_hat):
     return gamma_hat * p + (np.eye(p.shape[0]) - p)
 
 
-def coarse_precondition(x, k, gamma_hat, budget: PrivacyBudget, beta, rng: RandomSource):
-    """One coarse step: one release, the privately recovered top-k
-    projector P, then the pure map ``coarse_map(P, gamma_hat)``.  ``x`` is
-    an (n, d) array or a ``linalg.MappedRows`` view.
-
-    Promise: lambda_k / lambda_1 >= gamma_bar^2 and the true consecutive
-    ratio lambda_{k+1} / lambda_k lies within a factor 4 of gamma_hat^2.
-    The recovery claims the best accuracy psi the sample size supports;
-    psi gates the subsample layout only.
-    """
-    x = linalg.MappedRows.of(x)
-    n, d = x.shape
-    if not 0.0 < gamma_hat <= 1.0:
-        raise InvalidArgument(f"gamma_hat must lie in (0, 1], got {gamma_hat}")
-    if gamma_hat == 1.0:
-        return np.eye(d)
-    psi = subspace.feasible_psi(n, d, k, budget, beta)
-    p = subspace.recover_subspace(x, k, gamma_hat, psi, budget, beta, rng.child("subspace"))
-    return coarse_map(p, gamma_hat)
-
-
 def fine_map(z, k, gamma_bar, noise_level):
     """The fine step's map of a released covariance probe ``z``: shrink
     every direction with lambda_i(Z) >= pivot / (16 gamma_bar^2) down to
@@ -127,35 +103,13 @@ def fine_map(z, k, gamma_bar, noise_level):
     return 0.5 * (a + a.T)
 
 
-def fine_precondition(x, k, gamma_bar, kappa, budget: PrivacyBudget, beta, rng: RandomSource):
-    """One fine step: one release, the naive probe Z clipped at scale
-    ``kappa``, then the pure map ``fine_map`` of Z with its pivot floored at
-    the probe's noise level sigma sqrt(d), which depends only on public and
-    released values.
-
-    Promise: lambda_{k+1} / lambda_1 >= tau^2 gamma_bar^2.  ``x`` is an
-    (n, d) array or a ``linalg.MappedRows`` view.
-    """
-    x = linalg.MappedRows.of(x)
-    n, d = x.shape
-    if not 0.0 < gamma_bar <= 1.0:
-        raise InvalidArgument(f"gamma_bar must lie in (0, 1], got {gamma_bar}")
-    if not 1 <= k <= d - 1:
-        raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
-    z = naive_estimate(x, budget, beta, rng.child("naive"), kappa2=kappa)
-    noise_level = naive_config(n, d, kappa, budget, beta).sigma * math.sqrt(d)
-    return fine_map(z, k, gamma_bar, noise_level)
-
-
 def min_samples(d, budget, beta):
     """Published sample floor for the scanning loop (subroutine needs at the
     per-call budget share).  At d = 1 the scan releases nothing; the floor
     is then the initial estimate's at a one-call share, which keeps it
     defined."""
-    from . import eigenvalues as eig_mod
-
     per_call, beta_i = _shares(d, budget, beta)
-    needs = [eig_mod.min_samples(d, per_call, beta_i), 2 * d]
+    needs = [eigenvalues.min_samples(d, per_call, beta_i), 2 * d]
     for k in range(1, d):
         needs.append(subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i))
     return max(needs)
@@ -210,7 +164,7 @@ def _scan(x, budget, beta, rng, trace):
     """The scanning loop of ``precondition`` on the view ``x`` of the raw
     rows; appends each completed step to ``trace`` and returns the
     accumulated map."""
-    d = x.shape[1]
+    n, d = x.shape
     per_call, beta_i = _shares(d, budget, beta)
     gamma_bar = math.sqrt(GAMMA_BAR_SQ)
 
@@ -235,10 +189,18 @@ def _scan(x, budget, beta, rng, trace):
         kappa = None  # set when a fine step fires
 
         if ratio_consec < 4.0 * TAU_SQ:
+            # coarse step at k = i.  Promise: lambda_k / lambda_1 >= gamma_bar^2
+            # and the true ratio lambda_{k+1} / lambda_k lies within a factor 4
+            # of gamma_hat^2.  The release is the top-k projector P, recovered
+            # at the best accuracy psi the sample size supports (psi gates the
+            # subsample layout only); the map is coarse_map(P, gamma_hat)
             kind = "coarse"
             gamma_hat = math.sqrt(ratio_consec)
-            b = coarse_precondition(xa, i, gamma_hat, per_call, beta_i, rng.child("coarse", i))
-            a = linalg.symmetric_polar_factor(b @ a)
+            psi = subspace.feasible_psi(n, d, i, per_call, beta_i)
+            p = subspace.recover_subspace(
+                xa, i, gamma_hat, psi, per_call, beta_i, rng.child("coarse", i, "subspace")
+            )
+            a = linalg.symmetric_polar_factor(coarse_map(p, gamma_hat) @ a)
             xa = x.mapped(a)
             ratios["gamma_hat"] = gamma_hat
             # fresh probe of the transformed data; its own internal scale
@@ -256,8 +218,14 @@ def _scan(x, budget, beta, rng, trace):
             kappa = lam_z[0] if lam_z[0] > 0.0 else 4.0 * lam_hat[0]
 
         if kappa is not None:
-            c = fine_precondition(xa, i, gamma_bar, kappa, per_call, beta_i, rng.child("fine", i))
-            a = linalg.symmetric_polar_factor(c @ a)
+            # fine step at k = i.  Promise: lambda_{k+1} / lambda_1 >=
+            # tau^2 gamma_bar^2.  The release is the naive probe Z clipped at
+            # kappa; the map is fine_map of Z with its pivot floored at the
+            # probe's noise level sigma sqrt(d), a function of public and
+            # released values only
+            z = naive_estimate(xa, per_call, beta_i, rng.child("fine", i, "naive"), kappa2=kappa)
+            noise_level = naive_config(n, d, kappa, per_call, beta_i).sigma * math.sqrt(d)
+            a = linalg.symmetric_polar_factor(fine_map(z, i, gamma_bar, noise_level) @ a)
             xa = x.mapped(a)
 
         if i < d - 1:

@@ -44,9 +44,6 @@ MAX_PSI = 0.999
 
 @dataclass(frozen=True)
 class SubspaceParams:
-    k: int
-    gamma: float
-    psi: float
     t: int
     m: int
     q: int
@@ -137,7 +134,7 @@ def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
     trunc = TRUNC_SCALE * r * math.sqrt(math.log(t))
     phase, _ = _phase_budgets(budget, q)
     sigma = 4.0 * trunc * math.sqrt(q) * math.log(q / phase.delta) / (phase.epsilon * t)
-    return SubspaceParams(k=k, gamma=gamma, psi=psi, t=t, m=m, q=q, r=r, trunc_radius=trunc, sigma=sigma)
+    return SubspaceParams(t=t, m=m, q=q, r=r, trunc_radius=trunc, sigma=sigma)
 
 
 def sample_reference_points(q, d, rng: RandomSource):

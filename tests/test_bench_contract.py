@@ -4,8 +4,9 @@ Imports ``bench/tracer.py`` and ``bench/workloads.py`` (never ``run.py``,
 which parses arguments and times whole runs) and checks that every name the
 tracer wraps still exists, that one traced estimate fills a ledger within
 the benchmark's budget, that the tracer puts the library back, that no
-two releases of one estimate share a noise stream, and that every noise
-draw is charged to the benchmark's ledger.
+two releases of one estimate share a noise stream, that every noise draw
+is charged to the benchmark's ledger, and that every Gaussian draw has the
+scale its charge pays for.
 """
 
 import sys
@@ -18,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from privgauss.dp_core import Accountant, RandomSource  # noqa: E402
+from privgauss.dp_core import Accountant, RandomSource, gaussian_sigma  # noqa: E402
 
 
 def test_every_binding_resolves():
@@ -87,3 +88,42 @@ def test_every_noise_draw_is_charged(name, monkeypatch):
     workloads.estimate_covariance(raw, 0, acc)
     assert draws
     assert uncharged == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "fine-d3",
+        # the subspace sums draw noise sized for the mean of t points while
+        # their charge pays for the sum (sensitivity 2 trunc_radius)
+        pytest.param("floor-d2", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
+    ],
+)
+def test_every_gaussian_draw_has_its_charged_scale(name, monkeypatch):
+    # a Gaussian release's noise scale is gaussian_sigma of the sensitivity
+    # and budget charged under its stream's name; a smaller scale would
+    # release more than the ledger records
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    acc = Accountant()
+    draws = []
+    normal = RandomSource.normal
+
+    def draw(self, scale=1.0, size=None):
+        draws.append((self.name, scale))
+        return normal(self, scale=scale, size=size)
+
+    monkeypatch.setattr(RandomSource, "normal", draw)
+    workloads.estimate_covariance(raw, 0, acc)
+    charged = {
+        e.label: gaussian_sigma(e.sensitivity, e.budget)
+        for e in acc.entries
+        if e.mechanism in ("gaussian", "gue_gaussian")
+    }
+    assert draws
+    wrong = [
+        (label, scale, charged[label])
+        for label, scale in draws
+        if scale != pytest.approx(charged[label], rel=1e-12)
+    ]
+    assert wrong == []

@@ -8,16 +8,14 @@ import pytest
 
 from privgauss import linalg, naive, subspace
 from privgauss import precondition as precondition_module
-from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
+from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.eigenvalues import EigenvalueEstimate
-from privgauss.errors import DegenerateSpectrum, InsufficientSamples, InvalidArgument
-from privgauss.naive import naive_config, naive_estimate
+from privgauss.errors import DegenerateSpectrum, InsufficientSamples
+from privgauss.naive import naive_config
 from privgauss.precondition import (
     GAMMA_BAR_SQ,
     coarse_map,
-    coarse_precondition,
     fine_map,
-    fine_precondition,
     max_calls,
     min_samples,
     precondition,
@@ -219,10 +217,12 @@ class TestCallCount:
         assert_within_budget(acc)
 
 
-def stub_releases(monkeypatch, spectrum):
+def stub_releases(monkeypatch, spectrum, probe=None):
     """Replace the scan's three releases with data-free ones: each charges
-    its share and reports ``spectrum`` (the eigenvalue estimate and the
-    naive probe) or the projector onto the first k axes, whatever the rows."""
+    its share and reports ``spectrum`` (the eigenvalue estimate), ``probe``
+    (the naive probe's spectrum, ``spectrum`` by default) or the projector
+    onto the first k axes, whatever the rows."""
+    probe = spectrum if probe is None else probe
 
     def eigenvalue_release(x, budget, beta, rng):
         rng.charge(budget, "stub", 1.0)
@@ -230,7 +230,7 @@ def stub_releases(monkeypatch, spectrum):
 
     def probe_release(x, budget, beta, rng, kappa2=None):
         rng.charge(budget, "stub", 1.0)
-        return np.diag(spectrum)
+        return np.diag(probe)
 
     def subspace_release(x, k, gamma, psi, budget, beta, rng):
         rng.charge(budget, "stub", 1.0)
@@ -323,12 +323,8 @@ class TestCoarseStep:
         np.testing.assert_allclose(mapped, gamma_hat**2 * np.eye(2), rtol=1e-12)
 
     def test_no_gap_is_identity(self):
-        a = coarse_precondition(np.zeros((4, 3)), 1, 1.0, BUDGET, BETA, RandomSource(0))
+        a = coarse_map(np.diag([1.0, 0.0, 0.0]), 1.0)
         np.testing.assert_array_equal(a, np.eye(3))
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(InvalidArgument):
-            coarse_precondition(np.zeros((4, 2)), 1, 0.0, BUDGET, BETA, RandomSource(0))
 
 
 class TestFineStep:
@@ -345,19 +341,21 @@ class TestFineStep:
         lam = np.linalg.eigvalsh(a @ z @ a)
         np.testing.assert_allclose(sorted(lam), sorted([top**2, 1e-2]), rtol=1e-9)
 
-    def test_pivot_floored_at_probe_noise(self):
-        # rank-one rows: lambda_2 of the probe is a rounding zero (-1.7e-21
-        # at this seed), and the pivot becomes the probe's noise level
-        # sigma sqrt(d), which keeps the top direction's scale finite
+    def test_pivot_floored_at_probe_noise(self, monkeypatch):
+        # the eigenvalue release steers a fine step, and the probe reports
+        # lambda_2 = -1.7e-21, the rounding zero of rank-one rows: the scan
+        # floors the pivot at the fine probe's noise level sigma sqrt(d),
+        # which keeps the top direction's scale finite (a pivot of 0 raises)
         gamma_bar = math.sqrt(GAMMA_BAR_SQ)
-        x = np.random.default_rng(0).standard_normal((200_000, 2)) * [1.0, 0.0]
-        z = naive_estimate(x, BUDGET, BETA, RandomSource(1).child("naive"), kappa2=4.0)
-        lam = np.linalg.eigvalsh(z)
-        assert lam[0] <= 0.0
-        a = fine_precondition(x, 1, gamma_bar, 4.0, BUDGET, BETA, RandomSource(1))
-        pivot = naive_config(len(x), 2, 4.0, BUDGET, BETA).sigma * math.sqrt(2)
-        top = 1.0 / (4.0 * gamma_bar * math.sqrt(lam[1] / pivot))
-        np.testing.assert_allclose(np.linalg.eigvalsh(a), [top, 1.0], rtol=1e-12)
+        stub_releases(monkeypatch, np.array([1.0, 1e-2]), probe=np.array([1.0, -1.7e-21]))
+        n = min_samples(2, BUDGET, BETA)
+        trace = precondition(np.zeros((n, 2)), BUDGET, BETA, RandomSource(0).child("precondition"))
+        assert [step.kind for step in trace.steps] == ["fine"]
+        # the probe's top eigenvalue 1 is the fine step's kappa
+        per_call = plan_shares(BUDGET, max_calls(2)).per_call
+        pivot = naive_config(n, 2, 1.0, per_call, BETA / 2).sigma * math.sqrt(2)
+        top = 1.0 / (4.0 * gamma_bar * math.sqrt(1.0 / pivot))
+        np.testing.assert_allclose(np.linalg.eigvalsh(trace.final_map), [top, 1.0], rtol=1e-12)
 
     def test_non_positive_pivot_raises(self):
         with pytest.raises(DegenerateSpectrum):

@@ -79,6 +79,12 @@ class TestRecoverSubspace:
         with pytest.raises(InvalidArgument):
             recover_subspace(x, 3, 0.1, 0.5, BUDGET, BETA, RandomSource(0))
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.5])
+    def test_invalid_gamma(self, gamma):
+        # the one range check on the coarse step's gap ratio
+        with pytest.raises(InvalidArgument, match="gamma"):
+            recover_subspace(np.zeros((100, 3)), 1, gamma, 0.5, BUDGET, BETA, RandomSource(0))
+
     def test_insufficient_samples(self):
         d, k = 4, 1
         n = n_min(d, k, 0.5, BUDGET, BETA)
