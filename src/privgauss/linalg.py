@@ -99,7 +99,6 @@ class _RowStats:
 
     stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)
     moment: np.ndarray | None = None  # X^T X over all rows
-    max_sq_norm: float | None = None  # largest squared row norm
 
 
 def _frozen(a):
@@ -123,12 +122,17 @@ class MappedRows:
     with how far the map flattens the spectrum: for raw rows of condition
     number 1e6 mapped to near 1, about 1e-11, where squaring the mapped rows
     gives about 1e-15.
+
+    Row norms are not quadratic statistics of the raw rows: ``blocks`` forms
+    the mapped rows BLOCK_ROWS at a time, and ``max_sq_norm`` is read from
+    those blocks once per view.
     """
 
     def __init__(self, x, a=None, stats=None):
         self.x = x
         self.a = a
         self._stats = _RowStats() if stats is None else stats
+        self._max_sq_norm = None
 
     @classmethod
     def of(cls, x):
@@ -176,18 +180,22 @@ class MappedRows:
             stats.moment = _frozen(0.5 * (full + full.T))
         return self._map(stats.moment)
 
-    def norm_bound(self):
-        """Upper bound ||a||_2^2 max_i ||x_i||^2 on every mapped squared row
-        norm, up to the rounding of both factors; one blocked pass over the
-        raw rows, made once."""
-        stats = self._stats
-        if stats.max_sq_norm is None:
-            stats.max_sq_norm = 0.0
-            for start in range(0, self.x.shape[0], BLOCK_ROWS):
-                block = self.x[start : start + BLOCK_ROWS]
-                stats.max_sq_norm = max(stats.max_sq_norm, float(np.einsum("ij,ij->i", block, block).max()))
-        scale = 1.0 if self.a is None else float(np.linalg.norm(self.a, 2)) ** 2
-        return scale * stats.max_sq_norm
+    def blocks(self):
+        """The mapped rows, BLOCK_ROWS at a time, each block ``x``'s own
+        rows in its own layout times ``a``; the (n, d) product is never
+        formed."""
+        for start in range(0, self.x.shape[0], BLOCK_ROWS):
+            block = self.x[start : start + BLOCK_ROWS]
+            yield block if self.a is None else block @ self.a
+
+    def max_sq_norm(self):
+        """Largest squared norm of a mapped row (0.0 for no rows), exactly
+        as it is computed over ``blocks``; one pass, made once per view."""
+        if self._max_sq_norm is None:
+            self._max_sq_norm = 0.0
+            for block in self.blocks():
+                self._max_sq_norm = max(self._max_sq_norm, float(np.einsum("ij,ij->i", block, block).max()))
+        return self._max_sq_norm
 
 
 def sym_eig(m) -> Spectrum:

@@ -5,7 +5,8 @@ the remaining second-moment matrix gets symmetric Gaussian (GUE) noise
 calibrated to the clipped sensitivity, and the result is projected onto the
 PSD cone.  Used standalone on preconditioned data and as the probe inside
 the fine preconditioner, where the rows are a ``linalg.MappedRows`` view:
-the statistic is mapped, not the rows.
+the statistic is mapped, not the rows.  The clip is decided on the view's
+mapped row norms, read block by block from ``MappedRows.blocks``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .eigenvalues import estimate_eigenvalues
 CLIP_SCALE = 1.0
 # kappa2 <- KAPPA_FACTOR * (estimated top eigenvalue)
 KAPPA_FACTOR = 4.0
-# Relative slack of the no-clip bound ||a||_2^2 max ||x_i||^2 <= threshold.
-# It covers the rounding of ||a||_2, of the squared norms and of the mapped
-# rows in the exact test: each is a few times d ulps, under 1e-12 for every
-# d <= linalg.MAX_DIM.
-BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,27 +50,21 @@ def clipped_second_moment(x, threshold, a=None):
     is the sensitivity the noise is calibrated to.  Re-running on
     already-passing rows is a no-op.
 
-    The norm test runs over blocks of linalg.BLOCK_ROWS rows into one
-    preallocated mask, each block mapped by ``a`` on its own, so the (n, d)
-    mapped array is never formed; the kept raw rows' moment is mapped after.
-    The test reads ``x`` in its own layout: reordering ``x`` first can change
-    the summation order and flip a row lying exactly on the threshold.  When
-    no row is dropped the product runs on ``x`` itself (a C-ordered copy only
-    if ``x`` is not C-ordered), so the common case allocates no full-size
-    temporary but the mask.  Unmapped, the result is bit-identical to a
-    one-shot norm test and gather of the kept rows on every input: the
-    product sees the same values in the same layout.
+    The norm test reads the mapped rows from ``linalg.MappedRows.blocks``
+    into one preallocated mask, so the (n, d) mapped array is never formed;
+    the kept raw rows are gathered and their moment is mapped after.  The
+    test reads ``x`` in its own layout: reordering ``x`` first can change
+    the summation order and flip a row lying exactly on the threshold.
+    Unmapped, the result is bit-identical to a one-shot norm test and gather
+    of the kept rows on every input: the product sees the same values in the
+    same layout.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     keep = np.empty(n, dtype=bool)
-    for start in range(0, n, linalg.BLOCK_ROWS):
-        stop = start + linalg.BLOCK_ROWS
-        block = x[start:stop] if a is None else x[start:stop] @ a
-        np.less_equal(np.einsum("ij,ij->i", block, block), threshold, out=keep[start:stop])
-    dropped = n - int(np.count_nonzero(keep))
-    kept = np.ascontiguousarray(x) if dropped == 0 else x[keep]
-    return linalg.MappedRows(kept, a).moment() / n, dropped
+    for start, block in zip(range(0, n, linalg.BLOCK_ROWS), linalg.MappedRows(x, a).blocks()):
+        np.less_equal(np.einsum("ij,ij->i", block, block), threshold, out=keep[start : start + len(block)])
+    return linalg.MappedRows(x[keep], a).moment() / n, n - int(np.count_nonzero(keep))
 
 
 def naive_config(n, d, kappa2, budget: PrivacyBudget, beta) -> NaiveConfig:
@@ -100,15 +90,15 @@ def naive_estimate(
     times the top estimate.  Every release is charged to ``rng``'s ledger,
     or to ``accountant`` when one is given.
 
-    When ||a||_2^2 max_i ||x_i||^2 (1 + BOUND_MARGIN) <= threshold, no row
-    can be clipped, in exact or in floating-point arithmetic, so the
-    statistic is a^T (X^T X) a / n from the view's cached second moment and
-    no pass over the rows is made; otherwise the exact blocked test of
-    ``clipped_second_moment`` runs.  Privacy: each clip decision is exactly
-    the one the test on the materialized rows x @ a makes, so the kept set
-    and the 2 threshold / n sensitivity are unchanged.  The statistic equals
-    the mean of the kept mapped rows' outer products in exact arithmetic;
-    only its floating-point rounding differs (see ``linalg.MappedRows``).
+    Privacy: a row is kept iff its mapped squared norm is at most the clip
+    threshold.  The view's ``max_sq_norm`` is computed over the very blocks,
+    by the very arithmetic, that the clip test of ``clipped_second_moment``
+    reads, so "no row is clipped" is decided exactly: when it holds, the
+    statistic is the view's cached second moment a^T (X^T X) a / n, and
+    otherwise the clip test runs.  Either way the released statistic is the
+    mean of the kept mapped rows' outer products up to summation order (see
+    ``linalg.MappedRows``), and its sensitivity is 2 threshold / n with no
+    margin to justify.
     """
     rows = linalg.MappedRows.of(x)
     rng = rng.charging_to(accountant)
@@ -132,7 +122,7 @@ def naive_estimate(
         return np.zeros((d, d))
 
     config = naive_config(n, d, kappa2, noise_budget, beta)
-    if rows.norm_bound() * (1.0 + BOUND_MARGIN) <= config.clip_threshold:
+    if rows.max_sq_norm() <= config.clip_threshold:
         moment = rows.moment() / n
     else:
         moment, _ = clipped_second_moment(rows.x, config.clip_threshold, rows.a)

@@ -20,11 +20,12 @@ The accumulated map is kept symmetric positive definite by replacing the
 raw step product A with its SPD polar factor (A^T A)^{1/2}, which preserves
 the spectrum of A Sigma A^T exactly.
 
-The mapped rows x @ A are never formed.  Every statistic the steps read is
-quadratic in the rows -- subsample Gram stacks, the full second moment, the
-clip test's norms -- so the scan holds one ``linalg.MappedRows`` view of the
-raw rows: each statistic is computed once from them and mapped as
-A^T (statistic) A at every later step.
+The mapped rows x @ A are never formed.  The Gram statistics the steps
+read -- subsample Gram stacks, the full second moment -- are quadratic in
+the rows, so the scan holds one ``linalg.MappedRows`` view of the raw rows:
+each is computed once from them and mapped as A^T (statistic) A at every
+later step.  The clip test's row norms are not quadratic; they are read
+block by block once per map.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import eigenvalues, linalg, subspace
 from .dp_core import PrivacyBudget, RandomSource, plan_shares
 from .eigenvalues import estimate_eigenvalues
 from .errors import DegenerateSpectrum, PrivGaussError
-from .naive import naive_config, naive_estimate
+from .naive import KAPPA_FACTOR, naive_config, naive_estimate
 
 # Gap thresholds of the scanning loop.
 TAU_SQ = 1.0 / 10000.0
@@ -213,9 +214,10 @@ def _scan(x, budget, beta, rng, trace):
                 kappa = lam_z[0]
         elif ratio_cumul < 4.0 * GAMMA_BAR_SQ:
             kind = "fine"
-            z = naive_estimate(xa, per_call, beta_i, rng.child("naive", i - 1), kappa2=4.0 * lam_hat[0])
+            kappa2 = KAPPA_FACTOR * lam_hat[0]
+            z = naive_estimate(xa, per_call, beta_i, rng.child("naive", i - 1), kappa2=kappa2)
             lam_z = linalg.sym_eig(z).eigenvalues
-            kappa = lam_z[0] if lam_z[0] > 0.0 else 4.0 * lam_hat[0]
+            kappa = lam_z[0] if lam_z[0] > 0.0 else kappa2
 
         if kappa is not None:
             # fine step at k = i.  Promise: lambda_{k+1} / lambda_1 >=

@@ -335,7 +335,7 @@ class TestMappedRows:
         assert np.array_equal(stack, linalg.gram_stack(x, 40, 12))
         assert view.gram_stack(40, 12) is stack
         assert not stack.flags.writeable
-        assert view.norm_bound() == np.einsum("ij,ij->i", x, x).max()
+        assert view.max_sq_norm() == np.einsum("ij,ij->i", x, x).max()
 
     def test_mapped_views_share_one_cache_and_compose(self, monkeypatch):
         calls = []
@@ -352,12 +352,19 @@ class TestMappedRows:
         assert rel_err(composed.moment(), y.T @ y) <= 1e-12
         assert calls == [(30, 10)]
 
-    def test_norm_bound_covers_every_mapped_row(self):
+    def test_max_sq_norm_is_the_max_over_mapped_blocks(self):
+        # three blocks, the last of 5 rows: the maximum is exactly the one
+        # over the blocks x[s:s+B] @ a, and matches the one-shot product's
+        b = linalg.BLOCK_ROWS
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2000, 4))
+        x = rng.normal(size=(2 * b + 5, 4))
         a = random_spd(rng, 4, 0.1, 3.0)
+        blocks = [x[s : s + b] @ a for s in range(0, len(x), b)]
+        got = linalg.MappedRows.of(x).mapped(a).max_sq_norm()
+        assert got == max(np.einsum("ij,ij->i", y, y).max() for y in blocks)
         y = x @ a
-        assert np.einsum("ij,ij->i", y, y).max() <= linalg.MappedRows.of(x).mapped(a).norm_bound()
+        want = np.einsum("ij,ij->i", y, y).max()
+        assert abs(got - want) <= 1e-14 * want
 
     def test_of_validates_rows_and_keeps_views(self):
         view = linalg.MappedRows.of(np.ones((4, 2), dtype=np.int64))

@@ -172,17 +172,6 @@ class TestClippedSecondMomentKernel:
         if quantile == 1.0:
             assert dropped == 0
 
-    def test_no_full_size_temporary_when_nothing_clipped(self):
-        x = np.random.default_rng(0).normal(size=(1_000_000, 3))
-        tracemalloc.start()
-        try:
-            _, dropped = clipped_second_moment(x, naive.clip_threshold(3, 4.0, len(x), 0.05))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert dropped == 0
-        assert peak < x.nbytes / 4
-
 
 def record_clips(monkeypatch):
     """Patch naive.clipped_second_moment to record the dropped count of
@@ -197,6 +186,21 @@ def record_clips(monkeypatch):
 
     monkeypatch.setattr(naive, "clipped_second_moment", recording)
     return dropped
+
+
+def test_no_kernel_call_or_full_size_temporary_when_nothing_clipped(monkeypatch):
+    # naive_estimate reads the cached moment when no row is clipped: one
+    # blocked norm pass, no gather of the kept rows
+    dropped = record_clips(monkeypatch)
+    x = np.random.default_rng(0).normal(size=(1_000_000, 3))
+    tracemalloc.start()
+    try:
+        naive_estimate(x, BUDGET, 0.05, RandomSource(0).child("big"), kappa2=4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dropped == []
+    assert peak < x.nbytes / 4
 
 
 # A map with ||a||_2 = 2 whose products are exact in floating point, so a
@@ -236,9 +240,13 @@ class TestMappedRowsProbe:
         x[0] = [first / 2.0, 0.0, 0.0]  # maps to (first, 0, 0)
         return x
 
-    def test_row_on_threshold_falls_back_to_exact_test_and_is_kept(self, monkeypatch):
+    def test_row_on_threshold_is_decided_exactly_and_kept(self, monkeypatch):
+        # the largest mapped squared norm is exactly the threshold, so no
+        # row is clipped and neither path runs the clip test
         kappa2, s = on_threshold(self.N, self.BETA)
-        assert self.both_paths(self.rows(s), kappa2, monkeypatch) == [0, 0]
+        x = self.rows(s)
+        assert linalg.MappedRows.of(x).mapped(EXACT_MAP).max_sq_norm() == s * s
+        assert self.both_paths(x, kappa2, monkeypatch) == []
 
     def test_row_past_threshold_is_dropped_by_both(self, monkeypatch):
         kappa2, s = on_threshold(self.N, self.BETA)
@@ -246,15 +254,17 @@ class TestMappedRowsProbe:
         assert past * past > s * s
         assert self.both_paths(self.rows(past), kappa2, monkeypatch) == [1, 1]
 
-    def test_bound_skips_the_row_pass(self, monkeypatch):
+    def test_rows_inside_threshold_skip_the_clip_test(self, monkeypatch):
         kappa2, s = on_threshold(self.N, self.BETA)
-        # ||a||_2^2 max ||x_i||^2 = 4 (s / 4)^2, well inside the threshold
+        # the first row maps to squared norm (s / 2)^2, well inside the threshold
         assert self.both_paths(self.rows(s / 2.0), kappa2, monkeypatch) == []
 
+    # one block, and three blocks whose mapped norms are stitched into one mask
+    @pytest.mark.parametrize("n", [B - 1, 5 * B // 2 + 7])
     @pytest.mark.parametrize("quantile", [0.5, 0.97, 1.0])
-    def test_mapped_clip_matches_clip_of_mapped_rows(self, quantile):
+    def test_mapped_clip_matches_clip_of_mapped_rows(self, n, quantile):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(B - 1, 3)) * [1.0, 3.0, 0.2]
+        x = rng.normal(size=(n, 3)) * [1.0, 3.0, 0.2]
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         a = (q * [2.5, 1.0, 0.3]) @ q.T
         y = x @ a

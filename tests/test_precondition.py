@@ -312,6 +312,23 @@ class TestMappedStatistics:
         assert len(layouts) == 1
         assert clips == []
 
+    @pytest.mark.parametrize(
+        "spectrum, reads",
+        [((1.0, 1e-6), [True]), ((1.0, 1e-3, 1e-7), [False, True]), ((1.0, 0.3, 0.003), [False])],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_view_is_read_once_and_never_clipped(self, monkeypatch, spectrum, reads, seed):
+        # one blocked pass over the rows per view the probes read, whether
+        # one or two probes read it (mapped: True), and no clip test
+        got = []
+        blocks = linalg.MappedRows.blocks
+        monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: got.append(view.a is not None) or blocks(view))
+        clips = []
+        monkeypatch.setattr(naive, "clipped_second_moment", lambda *args: clips.append(args))
+        precondition(samples(spectrum, seed), BUDGET, BETA, RandomSource(seed).child("precondition"))
+        assert got == reads
+        assert clips == []
+
 
 class TestCoarseStep:
     def test_closed_form(self):
