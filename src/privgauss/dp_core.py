@@ -131,7 +131,11 @@ class Accountant:
     from that root charges it.  Each entry's label is the name of the
     stream the release drew its noise from, e.g.
     ``precondition/coarse/1/subspace/center/0/hist/1``, so the labels mirror
-    the call tree and are unique within one run.  The charges compose by
+    the call tree and are unique within one run.  An entry's
+    ``sensitivity`` is how far one swapped row can move the released
+    statistic, in the mechanism's own norm: L2 for ``gaussian``, Frobenius
+    for ``gue_gaussian`` and L1 for ``stable_histogram``; the noise scale
+    follows from it and the budget.  The charges compose by
     basic composition only: the total is the sum of the epsilons and the
     sum of the deltas.  Every budget in the package is split by
     ``plan_shares``, whose equal basic shares sum to at most the parent
@@ -299,11 +303,13 @@ def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):
     charged to ``rng``'s ledger before any noise is drawn.
     """
     threshold = stable_release_threshold(budget)
-    rng.charge(budget, "stable_histogram", 1.0)
+    # a swapped row moves one count down and another up: L1 sensitivity 2
+    sensitivity = 2.0
+    rng.charge(budget, "stable_histogram", sensitivity)
     keys = sorted(counts)
     if not keys:
         return {}
-    noise = rng.laplace(2.0 / budget.epsilon, size=len(keys))
+    noise = rng.laplace(sensitivity / budget.epsilon, size=len(keys))
     released = {}
     for key, eta in zip(keys, noise):
         noisy = counts[key] + eta

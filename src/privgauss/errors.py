@@ -17,10 +17,6 @@ class DegenerateSpectrum(PrivGaussError):
     """An eigenvalue that must be positive is zero or negative."""
 
 
-class RangeMismatch(PrivGaussError):
-    """An estimate has significant mass outside the truth's column space."""
-
-
 class InsufficientSamples(PrivGaussError):
     """The dataset is too small for the requested operation."""
 

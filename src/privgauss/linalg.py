@@ -1,9 +1,11 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
 Everything here is deterministic and privacy-free: LAPACK eigendecomposition
-(``numpy.linalg.eigh``), spectral projectors, the PSD-cone projection, and
-the whitened (relative) error norms used to score estimates.  Matrices are
-plain float64 ``numpy`` arrays; construction helpers symmetrize and validate.
+(``numpy.linalg.eigh``), the one positive-definiteness check
+(``positive_spectrum``), spectral projectors, the PSD-cone projection, and
+the whitened (relative) error norms that score estimates against a
+positive-definite truth.  Matrices are plain float64 ``numpy`` arrays;
+construction helpers symmetrize and validate.
 """
 
 from __future__ import annotations
@@ -12,32 +14,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, InvalidArgument, InvalidMatrix, RangeMismatch
+from .errors import DegenerateSpectrum, InvalidArgument, InvalidMatrix
 
 MAX_DIM = 256
-
-# Relative eigenvalue cutoff below which a direction counts as null space.
-NULL_SPACE_CUTOFF = 1e-12
-# Tolerated out-of-column-space Frobenius mass, relative to the estimate.
-RANGE_TOL = 1e-8
 
 
 def as_sym_matrix(m):
     """Validate and symmetrize a square matrix, returning a float64 copy.
 
-    Raises InvalidMatrix for non-square/non-finite input and for dimensions
-    above MAX_DIM; symmetrization averages ``m`` with its transpose so the
-    result is exactly symmetric.
+    Raises InvalidMatrix for empty/non-square/non-finite input and for
+    dimensions above MAX_DIM; symmetrization averages ``m`` with its
+    transpose so the result is exactly symmetric.
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise InvalidMatrix(f"expected a non-empty square matrix, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise InvalidMatrix(f"dimension {a.shape[0]} exceeds the supported cap {MAX_DIM}")
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix contains NaN or Inf entries")
-    sym = 0.5 * (a + a.T)
-    return sym
+    return 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)
@@ -217,57 +213,43 @@ def psd_project(m):
     return 0.5 * (out + out.T)
 
 
-def _whitening_basis(truth):
-    """Column basis and inverse-root eigenvalues of ``truth``'s range.
-
-    Rank-deficient truth is handled by a pseudo-inverse square root with
-    eigenvalues below NULL_SPACE_CUTOFF * lambda_1 treated as null space.
-    """
-    spec = sym_eig(truth)
-    lam = spec.eigenvalues
-    top = lam[0] if lam.size else 0.0
-    if lam.size and lam[-1] < -1e-10 * max(abs(top), 1.0):
-        raise InvalidMatrix("truth matrix is not positive semidefinite")
-    keep = lam > NULL_SPACE_CUTOFF * max(top, 0.0)
-    basis = spec.eigenvectors[:, keep]
-    inv_root = 1.0 / np.sqrt(lam[keep])
-    return basis, inv_root
+def positive_spectrum(m, what):
+    """``sym_eig(m)`` of a matrix that must be positive definite; raises
+    DegenerateSpectrum naming ``what`` when its smallest eigenvalue is zero
+    or negative."""
+    spec = sym_eig(m)
+    if spec.eigenvalues[-1] <= 0.0:
+        raise DegenerateSpectrum(f"{what} is not positive definite")
+    return spec
 
 
 def rel_cov_norm(estimate, truth):
     """Whitened covariance error  || T^{-1/2} E T^{-1/2} - I ||_F.
 
-    For singular truth the norm is computed inside truth's column space;
-    estimate mass outside that space beyond RANGE_TOL raises RangeMismatch.
+    The truth T must be positive definite (DegenerateSpectrum otherwise);
+    it is whitened by its full eigenbasis.
     """
     e = as_sym_matrix(estimate)
-    basis, inv_root = _whitening_basis(truth)
-    if basis.shape[1] == 0:
-        if np.linalg.norm(e) > 0.0:
-            raise RangeMismatch("estimate is nonzero but truth has rank zero")
-        return 0.0
-    inside = basis @ (basis.T @ e @ basis) @ basis.T
-    e_norm = np.linalg.norm(e)
-    if np.linalg.norm(e - inside) > RANGE_TOL * max(e_norm, np.finfo(np.float64).tiny):
-        raise RangeMismatch("estimate has mass outside the truth's column space")
+    spec = positive_spectrum(truth, "truth")
+    # matmul rounding depends on operand layout: both scorers hold the basis
+    # Fortran-ordered, the layout every recorded score was computed with
+    basis = np.asfortranarray(spec.eigenvectors)
+    inv_root = 1.0 / np.sqrt(spec.eigenvalues)
     white = (inv_root[:, None] * (basis.T @ e @ basis)) * inv_root[None, :]
-    white[np.diag_indices_from(white)] -= 1.0
-    return float(np.linalg.norm(white))
+    return float(np.linalg.norm(white - np.eye(len(white))))
 
 
 def rel_mean_norm(mu_hat, mu, truth):
-    """Whitened mean error  || T^{-1/2} (mu_hat - mu) ||_2  (see rel_cov_norm)."""
+    """Whitened mean error  || T^{-1/2} (mu_hat - mu) ||_2  against a
+    positive-definite truth T (see rel_cov_norm)."""
     x = np.asarray(mu_hat, dtype=np.float64) - np.asarray(mu, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgument("means must be vectors")
     if not np.all(np.isfinite(x)):
         raise InvalidArgument("mean difference contains NaN or Inf")
-    basis, inv_root = _whitening_basis(truth)
-    inside = basis @ (basis.T @ x)
-    x_norm = np.linalg.norm(x)
-    if np.linalg.norm(x - inside) > RANGE_TOL * max(x_norm, np.finfo(np.float64).tiny):
-        raise RangeMismatch("mean difference has mass outside the truth's column space")
-    return float(np.linalg.norm(inv_root * (basis.T @ x)))
+    spec = positive_spectrum(truth, "truth")
+    inv_root = 1.0 / np.sqrt(spec.eigenvalues)
+    return float(np.linalg.norm(inv_root * (np.asfortranarray(spec.eigenvectors).T @ x)))
 
 
 def top_k_projector(spectrum: Spectrum, k):
@@ -282,9 +264,7 @@ def top_k_projector(spectrum: Spectrum, k):
 
 def spd_inverse(m):
     """Inverse of a symmetric positive-definite matrix via its spectrum."""
-    spec = sym_eig(m)
-    if spec.eigenvalues[-1] <= 0.0:
-        raise DegenerateSpectrum("matrix is not positive definite")
+    spec = positive_spectrum(m, "matrix")
     v = spec.eigenvectors
     inv = (v / spec.eigenvalues) @ v.T
     return 0.5 * (inv + inv.T)
@@ -298,9 +278,7 @@ def symmetric_polar_factor(a):
     symmetric positive definite without changing any conditioning claim.
     """
     a = np.asarray(a, dtype=np.float64)
-    spec = sym_eig(a.T @ a)
-    if spec.eigenvalues[-1] <= 0.0:
-        raise DegenerateSpectrum("matrix is singular; no SPD polar factor")
+    spec = positive_spectrum(a.T @ a, "A^T A")
     v = spec.eigenvectors
     s = (v * np.sqrt(spec.eigenvalues)) @ v.T
     return 0.5 * (s + s.T)

@@ -234,8 +234,7 @@ def _scan(x, budget, beta, rng, trace):
             lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i)).values
             check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
 
-        if linalg.sym_eig(a).eigenvalues[-1] <= 0.0:
-            raise DegenerateSpectrum("accumulated preconditioner lost positive definiteness")
+        linalg.positive_spectrum(a, "accumulated preconditioner")
         trace.steps.append(PreconditionStep(iteration=i, kind=kind, ratios=ratios))
 
     return a

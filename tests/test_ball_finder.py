@@ -90,7 +90,7 @@ class TestFindCenter:
         find_center(pts, 1.0, budget, 0.1, RandomSource(5, acc).child("a"))
         assert [e.label for e in acc.entries] == ["a/hist/0", "a/hist/1"]
         assert all(e.budget == plan_shares(budget, 2).per_call for e in acc.entries)
-        assert all(e.mechanism == "stable_histogram" and e.sensitivity == 1.0 for e in acc.entries)
+        assert all(e.mechanism == "stable_histogram" and e.sensitivity == 2.0 for e in acc.entries)
         assert acc.total() == (budget.epsilon, budget.delta)
 
     def test_charge_precedes_release(self):

@@ -5,8 +5,8 @@ which parses arguments and times whole runs) and checks that every name the
 tracer wraps still exists, that one traced estimate fills a ledger within
 the benchmark's budget, that the tracer puts the library back, that no
 two releases of one estimate share a noise stream, that every noise draw
-is charged to the benchmark's ledger, and that every Gaussian draw has the
-scale its charge pays for.
+is charged to the benchmark's ledger, and that every Gaussian and Laplace
+draw has the scale its charge pays for.
 """
 
 import sys
@@ -127,3 +127,26 @@ def test_every_gaussian_draw_has_its_charged_scale(name, monkeypatch):
         if scale != pytest.approx(charged[label], rel=1e-12)
     ]
     assert wrong == []
+
+
+@pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])
+def test_every_laplace_draw_has_its_charged_scale(name, monkeypatch):
+    # a stable histogram's Laplace scale is the L1 sensitivity over epsilon
+    # of the charge under its stream's name
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    acc = Accountant()
+    draws = []
+    laplace = RandomSource.laplace
+
+    def draw(self, scale, size=None):
+        draws.append((self.name, scale))
+        return laplace(self, scale, size=size)
+
+    monkeypatch.setattr(RandomSource, "laplace", draw)
+    workloads.estimate_covariance(raw, 0, acc)
+    charged = {
+        e.label: e.sensitivity / e.budget.epsilon for e in acc.entries if e.mechanism == "stable_histogram"
+    }
+    assert draws
+    assert [(label, scale, charged[label]) for label, scale in draws if scale != charged[label]] == []

@@ -278,7 +278,7 @@ class TestStableHistogram:
         acc = Accountant()
         assert stable_counts({0: 1}, BUDGET, RandomSource(0, acc).child("h", 2)) == {}
         assert [(e.label, e.budget, e.mechanism, e.sensitivity) for e in acc.entries] == [
-            ("h/2", BUDGET, "stable_histogram", 1.0)
+            ("h/2", BUDGET, "stable_histogram", 2.0)
         ]
 
     def test_counts_are_python_ints(self):

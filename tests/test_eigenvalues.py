@@ -124,11 +124,7 @@ class TestEstimateEigenvalues:
         per_index = plan_shares(BUDGET, d).per_call
         for entry in acc.entries:
             assert entry.budget == per_index
-        total_eps, total_delta = sum(e.budget.epsilon for e in acc.entries), sum(
-            e.budget.delta for e in acc.entries
-        )
-        assert total_eps <= BUDGET.epsilon * (1 + 1e-9)
-        assert total_delta <= BUDGET.delta * (1 + 1e-9)
+        assert acc.total() == (BUDGET.epsilon, BUDGET.delta)
 
     def test_determinism(self):
         d = 2

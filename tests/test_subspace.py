@@ -117,10 +117,7 @@ class TestRecoverSubspace:
         params = subspace_params(n, d, k, 1e-2, 0.5, BUDGET, BETA)
         for e in sums:
             assert e.sensitivity == pytest.approx(2.0 * params.trunc_radius)
-        eps = sum(e.budget.epsilon for e in acc.entries)
-        delta = sum(e.budget.delta for e in acc.entries)
-        assert eps <= BUDGET.epsilon * (1 + 1e-9)
-        assert delta <= BUDGET.delta * (1 + 1e-9)
+        assert acc.total() == (BUDGET.epsilon, BUDGET.delta)
 
     def test_sigma_formula(self):
         d, k = 4, 2
