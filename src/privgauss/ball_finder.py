@@ -73,7 +73,10 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource):
 
     center = np.empty(dim)
     for j in range(dim):
-        keys = np.floor((pts[:, j] - offsets[j]) / r_opt).astype(np.int64)
+        bins = np.floor((pts[:, j] - offsets[j]) / r_opt)
+        if bins.min() < -(2.0**63) or bins.max() >= 2.0**63:
+            raise InvalidArgument(f"coordinate {j} has bin indexes outside the int64 range at r_opt = {r_opt}")
+        keys = bins.astype(np.int64)
         released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j))
         best_key = heaviest(released, f"no heavy bin released for coordinate {j}")
         center[j] = offsets[j] + (best_key + 0.5) * r_opt

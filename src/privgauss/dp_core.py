@@ -64,6 +64,10 @@ class RandomSource:
     """
 
     def __init__(self, seed, ledger=None, _spawn_key=(), _path=()):
+        # checked here, not at the first draw: mechanisms charge before they
+        # draw, so a seed the generator rejects would leave a charge behind
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.ledger = Accountant() if ledger is None else ledger
         self._spawn_key = tuple(_spawn_key)

@@ -82,17 +82,19 @@ def coarse_map(p, gamma_hat):
     return gamma_hat * p + (np.eye(p.shape[0]) - p)
 
 
-def fine_map(z, k, gamma_bar, noise_level):
+def fine_map(z, k, noise_level):
     """The fine step's map of a released covariance probe ``z``: shrink
     every direction with lambda_i(Z) >= pivot / (16 gamma_bar^2) down to
-    that level, where the pivot is lambda_{k+1}(Z) floored at
-    ``noise_level``, the probe's noise scale (0 for a noiseless Z)."""
+    that level, where gamma_bar^2 is GAMMA_BAR_SQ and the pivot is
+    lambda_{k+1}(Z) floored at ``noise_level``, the probe's noise scale
+    (0 for a noiseless Z)."""
     spec = linalg.sym_eig(z)
     lam = spec.eigenvalues
     # lambda_{k+1}(Z), 0-indexed, is not resolved below the probe's noise level
     pivot = max(lam[k], noise_level)
     if pivot <= 0.0:
         raise DegenerateSpectrum(f"lambda_{k + 1}(Z) = {pivot} is not positive")
+    gamma_bar = math.sqrt(GAMMA_BAR_SQ)
     gbar_sq = gamma_bar * gamma_bar
     cutoff = pivot / (FINE_S_DIVISOR * gbar_sq)
     scales = np.ones_like(lam)
@@ -106,9 +108,12 @@ def fine_map(z, k, gamma_bar, noise_level):
 
 def min_samples(d, budget, beta):
     """Published sample floor for the scanning loop (subroutine needs at the
-    per-call budget share).  At d = 1 the scan releases nothing; the floor
-    is then the initial estimate's at a one-call share, which keeps it
-    defined."""
+    per-call budget share).  The post-coarse probe spends half its share on
+    an eigenvalue estimate, whose layout needs eigenvalues.min_samples at
+    plan_shares(per_call, 2).per_call; no term here names it, because the
+    subspace terms are larger wherever the scan makes a call, d >= 2.  At
+    d = 1 the scan releases nothing; the floor is then the eigenvalue
+    estimate's at a one-call share, which keeps it defined."""
     per_call, beta_i = _shares(d, budget, beta)
     needs = [eigenvalues.min_samples(d, per_call, beta_i), 2 * d]
     for k in range(1, d):
@@ -122,13 +127,10 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
 
     Every subroutine call gets an equal share of the budget sized for the
     worst-case call count, so the ledger total always lands within
-    ``budget`` no matter which branches fire.  That count is
-    1 + 3(d - 1) + (d - 2) = 4(d - 1) (``max_calls``): the initial
-    eigenvalue estimate, at most a subspace recovery, a post-coarse probe
-    and a fine step per iteration, and one eigenvalue refresh between
-    iterations.  No refresh is released after the last iteration: nothing
-    would read it, and the final map's positive definiteness is checked on
-    the map itself.  At d = 1 nothing is released.
+    ``budget`` no matter which branches fire.  That count is 4(d - 1)
+    (``max_calls``): at most four calls per iteration, an eigenvalue
+    estimate, a subspace recovery, a post-coarse probe and a fine step.
+    At d = 1 the scan has no iteration and releases nothing.
 
     Each call fails with probability at most beta / d, and up to 4(d - 1)
     calls run, so the union bound on the scan's failure probability is
@@ -146,9 +148,6 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     x = linalg.MappedRows.of(x)
     rng = rng.charging_to(accountant)
     trace = PreconditionTrace()
-    if x.shape[1] == 1:
-        trace.final_map = np.eye(1)
-        return trace
     try:
         trace.final_map = _scan(x, budget, beta, rng, trace)
     except PrivGaussError as exc:
@@ -167,22 +166,17 @@ def _scan(x, budget, beta, rng, trace):
     accumulated map."""
     n, d = x.shape
     per_call, beta_i = _shares(d, budget, beta)
-    gamma_bar = math.sqrt(GAMMA_BAR_SQ)
 
     a = np.eye(d)
     xa = x
 
-    def check_positive(values, what):
-        if values[-1] <= 0.0:
+    for i in range(1, d):
+        lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i - 1)).values
+        if lam_hat[-1] <= 0.0:
             raise DegenerateSpectrum(
-                f"{what} reports a non-positive bottom eigenvalue; "
+                "eigenvalue estimate reports a non-positive bottom eigenvalue; "
                 "rank-deficient input must be projected out upstream"
             )
-
-    lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", 0)).values
-    check_positive(lam_hat, "initial eigenvalue estimate")
-
-    for i in range(1, d):
         ratio_consec = lam_hat[i] / lam_hat[i - 1]
         ratio_cumul = lam_hat[i] / lam_hat[0]
         ratios = {"consecutive": ratio_consec, "cumulative": ratio_cumul}
@@ -227,12 +221,8 @@ def _scan(x, budget, beta, rng, trace):
             # released values only
             z = naive_estimate(xa, per_call, beta_i, rng.child("fine", i, "naive"), kappa2=kappa)
             noise_level = naive_config(n, d, kappa, per_call, beta_i).sigma * math.sqrt(d)
-            a = linalg.symmetric_polar_factor(fine_map(z, i, gamma_bar, noise_level) @ a)
+            a = linalg.symmetric_polar_factor(fine_map(z, i, noise_level) @ a)
             xa = x.mapped(a)
-
-        if i < d - 1:
-            lam_hat = estimate_eigenvalues(xa, per_call, beta_i, rng.child("eig", i)).values
-            check_positive(lam_hat, f"eigenvalue refresh at iteration {i}")
 
         linalg.positive_spectrum(a, "accumulated preconditioner")
         trace.steps.append(PreconditionStep(iteration=i, kind=kind, ratios=ratios))

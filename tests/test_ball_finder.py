@@ -75,6 +75,14 @@ class TestFindCenter:
         with pytest.raises(InvalidArgument):
             find_center(pts, 1.0, budget, 0.1, RandomSource(0))
 
+    def test_bin_index_beyond_int64(self):
+        # 1e30 / r_opt bins do not fit in int64; the cast would wrap them to
+        # -2^63 and release a center of the wrong sign
+        acc = Accountant()
+        with pytest.raises(InvalidArgument):
+            find_center(np.full((5000, 1), 1e30), 1.0, PrivacyBudget(10.0, 1e-3), 0.1, RandomSource(0, acc))
+        assert acc.entries == ()
+
     def test_radius_at_least_r_opt(self):
         budget = PrivacyBudget(5.0, 1e-6)
         pts = np.tile([0.0, 0.0], (200, 1))

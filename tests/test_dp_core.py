@@ -87,6 +87,12 @@ class TestRandomSource:
         assert rng.name == "x/0/hist/1"
         assert RandomSource(5).name == ""
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # rejected when the stream is built, before any mechanism charges
+        with pytest.raises(InvalidArgument):
+            RandomSource(seed)
+
 
 class TestLedger:
     def test_children_share_their_roots_ledger(self):

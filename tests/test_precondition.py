@@ -10,7 +10,7 @@ from privgauss import linalg, naive, subspace
 from privgauss import precondition as precondition_module
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.eigenvalues import EigenvalueEstimate
-from privgauss.errors import DegenerateSpectrum, InsufficientSamples
+from privgauss.errors import BottomReleased, DegenerateSpectrum, InsufficientSamples
 from privgauss.naive import naive_config
 from privgauss.precondition import (
     GAMMA_BAR_SQ,
@@ -55,8 +55,8 @@ def assert_labels_unique(acc):
 
 def assert_calls_within_reserve(acc, d):
     """The scan makes at most max_calls(d) budgeted calls, each charging
-    under its own prefix precondition/<call>/<i>, and releases no eigenvalue
-    refresh after its last iteration."""
+    under its own prefix precondition/<call>/<i>, and one eigenvalue
+    estimate per iteration, the last under precondition/eig/{d - 2}."""
     prefix = re.compile(r"precondition/(eig|coarse|naive_post|naive|fine)/\d+")
     calls = {prefix.match(entry.label).group() for entry in acc.entries}
     assert len(calls) <= max_calls(d)
@@ -145,8 +145,8 @@ class TestPrecondition:
     @pytest.mark.parametrize(
         "spectrum, rows, error, kinds",
         [
-            # rank-deficient input: the initial estimate releases the [0, 0]
-            # bucket for the bottom eigenvalue, before any step
+            # rank-deficient input: the first iteration's estimate releases
+            # the [0, 0] bucket for the bottom eigenvalue, before any step
             ((1.0, 1.0, 0.0), None, DegenerateSpectrum, []),
             # half the floor: the skip step completes, then the coarse step
             # at iteration 2 cannot form its subsample layout
@@ -170,6 +170,17 @@ class TestPrecondition:
         below = frames[names.index("precondition") + 1 :]
         assert below
         assert all(not frame.f_locals for frame in below)
+
+    def test_failed_estimate_keeps_the_completed_step(self, monkeypatch):
+        # iteration 1 completes a coarse+fine step; the estimate that opens
+        # iteration 2 releases nothing, and the trace keeps iteration 1
+        stub_releases(monkeypatch, np.array([1.0, 1e-6, 1e-12]), fail_eig=1)
+        x = np.zeros((min_samples(3, BUDGET, BETA), 3))
+        with pytest.raises(BottomReleased) as info:
+            precondition(x, BUDGET, BETA, RandomSource(0).child("precondition"))
+        trace = info.value.trace
+        assert [(step.iteration, step.kind) for step in trace.steps] == [(1, "coarse+fine")]
+        assert trace.final_map is None
 
     def test_same_seed_same_map(self):
         x = np.random.default_rng(4).standard_normal((min_samples(2, BUDGET, BETA), 2)) * [1.0, 1e-3]
@@ -198,9 +209,9 @@ class TestPrecondition:
 class TestCallCount:
     @pytest.mark.parametrize("d", range(2, 6))
     def test_reserve_is_the_worst_case_scan(self, d):
-        # 1 initial estimate, at most 3 calls per iteration (subspace,
-        # post-coarse probe, fine step), a refresh between iterations
-        assert max_calls(d) == 1 + 3 * (d - 1) + (d - 2) == 4 * (d - 1)
+        # at most 4 calls per iteration (eigenvalue estimate, subspace,
+        # post-coarse probe, fine step) over d - 1 iterations
+        assert max_calls(d) == 4 * (d - 1)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_coarse_fine_at_every_iteration_fills_the_reserve(self, d, monkeypatch):
@@ -217,15 +228,19 @@ class TestCallCount:
         assert_within_budget(acc)
 
 
-def stub_releases(monkeypatch, spectrum, probe=None):
+def stub_releases(monkeypatch, spectrum, probe=None, fail_eig=None):
     """Replace the scan's three releases with data-free ones: each charges
     its share and reports ``spectrum`` (the eigenvalue estimate), ``probe``
     (the naive probe's spectrum, ``spectrum`` by default) or the projector
-    onto the first k axes, whatever the rows."""
+    onto the first k axes, whatever the rows.  The eigenvalue estimate
+    released under precondition/eig/{fail_eig}, if given, raises
+    BottomReleased instead."""
     probe = spectrum if probe is None else probe
 
     def eigenvalue_release(x, budget, beta, rng):
         rng.charge(budget, "stub", 1.0)
+        if rng.path[-2:] == ("eig", fail_eig):
+            raise BottomReleased(f"stub releases nothing under {rng.name}")
         return EigenvalueEstimate(spectrum, 1)
 
     def probe_release(x, budget, beta, rng, kappa2=None):
@@ -352,7 +367,7 @@ class TestFineStep:
         gamma_bar = math.sqrt(GAMMA_BAR_SQ)
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))
         z = (q * [1.0, 1e-2]) @ q.T
-        a = fine_map(z, 1, gamma_bar, noise_level=0.0)
+        a = fine_map(z, 1, noise_level=0.0)
         top = 1.0 / (4.0 * gamma_bar * math.sqrt(1.0 / 1e-2))
         np.testing.assert_allclose(a, (q * [top, 1.0]) @ q.T, atol=1e-12)
         lam = np.linalg.eigvalsh(a @ z @ a)
@@ -376,4 +391,4 @@ class TestFineStep:
 
     def test_non_positive_pivot_raises(self):
         with pytest.raises(DegenerateSpectrum):
-            fine_map(np.diag([1.0, 0.0]), 1, math.sqrt(GAMMA_BAR_SQ), noise_level=0.0)
+            fine_map(np.diag([1.0, 0.0]), 1, noise_level=0.0)

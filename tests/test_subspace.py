@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privgauss import precondition, subspace
+from privgauss import eigenvalues, precondition, subspace
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.errors import InsufficientSamples, InvalidArgument
 from privgauss.subspace import (
@@ -197,6 +197,8 @@ class TestLayoutContract:
         beta_i = beta / d
         psi = feasible_psi(n, d, k, per_call, beta_i)
         subspace_params(n, d, k, 0.01, psi, per_call, beta_i)
+        # the post-coarse probe's eigenvalue estimate, at half a share
+        assert eigenvalues.min_samples(d, plan_shares(per_call, 2).per_call, beta_i) <= floor
 
     @settings(max_examples=300, deadline=None)
     @given(LAYOUTS, BUDGETS, BETAS, st.floats(min_value=1e-4, max_value=subspace.MAX_PSI))
