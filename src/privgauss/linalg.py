@@ -72,29 +72,69 @@ def sym_eig_batch(mats, vectors=True):
     return vals[:, ::-1], vecs[:, :, ::-1]
 
 
+def sq_norms(block):
+    """Squared norms of the rows of a 2-D block, as float64: the squared
+    columns summed in order, b_0 * b_0 + b_1 * b_1 + ...  Each step is one
+    correctly rounded elementwise operation, so a row's value depends only
+    on its own entries, never on its block or the block's memory layout."""
+    b = np.asarray(block, dtype=np.float64)
+    out = b[:, 0] * b[:, 0]
+    for j in range(1, b.shape[1]):
+        out += b[:, j] * b[:, j]
+    return out
+
+
+# Rows per block of a blocked pass over the rows; bounds its temporaries.
+BLOCK_ROWS = 1 << 14
+
 # Rows per block of the subsample layout never drop below this many times d.
 MIN_ROWS_PER_DIM = 4
 
 
 def gram_stack(x, t, m):
     """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
-    consecutive rows of ``x``, as a (t, d, d) stack; rows past t * m are
-    unused.  This is the subsample layout of eigenvalue estimation and
-    subspace recovery."""
-    chunks = x[: t * m].reshape(t, m, x.shape[1])
-    return np.matmul(chunks.transpose(0, 2, 1), chunks)
+    consecutive rows of the (n, d) float64 array ``x``, as a (t, d, d)
+    stack, and the largest ``sq_norms`` value over all n rows.  This is
+    the subsample layout of eigenvalue estimation and subspace recovery;
+    InvalidArgument unless t, m >= 1 and t * m <= n.
 
-
-# Rows per block of a blocked pass over the rows; bounds its temporaries.
-BLOCK_ROWS = 1 << 16
+    One pass reads the rows in whole subsamples, about BLOCK_ROWS at a time
+    (one subsample when m exceeds it).  Each column product is formed in a
+    preallocated buffer and summed per subsample, and the diagonal products
+    are summed in order into the rows' ``sq_norms``.  Rows past t * m enter
+    only the maximum.
+    """
+    n, d = x.shape
+    if t < 1 or m < 1 or t * m > n:
+        raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
+    per_pass = max(1, BLOCK_ROWS // m)  # whole subsamples per buffer
+    prod, norms = np.empty(per_pass * m), np.empty(per_pass * m)
+    stack = np.empty((t, d, d))
+    top = 0.0
+    for lo in range(0, t, per_pass):
+        hi = min(lo + per_pass, t)
+        block = x[lo * m : hi * m]
+        p, q = prod[: len(block)], norms[: len(block)]
+        for i in range(d):
+            for j in range(i, d):
+                out = q if i == j == 0 else p
+                np.multiply(block[:, i], block[:, j], out=out)
+                stack[lo:hi, i, j] = stack[lo:hi, j, i] = np.add.reduce(out.reshape(hi - lo, m), axis=1)
+                if i == j > 0:
+                    q += p
+        top = max(top, float(q.max()))
+    for start in range(t * m, n, BLOCK_ROWS):
+        top = max(top, float(sq_norms(x[start : start + BLOCK_ROWS]).max()))
+    return stack, top
 
 
 @dataclass
 class _RowStats:
     """Statistics of one raw row array, each computed on first use."""
 
-    stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)
+    stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)[0]
     moment: np.ndarray | None = None  # X^T X over all rows
+    max_sq_norm: float | None = None  # largest squared norm of a raw row
 
 
 def _frozen(a):
@@ -119,9 +159,11 @@ class MappedRows:
     number 1e6 mapped to near 1, about 1e-11, where squaring the mapped rows
     gives about 1e-15.
 
-    Row norms are not quadratic statistics of the raw rows: ``blocks`` forms
-    the mapped rows BLOCK_ROWS at a time, and ``max_sq_norm`` is read from
-    those blocks once per view.
+    Row norms are not quadratic statistics of the raw rows.  The raw rows'
+    largest squared norm comes with the first raw stack (see ``gram_stack``)
+    and is cached with it, so the identity view reads its rows once; a
+    mapped view forms its rows BLOCK_ROWS at a time in ``blocks`` and reads
+    ``max_sq_norm`` from those blocks once per view.
     """
 
     def __init__(self, x, a=None, stats=None):
@@ -136,8 +178,8 @@ class MappedRows:
         if isinstance(x, cls):
             return x
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise InvalidArgument(f"expected an (n, d) sample matrix, got shape {x.shape}")
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise InvalidArgument(f"expected an (n, d) sample matrix with d >= 1, got shape {x.shape}")
         return cls(x)
 
     @property
@@ -159,7 +201,8 @@ class MappedRows:
         per layout."""
         stacks = self._stats.stacks
         if (t, m) not in stacks:
-            stacks[(t, m)] = _frozen(gram_stack(self.x, t, m))
+            stack, self._stats.max_sq_norm = gram_stack(self.x, t, m)
+            stacks[(t, m)] = _frozen(stack)
         return self._map(stacks[(t, m)])
 
     def moment(self):
@@ -185,12 +228,15 @@ class MappedRows:
             yield block if self.a is None else block @ self.a
 
     def max_sq_norm(self):
-        """Largest squared norm of a mapped row (0.0 for no rows), exactly
-        as it is computed over ``blocks``; one pass, made once per view."""
+        """Largest ``sq_norms`` value of a mapped row (0.0 for no rows),
+        exactly as it is computed over ``blocks``.  Unmapped, it is the
+        value the first raw stack cached; else one pass, made once per
+        view."""
         if self._max_sq_norm is None:
-            self._max_sq_norm = 0.0
-            for block in self.blocks():
-                self._max_sq_norm = max(self._max_sq_norm, float(np.einsum("ij,ij->i", block, block).max()))
+            if self.a is None and self._stats.max_sq_norm is not None:
+                self._max_sq_norm = self._stats.max_sq_norm
+            else:
+                self._max_sq_norm = max((float(sq_norms(b).max()) for b in self.blocks()), default=0.0)
         return self._max_sq_norm
 
 

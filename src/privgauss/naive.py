@@ -6,7 +6,9 @@ calibrated to the clipped sensitivity, and the result is projected onto the
 PSD cone.  Used standalone on preconditioned data and as the probe inside
 the fine preconditioner, where the rows are a ``linalg.MappedRows`` view:
 the statistic is mapped, not the rows.  The clip is decided on the view's
-mapped row norms, read block by block from ``MappedRows.blocks``.
+mapped row norms, ``linalg.sq_norms`` of each row: a mapped view's are read
+block by block from ``MappedRows.blocks``, and the raw rows' largest comes
+with their first Gram stack.
 """
 
 from __future__ import annotations
@@ -52,18 +54,22 @@ def clipped_second_moment(x, threshold, a=None):
 
     The norm test reads the mapped rows from ``linalg.MappedRows.blocks``
     into one preallocated mask, so the (n, d) mapped array is never formed;
-    the kept raw rows are gathered and their moment is mapped after.  The
-    test reads ``x`` in its own layout: reordering ``x`` first can change
-    the summation order and flip a row lying exactly on the threshold.
-    Unmapped, the result is bit-identical to a one-shot norm test and gather
-    of the kept rows on every input: the product sees the same values in the
-    same layout.
+    the kept raw rows are gathered and their moment is mapped after.  A
+    row's norm is ``linalg.sq_norms``, which depends on the row alone, so
+    unmapped the result is bit-identical to a one-shot norm test and gather
+    of the kept rows on every input, in every layout.  Mapped, each block
+    is the BLAS product ``block @ a``, whose rounding can depend on ``x``'s
+    layout: reordering ``x`` first can flip a mapped row lying exactly on
+    the threshold.  ``x`` must be the raw rows, not a view: a view's map
+    would be lost.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if isinstance(x, linalg.MappedRows):
+        raise InvalidArgument("expected raw rows and a map, got a MappedRows view")
+    x = linalg.MappedRows.of(x).x
     n = x.shape[0]
     keep = np.empty(n, dtype=bool)
     for start, block in zip(range(0, n, linalg.BLOCK_ROWS), linalg.MappedRows(x, a).blocks()):
-        np.less_equal(np.einsum("ij,ij->i", block, block), threshold, out=keep[start : start + len(block)])
+        np.less_equal(linalg.sq_norms(block), threshold, out=keep[start : start + len(block)])
     return linalg.MappedRows(x[keep], a).moment() / n, n - int(np.count_nonzero(keep))
 
 
@@ -91,9 +97,11 @@ def naive_estimate(
     or to ``accountant`` when one is given.
 
     Privacy: a row is kept iff its mapped squared norm is at most the clip
-    threshold.  The view's ``max_sq_norm`` is computed over the very blocks,
-    by the very arithmetic, that the clip test of ``clipped_second_moment``
-    reads, so "no row is clipped" is decided exactly: when it holds, the
+    threshold.  The view's ``max_sq_norm`` is the largest ``linalg.sq_norms``
+    value of the very rows the clip test of ``clipped_second_moment`` reads:
+    a mapped view's over the same blocks, the raw rows' cached by their
+    first Gram stack, and a row's value never depends on its block.  So
+    "no row is clipped" is decided exactly: when it holds, the
     statistic is the view's cached second moment a^T (X^T X) a / n, and
     otherwise the clip test runs.  Either way the released statistic is the
     mean of the kept mapped rows' outer products up to summation order (see

@@ -24,8 +24,9 @@ The mapped rows x @ A are never formed.  The Gram statistics the steps
 read -- subsample Gram stacks, the full second moment -- are quadratic in
 the rows, so the scan holds one ``linalg.MappedRows`` view of the raw rows:
 each is computed once from them and mapped as A^T (statistic) A at every
-later step.  The clip test's row norms are not quadratic; they are read
-block by block once per map.
+later step.  The clip test's row norms are not quadratic: the raw rows'
+largest comes with their first Gram stack, in the same pass, and a mapped
+view's are read block by block once per map.
 """
 
 from __future__ import annotations

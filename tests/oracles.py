@@ -74,6 +74,9 @@ def clipped_second_moment_reference(x, threshold):
     kernel must match it bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    keep = np.einsum("ij,ij->i", x, x) <= threshold
+    norms = x[:, 0] * x[:, 0]  # the kernel's order, written out independently
+    for j in range(1, x.shape[1]):
+        norms += x[:, j] * x[:, j]
+    keep = norms <= threshold
     kept = x[keep]
     return (kept.T @ kept) / n, int(np.sum(~keep))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,12 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def matmul_stack(x, t, m):
+    """Reference Gram stack: one BLAS product per subsample."""
+    c = x[: t * m].reshape(t, m, x.shape[1])
+    return np.matmul(c.transpose(0, 2, 1), c)
+
+
 class TestMappedRows:
     # ||a||_2 up to 5 and cond(a) up to 25: the mapped statistic's rounding
     # is a few cond(a)^2 ulps, far below the tolerance
@@ -320,7 +328,7 @@ class TestMappedRows:
         if moment_first:
             assert rel_err(view.moment(), y.T @ y) <= 1e-12
         for t, m in layouts:
-            assert rel_err(view.gram_stack(t, m), linalg.gram_stack(y, t, m)) <= 1e-12
+            assert rel_err(view.gram_stack(t, m), matmul_stack(y, t, m)) <= 1e-12
         assert rel_err(view.moment(), y.T @ y) <= 1e-12
         assert view.shape == y.shape
 
@@ -328,10 +336,10 @@ class TestMappedRows:
         x = np.random.default_rng(1).normal(size=(500, 3))
         view = linalg.MappedRows.of(x)
         stack = view.gram_stack(40, 12)
-        assert np.array_equal(stack, linalg.gram_stack(x, 40, 12))
+        assert np.array_equal(stack, linalg.gram_stack(x, 40, 12)[0])
         assert view.gram_stack(40, 12) is stack
         assert not stack.flags.writeable
-        assert view.max_sq_norm() == np.einsum("ij,ij->i", x, x).max()
+        assert view.max_sq_norm() == linalg.sq_norms(x).max()
 
     def test_mapped_views_share_one_cache_and_compose(self, monkeypatch):
         calls = []
@@ -344,7 +352,7 @@ class TestMappedRows:
         base.gram_stack(30, 10)
         composed = base.mapped(a).mapped(b)
         y = x @ a @ b
-        assert rel_err(composed.gram_stack(30, 10), original(y, 30, 10)) <= 1e-12
+        assert rel_err(composed.gram_stack(30, 10), matmul_stack(y, 30, 10)) <= 1e-12
         assert rel_err(composed.moment(), y.T @ y) <= 1e-12
         assert calls == [(30, 10)]
 
@@ -357,9 +365,9 @@ class TestMappedRows:
         a = random_spd(rng, 4, 0.1, 3.0)
         blocks = [x[s : s + b] @ a for s in range(0, len(x), b)]
         got = linalg.MappedRows.of(x).mapped(a).max_sq_norm()
-        assert got == max(np.einsum("ij,ij->i", y, y).max() for y in blocks)
+        assert got == max(linalg.sq_norms(y).max() for y in blocks)
         y = x @ a
-        want = np.einsum("ij,ij->i", y, y).max()
+        want = linalg.sq_norms(y).max()
         assert abs(got - want) <= 1e-14 * want
 
     def test_of_validates_rows_and_keeps_views(self):
@@ -368,3 +376,81 @@ class TestMappedRows:
         assert linalg.MappedRows.of(view) is view
         with pytest.raises(InvalidArgument):
             linalg.MappedRows.of(np.ones(4))
+        with pytest.raises(InvalidArgument):
+            linalg.MappedRows.of(np.ones((4, 0)))
+
+
+def in_layout(x, layout):
+    """``x``'s values as an input of the given memory layout or dtype."""
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "rows[::2]":
+        doubled = np.empty((2 * len(x), x.shape[1]))
+        doubled[::2] = x
+        return doubled[::2]
+    if layout == "cols[::-1]":
+        return np.ascontiguousarray(x[:, ::-1])[:, ::-1]
+    if layout == "int64":
+        return x.astype(np.int64)
+    return x
+
+
+class TestSqNorms:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 300), st.data())
+    def test_a_row_norm_depends_only_on_the_row(self, seed, d, n, data):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 1e3, size=d)
+        want = linalg.sq_norms(x)
+        # the int64 cast truncates x, so it is compared with its own values
+        for layout in ["fortran", "rows[::2]", "cols[::-1]", "int64"]:
+            got = in_layout(x, layout)
+            ref = want if layout != "int64" else linalg.sq_norms(got.astype(np.float64))
+            assert np.array_equal(linalg.sq_norms(got), ref)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+        parts = [x[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+        assert np.array_equal(np.concatenate([linalg.sq_norms(p) for p in parts]), want)
+        np.testing.assert_allclose(want, np.sum(x * x, axis=1), rtol=1e-14)
+        # the raw pass's maximum is the blocked pass's, whichever runs first
+        t = data.draw(st.integers(1, n))
+        m = data.draw(st.integers(1, n // t))
+        stacked = linalg.MappedRows.of(x)
+        stacked.gram_stack(t, m)
+        assert stacked.max_sq_norm() == linalg.MappedRows.of(x).max_sq_norm() == want.max()
+
+
+class TestGramStack:
+    B = linalg.BLOCK_ROWS
+
+    # (t, m, tail rows past t * m): several subsamples per buffer, m not
+    # dividing BLOCK_ROWS, and m > BLOCK_ROWS, one subsample per buffer
+    @pytest.mark.parametrize(
+        "t, m, tail",
+        [(3, 5, 0), (3, 5, 4), (100, 466, 0), (100, 466, 465), (2, B + 3, 0), (2, B + 3, 7), (1, 2 * B, B + 1)],
+    )
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_stack_and_maximum_cover_every_row(self, t, m, tail, d):
+        rng = np.random.default_rng(t + m + tail)
+        x = rng.normal(size=(t * m + tail, d)) * np.geomspace(0.01, 30.0, d)
+        x[-1] *= 100.0  # the largest row lies in the tail when there is one
+        stack, top = linalg.gram_stack(x, t, m)
+        assert top == linalg.sq_norms(x).max()
+        want = matmul_stack(x, t, m)
+        assert np.abs(stack - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("t, m", [(0, 5), (5, 0), (-1, 5), (4, 26), (101, 1)])
+    def test_layout_that_does_not_fit_raises(self, t, m):
+        with pytest.raises(InvalidArgument):
+            linalg.gram_stack(np.ones((100, 2)), t, m)
+
+    def test_temporaries_scale_with_the_block_not_the_rows(self):
+        x = np.random.default_rng(4).normal(size=(1_000_000, 3))
+        t, m = 2145, 466
+        tracemalloc.start()
+        try:
+            stack, _ = linalg.gram_stack(x, t, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes + x.nbytes / 8

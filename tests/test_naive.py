@@ -7,7 +7,7 @@ import pytest
 from oracles import clipped_second_moment_reference, eigenvalue_band_check
 from privgauss import linalg, naive
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
-from privgauss.errors import InsufficientSamples
+from privgauss.errors import InsufficientSamples, InvalidArgument
 from privgauss.naive import clipped_second_moment, naive_config, naive_estimate
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
@@ -83,7 +83,7 @@ class TestNaiveEstimate:
         threshold = naive.clip_threshold(3, 4.0, 100, 0.05)
         m1, clipped = clipped_second_moment(x, threshold)
         assert clipped == 0
-        passing = x[np.einsum("ij,ij->i", x, x) <= threshold]
+        passing = x[linalg.sq_norms(x) <= threshold]
         m2, clipped2 = clipped_second_moment(passing, threshold)
         assert clipped2 == 0
         np.testing.assert_allclose(m1 * 100, m2 * len(passing), atol=1e-12)
@@ -128,6 +128,17 @@ class TestNaiveEstimate:
         with pytest.raises(InsufficientSamples):
             naive_estimate(np.zeros((3, 2)), BUDGET, 0.05, RandomSource(0), kappa2=1.0)
 
+    @pytest.mark.parametrize("rows", [np.zeros((10, 0)), np.zeros(10)])
+    def test_rows_without_columns_are_rejected(self, rows):
+        with pytest.raises(InvalidArgument):
+            clipped_second_moment(rows, 1.0)
+        with pytest.raises(InvalidArgument):
+            naive_estimate(rows, BUDGET, 0.05, RandomSource(0), kappa2=1.0)
+
+    def test_a_view_is_rejected_by_the_kernel(self):
+        with pytest.raises(InvalidArgument):
+            clipped_second_moment(linalg.MappedRows(np.ones((10, 2)), 2.0 * np.eye(2)), 1.0)
+
     def test_all_zero_data(self):
         x = np.zeros((60_000, 2))
         out = naive_estimate(x, PrivacyBudget(10.0, 1e-6), 0.05, RandomSource(0).child("z"))
@@ -162,7 +173,7 @@ class TestClippedSecondMomentKernel:
     def test_matches_one_shot_reference(self, n, d, layout, quantile):
         x = clip_input(n, d, layout, seed=n * 10 + d)
         xf = np.asarray(x, dtype=np.float64)
-        norms = np.sort(np.einsum("ij,ij->i", xf, xf))
+        norms = np.sort(linalg.sq_norms(xf))
         threshold = norms[int(quantile * (n - 1))]
         moment, dropped = clipped_second_moment(x, threshold)
         ref_moment, ref_dropped = clipped_second_moment_reference(x, threshold)
@@ -267,7 +278,7 @@ class TestMappedRowsProbe:
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         a = (q * [2.5, 1.0, 0.3]) @ q.T
         y = x @ a
-        threshold = np.sort(np.einsum("ij,ij->i", y, y))[int(quantile * (len(y) - 1))]
+        threshold = np.sort(linalg.sq_norms(y))[int(quantile * (len(y) - 1))]
         moment, dropped = clipped_second_moment(x, threshold, a)
         ref_moment, ref_dropped = clipped_second_moment(y, threshold)
         assert dropped == ref_dropped

@@ -10,7 +10,7 @@ from privgauss import linalg, naive, subspace
 from privgauss import precondition as precondition_module
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.eigenvalues import EigenvalueEstimate
-from privgauss.errors import BottomReleased, DegenerateSpectrum, InsufficientSamples
+from privgauss.errors import BottomReleased, DegenerateSpectrum, InsufficientSamples, InvalidArgument
 from privgauss.naive import naive_config
 from privgauss.precondition import (
     GAMMA_BAR_SQ,
@@ -94,6 +94,12 @@ def assert_probes_consumed(kinds, acc):
 
 
 class TestPrecondition:
+    def test_rows_without_columns_are_rejected(self):
+        acc = Accountant()
+        with pytest.raises(InvalidArgument):
+            precondition(np.zeros((100, 0)), BUDGET, BETA, RandomSource(0, acc))
+        assert acc.entries == ()
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_coarse_branch_conditions(self, seed):
         # measured 1.05-1.13 over seeds 0-5 from cond 1e6
@@ -320,21 +326,27 @@ class TestMappedStatistics:
         layouts = []
         gram_stack = linalg.gram_stack
         monkeypatch.setattr(linalg, "gram_stack", lambda x, t, m: layouts.append((t, m)) or gram_stack(x, t, m))
+        reads = []
+        blocks = linalg.MappedRows.blocks
+        monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: reads.append(view.a) or blocks(view))
         clips = []
         monkeypatch.setattr(naive, "clipped_second_moment", lambda *args: clips.append(args))
         self.scan(self.skip_then_fine())
-        # two eigenvalue estimates and two probes read one raw stack
+        # two eigenvalue estimates and two probes read one raw stack, and
+        # the probes' norm test reads the maximum that pass cached
         assert len(layouts) == 1
+        assert reads == []
         assert clips == []
 
     @pytest.mark.parametrize(
         "spectrum, reads",
-        [((1.0, 1e-6), [True]), ((1.0, 1e-3, 1e-7), [False, True]), ((1.0, 0.3, 0.003), [False])],
+        [((1.0, 1e-6), [True]), ((1.0, 1e-3, 1e-7), [True]), ((1.0, 0.3, 0.003), [])],
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_each_view_is_read_once_and_never_clipped(self, monkeypatch, spectrum, reads, seed):
-        # one blocked pass over the rows per view the probes read, whether
-        # one or two probes read it (mapped: True), and no clip test
+        # one blocked pass over the rows per mapped view the probes read,
+        # whether one or two probes read it; the unmapped view's maximum
+        # comes with its raw stack, so it is never read again; no clip test
         got = []
         blocks = linalg.MappedRows.blocks
         monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: got.append(view.a is not None) or blocks(view))
