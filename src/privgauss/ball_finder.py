@@ -72,8 +72,11 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource):
     cell = grid_cell(r_opt, dim)
 
     center = np.empty(dim)
+    bins = np.empty(n)
     for j in range(dim):
-        bins = np.floor((pts[:, j] - offsets[j]) / r_opt)
+        np.subtract(pts[:, j], offsets[j], out=bins)
+        bins /= r_opt
+        np.floor(bins, out=bins)
         if bins.min() < -(2.0**63) or bins.max() >= 2.0**63:
             raise InvalidArgument(f"coordinate {j} has bin indexes outside the int64 range at r_opt = {r_opt}")
         keys = bins.astype(np.int64)

@@ -14,6 +14,11 @@ psi is the claimed accuracy, not a knob: it gates the subsample layout
 (m rows per subsample must support it) and enters no computation, so the
 radius, truncation and noise scale are the same at every psi the layout
 accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
+
+Working set of one call, beyond the rows' cached raw Gram stack: the top-k
+bases, a (t, d, k) view of the subsamples' (t, d, d) eigenvectors; one
+(t, d) buffer of projected points, filled, truncated and summed in place for
+each reference point in turn; and one (t,) scratch vector of distances.
 """
 
 from __future__ import annotations
@@ -152,6 +157,11 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
     lambda_{k+1}(Sigma) / lambda_k(Sigma) < gamma^2.  The two phases
     (ball-finder centers, truncated noisy sums) each spend half the passed
     budget, so the ledger total stays within ``budget``.
+
+    Beyond the cached raw Gram stack a call holds the (t, d, k) bases (a view
+    of the (t, d, d) eigenvectors), one (t, d) points buffer and one (t,)
+    scratch vector, reused for every reference point; each reference point's
+    truncated sum is its own column of the (d, q) sums.
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
@@ -161,25 +171,31 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
 
     refs = sample_reference_points(q, d, rng)
 
-    _, vecs = linalg.sym_eig_batch(rows.gram_stack(t, m))
-    bases = vecs[:, :, :k]  # (t, d, k)
-    coords = np.einsum("tdk,qd->tqk", bases, refs)
+    bases = linalg.sym_eig_batch(rows.gram_stack(t, m))[1][:, :, :k]  # (t, d, k)
 
+    points = np.empty((t, d))
+    dist = np.empty(t)
     sums_matrix = np.empty((d, q))
     for i in range(q):
         # p_i^j = Pi_j p_i for every subsample j, one reference point at a time
-        points = np.einsum("tk,tdk->td", coords[:, i, :], bases)
+        np.einsum("tk,tdk->td", np.einsum("tdk,d->tk", bases, refs[i]), bases, out=points)
         result = ball_finder.find_center(points, params.r, per_call, beta / q, rng.child("center", i))
-        delta_vec = points - result.center
-        dist = np.linalg.norm(delta_vec, axis=1)
-        scale = np.minimum(1.0, params.trunc_radius / np.maximum(dist, 1e-300))
-        truncated = result.center + delta_vec * scale[:, None]
+        # truncate each point to the ball of radius trunc_radius about the
+        # center, in place; dist ends as each point's scale min(1, R / dist)
+        points -= result.center
+        np.add.reduce(points * points, axis=1, out=dist)
+        np.sqrt(dist, out=dist)
+        np.maximum(dist, 1e-300, out=dist)
+        np.divide(params.trunc_radius, dist, out=dist)
+        np.minimum(1.0, dist, out=dist)
+        points *= dist[:, None]
+        points += result.center
         # the one release charged by hand: params.sigma is sized for the mean
         # of the t truncated points, not for this sum, so routing it through
         # gaussian_mechanism would change the noise (ROADMAP item 1)
         sum_rng = rng.child("sum", i)
         sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
-        sums_matrix[:, i] = truncated.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
+        sums_matrix[:, i] = points.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
 
     gram = sums_matrix @ sums_matrix.T
     spec = linalg.sym_eig(gram)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from privgauss import eigenvalues, linalg
+from privgauss import ball_finder, dp_core, eigenvalues, linalg, subspace
 from privgauss.errors import DegenerateSpectrum, InvalidArgument
 
 
@@ -80,3 +80,57 @@ def clipped_second_moment_reference(x, threshold):
     keep = norms <= threshold
     kept = x[keep]
     return (kept.T @ kept) / n, int(np.sum(~keep))
+
+
+def find_center_reference(points, r_opt, budget, beta, rng):
+    """Allocating form of ``ball_finder.find_center`` on valid input: fresh
+    arrays for each coordinate's bin indexes.  The buffered kernel must match
+    it bit for bit, ledger included."""
+    pts = np.asarray(points, dtype=np.float64)
+    n, dim = pts.shape
+    per_coord = dp_core.plan_shares(budget, dim).per_call
+    offsets = rng.child("offset").uniform(0.0, r_opt, size=dim)
+    cell = ball_finder.grid_cell(r_opt, dim)
+    center = np.empty(dim)
+    for j in range(dim):
+        keys = np.floor((pts[:, j] - offsets[j]) / r_opt).astype(np.int64)
+        released = dp_core.stable_counts(dp_core.bucket_counts(keys), per_coord, rng.child("hist", j))
+        best_key = dp_core.heaviest(released, f"no heavy bin released for coordinate {j}")
+        center[j] = offsets[j] + (best_key + 0.5) * r_opt
+    center = np.round(center / cell) * cell
+    radius = ball_finder.INFLATION * math.sqrt(dim) * r_opt * math.sqrt(max(math.log(n), 1.0))
+    return ball_finder.BallResult(center=center, radius_used=radius)
+
+
+def recover_subspace_reference(x, k, gamma, psi, budget, beta, rng):
+    """Allocating form of ``subspace.recover_subspace``: the (t, q, k)
+    coordinates of every reference point at once, then fresh arrays for each
+    reference point's projected, shifted and truncated points, and
+    ``find_center_reference`` for the centers.  The buffered loop must match
+    it bit for bit, ledger included."""
+    rows = linalg.MappedRows.of(x)
+    n, d = rows.shape
+    params = subspace.subspace_params(n, d, k, gamma, psi, budget, beta)
+    t, m, q = params.t, params.m, params.q
+    _, per_call = subspace._phase_budgets(budget, q)
+
+    refs = subspace.sample_reference_points(q, d, rng)
+
+    _, vecs = linalg.sym_eig_batch(rows.gram_stack(t, m))
+    bases = vecs[:, :, :k]
+    coords = np.einsum("tdk,qd->tqk", bases, refs)
+
+    sums_matrix = np.empty((d, q))
+    for i in range(q):
+        points = np.einsum("tk,tdk->td", coords[:, i, :], bases)
+        result = find_center_reference(points, params.r, per_call, beta / q, rng.child("center", i))
+        delta_vec = points - result.center
+        dist = np.linalg.norm(delta_vec, axis=1)
+        scale = np.minimum(1.0, params.trunc_radius / np.maximum(dist, 1e-300))
+        truncated = result.center + delta_vec * scale[:, None]
+        sum_rng = rng.child("sum", i)
+        sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
+        sums_matrix[:, i] = truncated.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
+
+    spec = linalg.sym_eig(sums_matrix @ sums_matrix.T)
+    return linalg.top_k_projector(spec, k)

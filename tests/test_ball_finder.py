@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import find_center_reference
 
 from privgauss import ball_finder
 from privgauss.ball_finder import BallResult, find_center, grid_cell, n_min
@@ -100,6 +101,24 @@ class TestFindCenter:
         assert all(e.budget == plan_shares(budget, 2).per_call for e in acc.entries)
         assert all(e.mechanism == "stable_histogram" and e.sensitivity == 2.0 for e in acc.entries)
         assert acc.total() == (budget.epsilon, budget.delta)
+
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_allocating_bins(self, dim, seed):
+        # each coordinate's bin indexes are built in one reused buffer
+        budget = PrivacyBudget(1.0, 1e-6)
+        rng = np.random.default_rng(seed)
+        n = max(n_min(dim, budget, 0.1), 2000)
+        pts = rng.normal(size=(n, dim)) + rng.normal(size=dim) * 1e3
+        results = []
+        for find in (find_center, find_center_reference):
+            acc = Accountant()
+            result = find(pts, 1.5, budget, 0.1, RandomSource(seed, acc).child("c"))
+            results.append((result.center, result.radius_used, acc.entries))
+        (center, radius, entries), (center_ref, radius_ref, entries_ref) = results
+        assert np.array_equal(center, center_ref)
+        assert radius == radius_ref
+        assert entries == entries_ref
 
     def test_charge_precedes_release(self):
         # one point per bin at coordinate 1: its histogram releases nothing,

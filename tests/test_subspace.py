@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privgauss import eigenvalues, precondition, subspace
+from oracles import recover_subspace_reference
+from privgauss import eigenvalues, linalg, precondition, subspace
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.errors import InsufficientSamples, InvalidArgument
 from privgauss.subspace import (
@@ -161,6 +164,51 @@ class TestRecoverSubspace:
             )
         )
         assert ks < 0.15
+
+
+class TestBufferedLoop:
+    """One points buffer and one scratch vector serve every reference point."""
+
+    @pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3, 4) for k in range(1, d)])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_matches_the_allocating_loop(self, d, k, seed, mapped):
+        n = n_min(d, k, 0.5, BUDGET, BETA)
+        x = gapped_samples(d, k, 1e-4, n, seed)
+        a = np.random.default_rng(seed).normal(size=(d, d)) + 2.0 * np.eye(d)
+
+        def run(recover):
+            rows = linalg.MappedRows.of(x).mapped(a) if mapped else x
+            acc = Accountant()
+            p = recover(rows, k, 1e-2, 0.5, BUDGET, BETA, RandomSource(seed, acc).child("s"))
+            return p, acc.entries
+
+        p, entries = run(recover_subspace)
+        p_ref, entries_ref = run(recover_subspace_reference)
+        assert np.array_equal(p, p_ref)
+        assert entries == entries_ref
+
+    def test_temporaries_scale_with_the_points_buffer(self):
+        # the coarse step's layout on floor-d2: t = 19,830 subsamples of m = 8
+        budget = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(2)).per_call
+        d, k, beta = 2, 1, 0.025
+        t = subspace.subsample_count(d, k, budget, beta)
+        assert t == 19_830
+        n = 8 * t
+        rows = linalg.MappedRows.of(gapped_samples(d, k, 1e-4, n, 0))
+        rows.gram_stack(t, n // t)  # cached before the call, as in the scan
+        psi = feasible_psi(n, d, k, budget, beta)
+        tracemalloc.start()
+        try:
+            recover_subspace(rows, k, 1e-2, psi, budget, beta, RandomSource(0).child("mem"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # in units of t * d * 8 bytes: the eigenvectors (t, d, d), the points
+        # buffer (t, d) and the scratch (t,) take 3.5 at d = 2, and one
+        # reference point's temporaries add under 2.5; the allocating
+        # reference loop, with fresh arrays per reference point, peaks near 11
+        assert peak < 6 * t * d * 8
 
 
 class TestReferencePoints:
