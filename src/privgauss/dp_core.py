@@ -137,9 +137,10 @@ class Accountant:
     ``precondition/coarse/1/subspace/center/0/hist/1``, so the labels mirror
     the call tree and are unique within one run.  An entry's
     ``sensitivity`` is how far one swapped row can move the released
-    statistic, in the mechanism's own norm: L2 for ``gaussian``, Frobenius
-    for ``gue_gaussian`` and L1 for ``stable_histogram``; the noise scale
-    follows from it and the budget.  The charges compose by
+    statistic, in the norm of its mechanism, one of two: L2 for ``gaussian``
+    (Frobenius for a matrix, the L2 norm of its flattened entries) and L1
+    for ``stable_histogram``; the noise scale follows from it and the
+    budget.  The charges compose by
     basic composition only: the total is the sum of the epsilons and the
     sum of the deltas.  Every budget in the package is split by
     ``plan_shares``, whose equal basic shares sum to at most the parent
@@ -211,25 +212,15 @@ def gaussian_mechanism(values, sensitivity, budget, rng: RandomSource):
     return v + rng.normal(scale=sigma, size=v.shape)
 
 
-def gue_noise(d, sigma, rng: RandomSource):
-    """Symmetric d x d noise: entries i <= j iid N(0, sigma^2), mirrored."""
-    if d < 1:
-        raise InvalidArgument(f"dimension must be >= 1, got {d}")
-    if sigma < 0.0:
-        raise InvalidArgument(f"sigma must be non-negative, got {sigma}")
-    if sigma == 0.0:
-        return np.zeros((d, d))
-    draws = rng.normal(scale=sigma, size=(d, d))
-    upper = np.triu(draws)
-    return upper + np.triu(draws, k=1).T
-
-
 def gue_mechanism(matrix, sensitivity, budget, rng: RandomSource):
     """Add symmetric Gaussian noise calibrated to a d x d statistic's
-    Frobenius sensitivity."""
-    sigma = gaussian_sigma(sensitivity, budget)
-    rng.charge(budget, "gue_gaussian", sensitivity)
-    return matrix + gue_noise(matrix.shape[0], sigma, rng)
+    Frobenius sensitivity: the Frobenius norm is the L2 norm of the d^2
+    entries, so ``gaussian_mechanism`` on the whole matrix is the Gaussian
+    mechanism exactly, and mirroring its noisy upper triangle is
+    post-processing.  For a symmetric ``matrix`` the noise's entries i <= j
+    are iid N(0, sigma^2), mirrored."""
+    noisy = gaussian_mechanism(matrix, sensitivity, budget, rng)
+    return np.triu(noisy) + np.triu(noisy, 1).T
 
 
 @dataclass(frozen=True)

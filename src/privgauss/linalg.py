@@ -250,13 +250,19 @@ def sym_eig(m) -> Spectrum:
     return Spectrum(eigenvalues=vals[0], eigenvectors=vecs[0])
 
 
+def outer_sym(left, right):
+    """``left @ right.T`` averaged with its transpose, so exactly symmetric:
+    the reassembly V diag(f(lambda)) V^T of a spectral function, given
+    ``left`` = V * f(lambda) and ``right`` = V."""
+    out = left @ right.T
+    return 0.5 * (out + out.T)
+
+
 def psd_project(m):
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
     spec = sym_eig(m)
-    clipped = np.maximum(spec.eigenvalues, 0.0)
     v = spec.eigenvectors
-    out = (v * clipped) @ v.T
-    return 0.5 * (out + out.T)
+    return outer_sym(v * np.maximum(spec.eigenvalues, 0.0), v)
 
 
 def positive_spectrum(m, what):
@@ -304,16 +310,14 @@ def top_k_projector(spectrum: Spectrum, k):
     if not 0 <= k <= d:
         raise InvalidArgument(f"k={k} out of range [0, {d}]")
     b = spectrum.eigenvectors[:, :k]
-    p = b @ b.T
-    return 0.5 * (p + p.T)
+    return outer_sym(b, b)
 
 
 def spd_inverse(m):
     """Inverse of a symmetric positive-definite matrix via its spectrum."""
     spec = positive_spectrum(m, "matrix")
     v = spec.eigenvectors
-    inv = (v / spec.eigenvalues) @ v.T
-    return 0.5 * (inv + inv.T)
+    return outer_sym(v / spec.eigenvalues, v)
 
 
 def symmetric_polar_factor(a):
@@ -326,5 +330,4 @@ def symmetric_polar_factor(a):
     a = np.asarray(a, dtype=np.float64)
     spec = positive_spectrum(a.T @ a, "A^T A")
     v = spec.eigenvectors
-    s = (v * np.sqrt(spec.eigenvalues)) @ v.T
-    return 0.5 * (s + s.T)
+    return outer_sym(v * np.sqrt(spec.eigenvalues), v)

@@ -103,8 +103,7 @@ def fine_map(z, k, noise_level):
     g = np.sqrt(np.maximum(lam, 0.0) / pivot)
     scales[in_s] = 1.0 / (4.0 * g[in_s] * gamma_bar)
     v = spec.eigenvectors
-    a = (v * scales) @ v.T
-    return 0.5 * (a + a.T)
+    return linalg.outer_sym(v * scales, v)
 
 
 def min_samples(d, budget, beta):

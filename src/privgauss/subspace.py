@@ -18,7 +18,8 @@ accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
 bases, a (t, d, k) view of the subsamples' (t, d, d) eigenvectors; one
 (t, d) buffer of projected points, filled, truncated and summed in place for
-each reference point in turn; and one (t,) scratch vector of distances.
+each reference point in turn; one (t,) scratch vector of distances; and
+the (d, q) sums, one column per reference point.
 """
 
 from __future__ import annotations
@@ -157,11 +158,6 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
     lambda_{k+1}(Sigma) / lambda_k(Sigma) < gamma^2.  The two phases
     (ball-finder centers, truncated noisy sums) each spend half the passed
     budget, so the ledger total stays within ``budget``.
-
-    Beyond the cached raw Gram stack a call holds the (t, d, k) bases (a view
-    of the (t, d, d) eigenvectors), one (t, d) points buffer and one (t,)
-    scratch vector, reused for every reference point; each reference point's
-    truncated sum is its own column of the (d, q) sums.
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
@@ -190,9 +186,10 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
         np.minimum(1.0, dist, out=dist)
         points *= dist[:, None]
         points += result.center
-        # the one release charged by hand: params.sigma is sized for the mean
-        # of the t truncated points, not for this sum, so routing it through
-        # gaussian_mechanism would change the noise (ROADMAP item 1)
+        # the last Gaussian release outside gaussian_mechanism, charged by
+        # hand: params.sigma is sized for the mean of the t truncated points,
+        # not for this sum, so routing it through gaussian_mechanism would
+        # change the noise (ROADMAP item 1)
         sum_rng = rng.child("sum", i)
         sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
         sums_matrix[:, i] = points.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)

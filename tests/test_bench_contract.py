@@ -118,7 +118,7 @@ def test_every_gaussian_draw_has_its_charged_scale(name, monkeypatch):
     charged = {
         e.label: gaussian_sigma(e.sensitivity, e.budget)
         for e in acc.entries
-        if e.mechanism in ("gaussian", "gue_gaussian")
+        if e.mechanism == "gaussian"
     }
     assert draws
     wrong = [

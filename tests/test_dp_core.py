@@ -15,7 +15,6 @@ from privgauss.dp_core import (
     gaussian_mechanism,
     gaussian_sigma,
     gue_mechanism,
-    gue_noise,
     heaviest,
     plan_shares,
     stable_counts,
@@ -113,7 +112,7 @@ class TestLedger:
         assert [(e.label, e.mechanism) for e in root.ledger.entries] == [
             ("g", "gaussian"),
             ("h", "stable_histogram"),
-            ("n/0", "gue_gaussian"),
+            ("n/0", "gaussian"),
         ]
         assert RandomSource(3).ledger.entries == ()
 
@@ -177,19 +176,22 @@ class TestGaussianMechanism:
 
 
 class TestGueNoise:
-    def test_zero_sigma(self):
-        np.testing.assert_array_equal(gue_noise(4, 0.0, RandomSource(0)), np.zeros((4, 4)))
-
+    # the noise gue_mechanism adds to a symmetric statistic
     def test_symmetric_for_many_seeds(self):
+        m = np.arange(64.0).reshape(8, 8)
+        m = m + m.T
         for seed in range(20):
-            m = gue_noise(8, 1.5, RandomSource(seed).child("gue"))
-            np.testing.assert_array_equal(m, m.T)
+            out = gue_mechanism(m, 1.5, BUDGET, RandomSource(seed).child("gue"))
+            np.testing.assert_array_equal(out, out.T)
 
     def test_entry_distribution(self):
-        # upper-triangle entries (incl. diagonal) are iid N(0, sigma^2)
-        sigma = 2.0
-        draws = [gue_noise(6, sigma, RandomSource(s).child("e")) for s in range(800)]
-        stacked = np.stack(draws)
+        # upper-triangle entries (incl. diagonal) are iid N(0, sigma^2) at
+        # the Gaussian mechanism's scale for the Frobenius sensitivity
+        sensitivity = 0.25
+        sigma = gaussian_sigma(sensitivity, BUDGET)
+        stacked = np.stack(
+            [gue_mechanism(np.zeros((6, 6)), sensitivity, BUDGET, RandomSource(s).child("e")) for s in range(800)]
+        )
         iu = np.triu_indices(6)
         flat = stacked[:, iu[0], iu[1]].ravel()
         assert abs(flat.mean()) < 3.0 * sigma / math.sqrt(flat.size)
@@ -197,23 +199,25 @@ class TestGueNoise:
 
     def test_median_spectral_norm_bracket(self):
         d = 64
+        sigma = gaussian_sigma(1.0, BUDGET)
         norms = []
         for seed in range(200):
-            m = gue_noise(d, 1.0, RandomSource(seed).child("spec"))
-            norms.append(np.abs(np.linalg.eigvalsh(m)).max())
+            m = gue_mechanism(np.zeros((d, d)), 1.0, BUDGET, RandomSource(seed).child("spec"))
+            norms.append(np.abs(np.linalg.eigvalsh(m)).max() / sigma)
         med = np.median(norms)
         assert math.sqrt(d) <= med <= 4.0 * math.sqrt(d)
 
 
 class TestGueMechanism:
-    def test_adds_gue_noise_and_charges_its_stream(self):
+    def test_mirrors_the_gaussian_mechanism_and_charges_its_stream(self):
         acc = Accountant()
         m = np.arange(9.0).reshape(3, 3)
+        m = m + m.T
         out = gue_mechanism(m, 0.5, BUDGET, RandomSource(2, acc).child("noise"))
-        noise = gue_noise(3, gaussian_sigma(0.5, BUDGET), RandomSource(2).child("noise"))
-        np.testing.assert_array_equal(out, m + noise)
+        noisy = gaussian_mechanism(m, 0.5, BUDGET, RandomSource(2).child("noise"))
+        np.testing.assert_array_equal(out, np.triu(noisy) + np.triu(noisy, 1).T)
         assert [(e.label, e.budget, e.mechanism, e.sensitivity) for e in acc.entries] == [
-            ("noise", BUDGET, "gue_gaussian", 0.5)
+            ("noise", BUDGET, "gaussian", 0.5)
         ]
 
 

@@ -193,6 +193,15 @@ class TestRelNorms:
 
 
 class TestProjectors:
+    def test_outer_sym_is_the_symmetrized_product(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((5, 5))
+        left = v * rng.standard_normal(5)
+        out = linalg.outer_sym(left, v)
+        np.testing.assert_array_equal(out, out.T)
+        product = left @ v.T
+        np.testing.assert_array_equal(out, 0.5 * (product + product.T))
+
     def test_top_one_of_diag(self):
         spec = linalg.sym_eig(np.diag([3.0, 1.0]))
         p = linalg.top_k_projector(spec, 1)
