@@ -24,11 +24,8 @@ from .errors import BottomReleased, InvalidArgument
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An (epsilon, delta) differential-privacy budget.
-
-    delta may be zero only in accounting contexts (ledger arithmetic);
-    mechanisms themselves reject delta == 0.
-    """
+    """An (epsilon, delta) differential-privacy budget, with epsilon > 0
+    and 0 < delta < 1, so every budget can be spent by either mechanism."""
 
     epsilon: float
     delta: float
@@ -36,8 +33,8 @@ class PrivacyBudget:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise InvalidArgument(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not (0.0 <= self.delta < 1.0):
-            raise InvalidArgument(f"delta must lie in [0, 1), got {self.delta}")
+        if not (0.0 < self.delta < 1.0):
+            raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
 
     def scaled(self, factor):
         return PrivacyBudget(self.epsilon * factor, self.delta * factor)
@@ -123,8 +120,8 @@ class RandomSource:
 class LedgerEntry:
     label: str  # name of the stream the release drew its noise from
     budget: PrivacyBudget
-    mechanism: str = ""
-    sensitivity: float | None = None
+    mechanism: str
+    sensitivity: float
 
 
 @dataclass
@@ -135,14 +132,14 @@ class Accountant:
     from that root charges it.  Each entry's label is the name of the
     stream the release drew its noise from, e.g.
     ``precondition/coarse/1/subspace/center/0/hist/1``, so the labels mirror
-    the call tree and are unique within one run.  An entry's
-    ``sensitivity`` is how far one swapped row can move the released
-    statistic, in the norm of its mechanism, one of two: L2 for ``gaussian``
-    (Frobenius for a matrix, the L2 norm of its flattened entries) and L1
-    for ``stable_histogram``; the noise scale follows from it and the
-    budget.  The charges compose by
-    basic composition only: the total is the sum of the epsilons and the
-    sum of the deltas.  Every budget in the package is split by
+    the call tree and are unique within one run.  Every entry names its
+    ``mechanism``, one of two, and its ``sensitivity``, how far one swapped
+    row can move the released statistic in that mechanism's norm: L2 for
+    ``gaussian`` (Frobenius for a matrix, the L2 norm of its flattened
+    entries) and L1 for ``stable_histogram``; the noise scale follows from
+    it and the budget.  The charges compose by basic composition only:
+    ``total`` is the sum of the epsilons and the sum of the deltas, as
+    floats, not a budget.  Every budget in the package is split by
     ``plan_shares``, whose equal basic shares sum to at most the parent
     budget, so the total of a ledger filled by any entry point is at most
     the budget passed to it.
@@ -154,7 +151,7 @@ class Accountant:
     def entries(self):
         return tuple(self._entries)
 
-    def charge(self, label, budget: PrivacyBudget, mechanism="", sensitivity=None):
+    def charge(self, label, budget: PrivacyBudget, mechanism, sensitivity):
         self._entries.append(LedgerEntry(str(label), budget, mechanism, sensitivity))
 
     def total(self):
@@ -199,8 +196,6 @@ def gaussian_sigma(sensitivity, budget: PrivacyBudget):
     """Noise scale of the Gaussian mechanism: sigma^2 = 2 s^2 ln(2/delta) / eps^2."""
     if not (math.isfinite(sensitivity) and sensitivity > 0.0):
         raise InvalidArgument(f"sensitivity must be positive and finite, got {sensitivity}")
-    if budget.delta == 0.0:
-        raise InvalidArgument("the Gaussian mechanism requires delta > 0")
     return sensitivity * math.sqrt(2.0 * math.log(2.0 / budget.delta)) / budget.epsilon
 
 
@@ -275,8 +270,6 @@ def bucket_counts(keys):
 
 def stable_release_threshold(budget: PrivacyBudget):
     """Noisy-count release threshold 1 + 2 ln(2/delta) / eps."""
-    if budget.delta == 0.0:
-        raise InvalidArgument("stability-based histograms require delta > 0")
     return 1.0 + 2.0 * math.log(2.0 / budget.delta) / budget.epsilon
 
 

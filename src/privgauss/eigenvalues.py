@@ -48,6 +48,8 @@ class EigenvalueEstimate:
 def subsample_count(d, budget: PrivacyBudget, beta):
     """Number of subsamples t: enough for the per-index histograms to
     release reliably at their budget share."""
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     per_index = plan_shares(budget, d).per_call
     log_term = math.log(d / (budget.delta * beta))
     t_accuracy = math.ceil(C1 * log_term / per_index.epsilon)
@@ -55,8 +57,8 @@ def subsample_count(d, budget: PrivacyBudget, beta):
 
 
 def min_samples(d, budget, beta):
-    """Smallest n whose subsample layout estimate_eigenvalues accepts: t
-    subsamples of m = linalg.MIN_ROWS_PER_DIM * d rows.
+    """Smallest n estimate_eigenvalues accepts, the one gate it compares n
+    with: t subsamples of m = linalg.MIN_ROWS_PER_DIM * d rows.
 
     It promises the layout only, not a release.  With so few rows per
     subsample each eigenvalue spreads over too many buckets for one to
@@ -74,19 +76,16 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     subsample Gram stack is mapped instead of the rows.  The rows are
     assumed centered (pair-differenced upstream); each subsample uses the
     raw second-moment matrix X^T X / m.  Raises BottomReleased if any
-    index's histogram releases nothing, and InsufficientSamples when the
-    subsample layout cannot be formed.
+    index's histogram releases nothing, and InsufficientSamples exactly
+    when n < min_samples.
     """
     rows = linalg.MappedRows.of(x)
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     n, d = rows.shape
+    floor = min_samples(d, budget, beta)
+    if n < floor:
+        raise InsufficientSamples(f"need n >= {floor} for d={d} at this budget, got {n}")
     t = subsample_count(d, budget, beta)
     m = n // t
-    if m < linalg.MIN_ROWS_PER_DIM * d:
-        raise InsufficientSamples(
-            f"need n >= {min_samples(d, budget, beta)} for d={d} at this budget, got {n}"
-        )
     per_index = plan_shares(budget, d).per_call
 
     seconds = rows.gram_stack(t, m) / m

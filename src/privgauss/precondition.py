@@ -40,7 +40,7 @@ import numpy as np
 from . import eigenvalues, linalg, subspace
 from .dp_core import PrivacyBudget, RandomSource, plan_shares
 from .eigenvalues import estimate_eigenvalues
-from .errors import DegenerateSpectrum, PrivGaussError
+from .errors import DegenerateSpectrum, InvalidArgument, PrivGaussError
 from .naive import KAPPA_FACTOR, naive_config, naive_estimate
 
 # Gap thresholds of the scanning loop.
@@ -73,6 +73,8 @@ def _shares(d, budget, beta):
     """(per_call, beta_i): the budget and failure probability of each
     budgeted call the scan makes, an equal share of ``budget`` over
     ``max_calls(d)`` calls and beta / d (see ``precondition``)."""
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     return plan_shares(budget, max_calls(d)).per_call, beta / d
 
 
@@ -115,7 +117,7 @@ def min_samples(d, budget, beta):
     d = 1 the scan releases nothing; the floor is then the eigenvalue
     estimate's at a one-call share, which keeps it defined."""
     per_call, beta_i = _shares(d, budget, beta)
-    needs = [eigenvalues.min_samples(d, per_call, beta_i), 2 * d]
+    needs = [eigenvalues.min_samples(d, per_call, beta_i)]
     for k in range(1, d):
         needs.append(subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i))
     return max(needs)

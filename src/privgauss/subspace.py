@@ -14,6 +14,7 @@ psi is the claimed accuracy, not a knob: it gates the subsample layout
 (m rows per subsample must support it) and enters no computation, so the
 radius, truncation and noise scale are the same at every psi the layout
 accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
+``n_min`` alone validates the arguments and decides whether n rows fit.
 
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
 bases, a (t, d, k) view of the subsamples' (t, d, d) eigenvectors; one
@@ -58,13 +59,13 @@ class SubspaceParams:
     sigma: float
 
 
-def _validate(d, k, gamma, psi):
+def _validate(d, k, psi, beta):
     if not 1 <= k <= d - 1:
         raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidArgument(f"gamma must lie in (0, 1], got {gamma}")
     if not 0.0 < psi < 1.0:
         raise InvalidArgument(f"psi must lie in (0, 1), got {psi}")
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
 
 
 def _phase_budgets(budget: PrivacyBudget, q):
@@ -97,13 +98,19 @@ def _psi_floor(m, d, k, t):
 
 
 def _fits(m, d, k, psi, t):
-    """The one layout predicate behind n_min, feasible_psi and subspace_params,
-    so their answers never contradict each other in floating point."""
+    """n_min's search predicate: t subsamples of m rows support psi."""
     return m >= linalg.MIN_ROWS_PER_DIM * d and psi >= _psi_floor(m, d, k, t)
 
 
 def n_min(d, k, psi, budget, beta):
-    """Smallest n recover_subspace accepts at the requested accuracy."""
+    """Smallest n recover_subspace accepts at accuracy psi, the one gate
+    feasible_psi and subspace_params compare n with.
+
+    It is t times the least fitting m >= MIN_ROWS_PER_DIM * d, and ``_fits``
+    is non-decreasing in m (m t q is an exact integer, and the division and
+    the sqrt round monotonically), so ``_fits(n // t)`` holds exactly when
+    n >= n_min."""
+    _validate(d, k, psi, beta)
     t = subsample_count(d, k, budget, beta)
     # _psi_floor falls as 1/sqrt(m); in floats this closed form can miss the
     # predicate by a row either way
@@ -118,24 +125,22 @@ def n_min(d, k, psi, budget, beta):
 def feasible_psi(n, d, k, budget, beta):
     """Smallest psi the given n supports;
     raises below n_min at MAX_PSI, the any-accuracy floor."""
+    floor = n_min(d, k, MAX_PSI, budget, beta)
+    if n < floor:
+        raise InsufficientSamples(f"need n >= {floor} for any accuracy, got {n}")
     t = subsample_count(d, k, budget, beta)
-    m = n // t
-    if not _fits(m, d, k, MAX_PSI, t):
-        raise InsufficientSamples(
-            f"need n >= {n_min(d, k, MAX_PSI, budget, beta)} for any accuracy, got {n}"
-        )
-    return _psi_floor(m, d, k, t)
+    return _psi_floor(n // t, d, k, t)
 
 
 def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
-    _validate(d, k, gamma, psi)
+    if not 0.0 < gamma <= 1.0:
+        raise InvalidArgument(f"gamma must lie in (0, 1], got {gamma}")
+    floor = n_min(d, k, psi, budget, beta)
+    if n < floor:
+        raise InsufficientSamples(f"need n >= {floor} at psi={psi}, got {n}")
     q = REFS_PER_RANK * k
     t = subsample_count(d, k, budget, beta)
     m = n // t
-    if not _fits(m, d, k, psi, t):
-        raise InsufficientSamples(
-            f"need n >= {n_min(d, k, psi, budget, beta)} at psi={psi}, got {n}"
-        )
     r = R_SCALE * gamma * math.sqrt(d) * (math.sqrt(k) + math.sqrt(math.log(k * t))) / math.sqrt(m)
     trunc = TRUNC_SCALE * r * math.sqrt(math.log(t))
     phase, _ = _phase_budgets(budget, q)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privgauss import ball_finder, eigenvalues, precondition
+from privgauss import ball_finder, eigenvalues, precondition, subspace
 from privgauss.dp_core import (
     Accountant,
     BucketScheme,
@@ -24,6 +24,11 @@ from privgauss.errors import BottomReleased, InvalidArgument
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
 FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9))
+# the composed estimator's half budget, and the scan's per-call budget and
+# beta at d = 2 under it, (0.125, 1.25e-7) and 0.025
+HALF = PrivacyBudget(0.5, 5e-7)
+PER_CALL = plan_shares(HALF, precondition.max_calls(2)).per_call
+BETA_I = 0.05 / 2
 GEOMETRIC = BucketScheme(2.0 ** 0.25)
 ZERO = BucketScheme.ZERO
 
@@ -45,10 +50,17 @@ def loop_geometric_keys(ratio, values):
     return out
 
 
+def gate_rows():
+    """400,000 rows of N(0, diag(1, 1e-6)): enough for every gate at d = 2."""
+    return np.random.default_rng(0).standard_normal((400_000, 2)) * [1.0, 1e-3]
+
+
 class TestPrivacyBudget:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             PrivacyBudget(0.0, 1e-6)
+        with pytest.raises(InvalidArgument):
+            PrivacyBudget(1.0, 0.0)
         with pytest.raises(InvalidArgument):
             PrivacyBudget(1.0, 1.0)
         with pytest.raises(InvalidArgument):
@@ -168,9 +180,9 @@ class TestGaussianMechanism:
         assert acc.entries[0].sensitivity == 2.0
 
     def test_rejects_zero_delta_and_bad_sensitivity(self):
-        budget = PrivacyBudget(1.0, 0.0)
+        # a delta = 0 budget cannot be built, so no Gaussian release sees one
         with pytest.raises(InvalidArgument):
-            gaussian_mechanism(np.zeros(2), 1.0, budget, RandomSource(0))
+            PrivacyBudget(1.0, 0.0)
         with pytest.raises(InvalidArgument):
             gaussian_mechanism(np.zeros(2), 0.0, BUDGET, RandomSource(0))
 
@@ -332,8 +344,7 @@ class TestPublishedFloors:
         # release_floor sets the histogram share of every floor below.
         # precondition.min_samples at the composed estimator's half budget,
         # beta = 0.05, d = 2..5:
-        half = PrivacyBudget(0.5, 5e-7)
-        assert [precondition.min_samples(d, half, 0.05) for d in range(2, 6)] == [
+        assert [precondition.min_samples(d, HALF, 0.05) for d in range(2, 6)] == [
             158_640,
             1_559_580,
             6_562_176,
@@ -350,12 +361,54 @@ class TestPublishedFloors:
             got = [(eigenvalues.min_samples(d, budget, 0.05), ball_finder.n_min(d, budget, 0.05)) for d in range(2, 6)]
             assert got == floors
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: subspace.n_min(2, 1, -0.5, PER_CALL, BETA_I), id="subspace.n_min-psi=-0.5"),
+            pytest.param(lambda: subspace.n_min(2, 1, 0.0, PER_CALL, BETA_I), id="subspace.n_min-psi=0"),
+            pytest.param(lambda: subspace.n_min(2, 1, 1.5, PER_CALL, BETA_I), id="subspace.n_min-psi=1.5"),
+            pytest.param(lambda: subspace.n_min(2, 0, 0.5, PER_CALL, BETA_I), id="subspace.n_min-k=0"),
+            pytest.param(lambda: subspace.n_min(2, 2, 0.5, PER_CALL, BETA_I), id="subspace.n_min-k=d"),
+            pytest.param(lambda: subspace.feasible_psi(10**7, 2, 2, PER_CALL, BETA_I), id="feasible_psi-k=d"),
+            pytest.param(lambda: subspace.feasible_psi(10**7, 2, 1, PER_CALL, 1.5), id="feasible_psi-beta=1.5"),
+            pytest.param(
+                lambda: subspace.subspace_params(10**7, 2, 2, 0.01, 0.5, PER_CALL, BETA_I), id="subspace_params-k=d"
+            ),
+            pytest.param(
+                lambda: subspace.subspace_params(10**7, 2, 1, 0.01, 0.5, PER_CALL, 1.5), id="subspace_params-beta=1.5"
+            ),
+            pytest.param(lambda: eigenvalues.min_samples(2, PER_CALL, 0.0), id="eigenvalues.min_samples-beta=0"),
+            pytest.param(lambda: eigenvalues.min_samples(2, PER_CALL, 1.5), id="eigenvalues.min_samples-beta=1.5"),
+            pytest.param(
+                lambda: eigenvalues.estimate_eigenvalues(gate_rows(), PER_CALL, 0.0, RandomSource(0)),
+                id="estimate_eigenvalues-beta=0",
+            ),
+            pytest.param(
+                lambda: eigenvalues.estimate_eigenvalues(gate_rows(), PER_CALL, 1.5, RandomSource(0)),
+                id="estimate_eigenvalues-beta=1.5",
+            ),
+            pytest.param(lambda: precondition.min_samples(2, HALF, -0.1), id="precondition.min_samples-beta=-0.1"),
+            pytest.param(lambda: precondition.min_samples(2, HALF, 1.5), id="precondition.min_samples-beta=1.5"),
+            pytest.param(
+                lambda: precondition.precondition(gate_rows(), HALF, -0.1, RandomSource(0)), id="precondition-beta=-0.1"
+            ),
+            pytest.param(
+                lambda: precondition.precondition(gate_rows(), HALF, 1.5, RandomSource(0)), id="precondition-beta=1.5"
+            ),
+        ],
+    )
+    def test_gates_reject_invalid_arguments(self, call):
+        # each stage's floor function validates the stage's arguments, and
+        # every layout or release function compares n with it first
+        with pytest.raises(InvalidArgument):
+            call()
+
 
 class TestCompose:
     def test_basic_sum(self):
         acc = Accountant()
-        acc.charge("a", PrivacyBudget(1.0, 1e-6))
-        acc.charge("b", PrivacyBudget(1.0, 1e-6))
+        acc.charge("a", PrivacyBudget(1.0, 1e-6), "gaussian", 1.0)
+        acc.charge("b", PrivacyBudget(1.0, 1e-6), "stable_histogram", 2.0)
         assert acc.total() == (2.0, 2e-6)
 
     def test_basic_empty(self):
@@ -366,9 +419,9 @@ class TestCompose:
         acc1 = Accountant()
         acc2 = Accountant()
         for b in budgets:
-            acc1.charge("x", b)
+            acc1.charge("x", b, "gaussian", 1.0)
         for b in reversed(budgets):
-            acc2.charge("x", b)
+            acc2.charge("x", b, "gaussian", 1.0)
         assert acc1.total() == acc2.total()
 
 
@@ -384,7 +437,7 @@ class TestPlanShares:
         plan = plan_shares(budget, calls)
         acc = Accountant()
         for i in range(calls):
-            acc.charge(f"c{i}", plan.per_call)
+            acc.charge(f"c{i}", plan.per_call, "gaussian", 1.0)
         total_eps, total_delta = acc.total()
         assert total_eps <= eps
         assert total_delta <= delta
@@ -403,7 +456,7 @@ class TestPlanShares:
         # share is charged as one release
         def fill(acc, budget, node):
             if node is None:
-                acc.charge("leaf", budget)
+                acc.charge("leaf", budget, "gaussian", 1.0)
                 return
             calls, subtrees = node
             share = plan_shares(budget, calls).per_call
