@@ -73,11 +73,12 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     """Estimate all d eigenvalues of the data covariance under (eps, delta)-DP.
 
     ``x`` is an (n, d) array or a ``linalg.MappedRows`` view, whose cached
-    subsample Gram stack is mapped instead of the rows.  The rows are
-    assumed centered (pair-differenced upstream); each subsample uses the
-    raw second-moment matrix X^T X / m.  Raises BottomReleased if any
-    index's histogram releases nothing, and InsufficientSamples exactly
-    when n < min_samples.
+    subsample Gram stack is mapped instead of the rows; the view keeps the
+    subsamples' eigenvalues, so a second estimate on it decomposes nothing.
+    The rows are assumed centered (pair-differenced upstream); each
+    subsample uses the raw second-moment matrix X^T X / m.  Raises
+    BottomReleased if any index's histogram releases nothing, and
+    InsufficientSamples exactly when n < min_samples.
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
@@ -88,9 +89,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     m = n // t
     per_index = plan_shares(budget, d).per_call
 
-    seconds = rows.gram_stack(t, m) / m
-    vals, _ = linalg.sym_eig_batch(seconds, vectors=False)
-    vals = np.maximum(vals, 0.0)
+    vals = np.maximum(rows.subsample_eigenvalues(t, m), 0.0)
     top = vals[:, :1]
     vals[vals < ZERO_CLAMP * top] = 0.0
 

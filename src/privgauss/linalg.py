@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
-Everything here is deterministic and privacy-free: LAPACK eigendecomposition
-(``numpy.linalg.eigh``), the one positive-definiteness check
+Everything here is deterministic and privacy-free: batched
+eigendecomposition (one closed-form rotation per 2 x 2 matrix, LAPACK's
+``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness check
 (``positive_spectrum``), spectral projectors, the PSD-cone projection, and
 the whitened (relative) error norms that score estimates against a
 positive-definite truth.  Matrices are plain float64 ``numpy`` arrays;
@@ -53,16 +54,23 @@ class Spectrum:
 
 
 def sym_eig_batch(mats, vectors=True):
-    """Eigendecompose a stack of symmetric matrices with LAPACK.
+    """Eigendecompose a stack of symmetric matrices.
 
     Returns (values, vectors) with values sorted non-increasing per matrix
     and vectors as aligned columns; pass ``vectors=False`` to compute the
-    values only (vectors is None).  Raises InvalidMatrix when LAPACK does
-    not converge (as on NaN input).
+    values only (vectors is None).  A (b, 2, 2) stack takes one symmetric
+    Schur rotation per matrix (``_schur_2x2``): at d = 2 the coarse step
+    decomposes about 20,000 matrices per call, and LAPACK's per-call
+    overhead, about 0.4 us a matrix, costs more than the rotation itself.
+    From d = 3 on the stack goes to LAPACK (``numpy.linalg.eigh``, or
+    ``eigvalsh`` for values only).  Raises InvalidMatrix on non-finite 2 x 2
+    input and when LAPACK does not converge (as on NaN input).
     """
     a = np.asarray(mats, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise InvalidMatrix(f"expected a (b, d, d) stack, got shape {a.shape}")
+    if a.shape[1] == 2:
+        return _schur_2x2(a, vectors)
     try:
         if not vectors:
             return np.linalg.eigvalsh(a)[:, ::-1], None
@@ -70,6 +78,73 @@ def sym_eig_batch(mats, vectors=True):
     except np.linalg.LinAlgError as exc:
         raise InvalidMatrix(f"eigendecomposition failed: {exc}") from exc
     return vals[:, ::-1], vecs[:, :, ::-1]
+
+
+def _schur_2x2(a, vectors):
+    """``sym_eig_batch`` of a (b, 2, 2) stack by the symmetric Schur
+    rotation (Golub & Van Loan, sym.schur2) of each [[p, q], [q, r]]:
+
+        tau = (r - p) / 2q,   t = sign(tau) / (|tau| + sqrt(1 + tau^2)),
+        c = 1 / sqrt(1 + t^2),   s = t c,
+
+    so the rotation [[c, s], [-s, c]] takes it to diag(p - t q, r + t q),
+    with eigenvectors (c, -s) and (s, c).  q = 0 gives tau = inf and t = 0,
+    and tau^2 overflowing to inf gives t = 0 too, where t q is below the
+    rounding of p and r.  Each step is one correctly rounded +, -, *, / or
+    sqrt on whole columns, written into the output arrays in place; the
+    vectors' four columns hold the intermediates until the end.
+    """
+    if not np.isfinite(a).all():
+        raise InvalidMatrix("matrix contains NaN or Inf entries")
+    n = a.shape[0]
+    p, q, r = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+    vals = np.empty((n, 2))
+    hi, lo = vals[:, 0], vals[:, 1]
+    if vectors:
+        vecs = np.empty((n, 2, 2))
+        u, w, v, x = vecs.reshape(n, 4).T  # entries (0, 0), (0, 1), (1, 0), (1, 1)
+    else:
+        vecs = None
+        v, x = np.empty((2, n))
+    tau, t = v, x
+    with np.errstate(over="ignore"):
+        # halves first, so that r - p cannot overflow
+        np.multiply(r, 0.5, out=hi)
+        np.multiply(p, 0.5, out=lo)
+        hi -= lo
+        tau.fill(np.inf)
+        np.divide(hi, q, out=tau, where=q != 0.0)
+        np.multiply(tau, tau, out=t)
+        t += 1.0
+        np.sqrt(t, out=t)
+        np.copysign(t, tau, out=t)
+        t += tau
+        np.divide(1.0, t, out=t)
+    if vectors:
+        c, s = u, w
+        np.multiply(t, t, out=c)
+        c += 1.0
+        np.sqrt(c, out=c)
+        np.divide(1.0, c, out=c)
+        np.multiply(t, c, out=s)
+    t *= q
+    np.add(r, t, out=hi)
+    np.subtract(p, t, out=lo)
+    # order each pair non-increasing, through the free tau column
+    flip = lo > hi
+    np.copyto(tau, hi)
+    np.copyto(hi, lo, where=flip)
+    np.copyto(lo, tau, where=flip)
+    if not vectors:
+        return vals, None
+    # the first eigenvector (u, v) is (s, c), or (c, -s) where flipped; the
+    # second is (-v, u)
+    np.copyto(v, c)
+    np.negative(s, out=v, where=flip)
+    np.copyto(u, s, where=~flip)
+    np.copyto(x, u)
+    np.negative(v, out=w)
+    return vals, vecs
 
 
 def sq_norms(block):
@@ -163,7 +238,9 @@ class MappedRows:
     largest squared norm comes with the first raw stack (see ``gram_stack``)
     and is cached with it, so the identity view reads its rows once; a
     mapped view forms its rows BLOCK_ROWS at a time in ``blocks`` and reads
-    ``max_sq_norm`` from those blocks once per view.
+    ``max_sq_norm`` from those blocks once per view.  Eigenvalues are not
+    quadratic either: ``subsample_eigenvalues`` decomposes the mapped stack
+    once per view and layout.
     """
 
     def __init__(self, x, a=None, stats=None):
@@ -171,6 +248,7 @@ class MappedRows:
         self.a = a
         self._stats = _RowStats() if stats is None else stats
         self._max_sq_norm = None
+        self._eigenvalues = {}  # (t, m) -> subsample_eigenvalues(t, m)
 
     @classmethod
     def of(cls, x):
@@ -204,6 +282,16 @@ class MappedRows:
             stack, self._stats.max_sq_norm = gram_stack(self.x, t, m)
             stacks[(t, m)] = _frozen(stack)
         return self._map(stacks[(t, m)])
+
+    def subsample_eigenvalues(self, t, m):
+        """Eigenvalues of the subsample second moments ``gram_stack(t, m) /
+        m`` of the mapped rows, non-increasing, as a read-only (t, d) array.
+        They depend on the map, so they are cached per view and layout: a
+        second request on the same view decomposes nothing."""
+        if (t, m) not in self._eigenvalues:
+            vals, _ = sym_eig_batch(self.gram_stack(t, m) / m, vectors=False)
+            self._eigenvalues[(t, m)] = _frozen(vals)
+        return self._eigenvalues[(t, m)]
 
     def moment(self):
         """Unscaled second moment X^T X of all mapped rows.  From a cached

@@ -19,13 +19,15 @@ accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
 bases, a (t, d, k) view of the subsamples' (t, d, d) eigenvectors; one
 (t, d) buffer of projected points, filled, truncated and summed in place for
-each reference point in turn; one (t,) scratch vector of distances; and
-the (d, q) sums, one column per reference point.
+each reference point in turn; each reference point's (t,) vector of
+distances, its ``linalg.sq_norms``; and the (d, q) sums, one column per
+reference point.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,20 +108,34 @@ def n_min(d, k, psi, budget, beta):
     """Smallest n recover_subspace accepts at accuracy psi, the one gate
     feasible_psi and subspace_params compare n with.
 
-    It is t times the least fitting m >= MIN_ROWS_PER_DIM * d, and ``_fits``
-    is non-decreasing in m (m t q is an exact integer, and the division and
-    the sqrt round monotonically), so ``_fits(n // t)`` holds exactly when
-    n >= n_min."""
+    It is t times the least fitting m >= MIN_ROWS_PER_DIM * d, found by
+    bisection: ``_fits`` is non-decreasing in m (m t q is an exact integer,
+    and the division and the sqrt round monotonically), so ``_fits(n // t)``
+    holds exactly when n >= n_min.  m t q must convert to a float, which
+    bounds m; a psi that no such m supports raises InvalidArgument."""
     _validate(d, k, psi, beta)
     t = subsample_count(d, k, budget, beta)
-    # _psi_floor falls as 1/sqrt(m); in floats this closed form can miss the
-    # predicate by a row either way
-    m = max(linalg.MIN_ROWS_PER_DIM * d, math.ceil((_psi_floor(1, d, k, t) / psi) ** 2))
-    while not _fits(m, d, k, psi, t):
-        m += 1
-    while m > linalg.MIN_ROWS_PER_DIM * d and _fits(m - 1, d, k, psi, t):
-        m -= 1
-    return t * m
+    # _fits(lo) is false and _fits(hi) true throughout
+    least = linalg.MIN_ROWS_PER_DIM * d
+    lo, hi = least - 1, int(sys.float_info.max) // (t * REFS_PER_RANK * k)
+    if not _fits(hi, d, k, psi, t):
+        raise InvalidArgument(f"psi={psi} needs more than {float(hi):.3g} rows per subsample")
+    # _psi_floor falls as 1/sqrt(m), so this closed form lands within a row
+    # of the least fitting m, except where _psi_floor is flat in floats
+    ratio = _psi_floor(1, d, k, t) / psi
+    if ratio * ratio < hi:
+        guess = max(least, math.ceil(ratio * ratio))
+        if guess - 2 > lo and not _fits(guess - 2, d, k, psi, t):
+            lo = guess - 2
+        if guess + 2 < hi and _fits(guess + 2, d, k, psi, t):
+            hi = guess + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _fits(mid, d, k, psi, t):
+            hi = mid
+        else:
+            lo = mid
+    return t * hi
 
 
 def feasible_psi(n, d, k, budget, beta):
@@ -175,7 +191,6 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
     bases = linalg.sym_eig_batch(rows.gram_stack(t, m))[1][:, :, :k]  # (t, d, k)
 
     points = np.empty((t, d))
-    dist = np.empty(t)
     sums_matrix = np.empty((d, q))
     for i in range(q):
         # p_i^j = Pi_j p_i for every subsample j, one reference point at a time
@@ -184,7 +199,7 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
         # truncate each point to the ball of radius trunc_radius about the
         # center, in place; dist ends as each point's scale min(1, R / dist)
         points -= result.center
-        np.add.reduce(points * points, axis=1, out=dist)
+        dist = linalg.sq_norms(points)
         np.sqrt(dist, out=dist)
         np.maximum(dist, 1e-300, out=dist)
         np.divide(params.trunc_radius, dist, out=dist)

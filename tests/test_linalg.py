@@ -104,10 +104,103 @@ class TestSymEig:
             assert np.all(np.abs(vals - full) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("vectors", [True, False])
-    def test_no_convergence_is_invalid_matrix(self, vectors):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_convergence_is_invalid_matrix(self, vectors, d):
         with pytest.raises(InvalidMatrix) as info:
-            linalg.sym_eig_batch(np.full((1, 3, 3), np.nan), vectors=vectors)
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+            linalg.sym_eig_batch(np.full((1, d, d), np.nan), vectors=vectors)
+        # LAPACK reports the failure at d = 3; the 2 x 2 rotation checks its
+        # input before it starts
+        if d == 3:
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_matches_lapack(mats):
+    """The 2 x 2 path against numpy.linalg.eigh on a (b, 2, 2) stack: values
+    within 8 eps ||A||, orthonormal vectors within 8 eps, reconstruction
+    within 8 eps ||A||, non-increasing order, and the values-only call
+    returning the same values bit for bit."""
+    vals, vecs = linalg.sym_eig_batch(mats)
+    only, none = linalg.sym_eig_batch(mats, vectors=False)
+    assert none is None
+    assert np.array_equal(only, vals)
+    lapack = np.linalg.eigvalsh(mats)[:, ::-1]
+    norm = np.abs(lapack).max(axis=1)  # ||A||_2
+    assert np.all(np.abs(vals - lapack).max(axis=1) <= 8 * EPS * norm)
+    gram = np.swapaxes(vecs, 1, 2) @ vecs
+    assert np.all(np.abs(gram - np.eye(2)).max(axis=(1, 2)) <= 8 * EPS)
+    recon = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    assert np.all(np.abs(recon - mats).max(axis=(1, 2)) <= 8 * EPS * norm)
+    assert np.all(vals[:, 0] >= vals[:, 1])
+
+
+def two_by_two(p, q, r):
+    return np.array([[p, q], [q, r]], dtype=np.float64)
+
+
+class TestTwoByTwoRotation:
+    """The closed-form rotation that every 2 x 2 stack takes, against LAPACK."""
+
+    CASES = {
+        "diagonal": [two_by_two(3, 0, 1), two_by_two(1, 0, 3), two_by_two(-2, 0, 5), two_by_two(0, 0, -1e-3)],
+        "multiple of I": [two_by_two(0, 0, 0), two_by_two(5, 0, 5), two_by_two(-7.5, 0, -7.5)],
+        "rank 1": [np.outer(v, v) for v in ([1.0, 2.0], [3.0, -1.0], [1e-8, 1.0], [1.0, 0.1])],
+        "negative definite": [two_by_two(-1, -2, -5), two_by_two(-3, 1, -3), two_by_two(-1e6, 10, -1)],
+        "tau^2 overflows": [two_by_two(1, 1e-200, 2), two_by_two(2e100, -1e-100, 1e100), two_by_two(-1, 3e-200, 1)],
+        "near 1e307": [
+            two_by_two(1e307, -1e307, 1e307),
+            two_by_two(-1e307, 1e307, 1e307),
+            two_by_two(9e306, 1e307, -1e307),
+            two_by_two(-1e307, -9.9e306, -1e307),
+        ],
+        "near 1e-300": [two_by_two(1e-300, 2e-300, -3e-300), two_by_two(-1e-300, 1e-300, -1e-300)],
+        "off-diagonal only": [two_by_two(0, 1, 0), two_by_two(0, -2.5, 0)],
+        "signed zeros": [two_by_two(0.0, 5.9e-39, -0.0), two_by_two(-0.0, -1, 0.0), two_by_two(-0.0, 1, -0.0)],
+        # halving 3 and 4 times 2^-1074 rounds both to 2^-1073
+        "subnormal diagonal": [two_by_two(1.5e-323, 0, 2e-323), two_by_two(2e-323, 0, 1.5e-323)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_explicit_cases(self, case):
+        assert_matches_lapack(np.stack(self.CASES[case]))
+
+    def test_diagonal_input_is_returned_exactly(self):
+        mats = np.stack([two_by_two(3, 0, 1), two_by_two(1, 0, 3), two_by_two(5, 0, 5)])
+        vals, vecs = linalg.sym_eig_batch(mats)
+        assert np.array_equal(vals, [[3, 1], [3, 1], [5, 5]])
+        # coordinate axes, in the values' order; either order serves 5 I
+        assert np.array_equal(np.abs(vecs[:2]), [np.eye(2), np.eye(2)[::-1]])
+        assert set(np.abs(vecs[2]).ravel()) == {0.0, 1.0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=3),
+        st.integers(-990, 1000),
+    )
+    def test_matches_lapack(self, entries, exponent):
+        # the largest entry is scaled to 2^exponent, so eps ||A|| never
+        # falls below the normal range
+        p, q, r = np.asarray(entries) / max(max(abs(e) for e in entries), 1e-300)
+        assert_matches_lapack(np.ldexp(two_by_two(p, q, r), exponent)[None])
+
+    def test_large_random_stacks(self):
+        rng = np.random.default_rng(23)
+        for scale in (1e-290, 1.0, 1e290):
+            half = rng.standard_normal((20_000, 2, 2))
+            assert_matches_lapack(scale * (half + np.swapaxes(half, 1, 2)))
+            rows = rng.standard_normal((20_000, 8, 2)) * [1.0, 1e-3]
+            assert_matches_lapack(scale * (np.swapaxes(rows, 1, 2) @ rows))
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_non_finite_entries_are_invalid(self, vectors, bad, where):
+        mats = np.stack([np.eye(2), np.eye(2)])
+        mats[1][where] = mats[1][where[::-1]] = bad
+        with pytest.raises(InvalidMatrix):
+            linalg.sym_eig_batch(mats, vectors=vectors)
 
 
 class TestPsdProject:

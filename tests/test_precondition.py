@@ -338,6 +338,39 @@ class TestMappedStatistics:
         assert reads == []
         assert clips == []
 
+    def test_a_skip_reuses_its_views_eigenvalues(self, monkeypatch):
+        # a skip leaves the view unchanged, so the next eigenvalue estimate
+        # reads the subsample eigenvalues the first one decomposed; the map
+        # and ledger are those of decomposing the stack twice
+        x = samples((1.0, 0.3, 0.003), 0)
+        sym_eig_batch = linalg.sym_eig_batch
+
+        def scan():
+            stacks = []
+
+            def spy(mats, vectors=True):
+                if len(mats) > 1 and not vectors:
+                    stacks.append(mats.shape)
+                return sym_eig_batch(mats, vectors)
+
+            monkeypatch.setattr(linalg, "sym_eig_batch", spy)
+            acc = Accountant()
+            trace = precondition(x, BUDGET, BETA, RandomSource(0, acc).child("precondition"))
+            assert [step.kind for step in trace.steps] == ["skip", "fine"]
+            return trace.final_map, acc.entries, stacks
+
+        cached_map, cached_ledger, cached = scan()
+        monkeypatch.setattr(
+            linalg.MappedRows,
+            "subsample_eigenvalues",
+            lambda view, t, m: linalg.sym_eig_batch(view.gram_stack(t, m) / m, vectors=False)[0],
+        )
+        fresh_map, fresh_ledger, fresh = scan()
+        assert len(cached) == 1
+        assert fresh == cached * 2
+        assert np.array_equal(cached_map, fresh_map)
+        assert cached_ledger == fresh_ledger
+
     @pytest.mark.parametrize(
         "spectrum, reads",
         [((1.0, 1e-6), [True]), ((1.0, 1e-3, 1e-7), [True]), ((1.0, 0.3, 0.003), [])],
@@ -355,6 +388,26 @@ class TestMappedStatistics:
         precondition(samples(spectrum, seed), BUDGET, BETA, RandomSource(seed).child("precondition"))
         assert got == reads
         assert clips == []
+
+
+class TestTwoByTwoEigensystems:
+    def test_floor_d2_shaped_scan_never_calls_lapack_on_2x2(self, monkeypatch):
+        # the coarse step's subsample stack, the eigenvalue estimates and the
+        # single matrices of the maps and checks all take the 2 x 2 rotation
+        lapack = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+        def guard(name):
+            def call(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (2, 2):
+                    raise AssertionError(f"np.linalg.{name} called on a 2 x 2 matrix")
+                return lapack[name](a, *args, **kwargs)
+
+            return call
+
+        for name in lapack:
+            monkeypatch.setattr(np.linalg, name, guard(name))
+        trace = precondition(samples((1.0, 1e-6), 0), BUDGET, BETA, RandomSource(0).child("precondition"))
+        assert [step.kind for step in trace.steps] == ["coarse"]
 
 
 class TestCoarseStep:

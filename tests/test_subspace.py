@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import recover_subspace_reference
 from privgauss import eigenvalues, linalg, precondition, subspace
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
-from privgauss.errors import InsufficientSamples, InvalidArgument
+from privgauss.errors import InsufficientSamples, InvalidArgument, PrivGaussError
 from privgauss.subspace import (
     feasible_psi,
     n_min,
@@ -258,6 +259,20 @@ class TestLayoutContract:
         subspace_params(n, d, k, 0.01, psi, per_call, beta_i)
         with pytest.raises(InsufficientSamples):
             subspace_params(n - 1, d, k, 0.01, psi, per_call, beta_i)
+
+    def test_tiny_psi_is_bisected_or_rejected(self):
+        # the coarse step's share at d = 2 on the composed estimator's budget;
+        # near m = 1e25 rows per subsample _psi_floor is flat in floats over
+        # long runs of m, and beyond float range m t q cannot be converted
+        budget, beta = PrivacyBudget(0.125, 1.25e-7), 0.025
+        t = subspace.subsample_count(2, 1, budget, beta)
+        start = time.process_time()
+        n = n_min(2, 1, 1e-13, budget, beta)
+        assert time.process_time() - start < 1.0
+        assert subspace._fits(n // t, 2, 1, 1e-13, t)
+        assert not subspace._fits(n // t - 1, 2, 1, 1e-13, t)
+        with pytest.raises(PrivGaussError):
+            n_min(2, 1, 1e-200, budget, beta)
 
     def test_exact_boundary_psi(self):
         # here m = 10 rows per subsample, and re-deriving the rows that this
