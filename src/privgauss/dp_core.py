@@ -12,6 +12,7 @@ label.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -185,8 +186,14 @@ def _share(total, calls):
     return share
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def plan_shares(budget: PrivacyBudget, calls) -> SharePlan:
-    """The one way a budget is split among ``calls`` subroutine calls."""
+    """The one way a budget is split among ``calls`` subroutine calls.
+
+    A pure function of a frozen budget and a count, so it is memoized: one
+    estimate asks for the same few splits dozens of times, and each runs
+    ``_share``'s exact-fraction loop.  Both the key and the returned plan
+    are immutable, so every caller may share one plan."""
     if calls < 1:
         raise InvalidArgument("need at least one call")
     return SharePlan(PrivacyBudget(_share(budget.epsilon, calls), _share(budget.delta, calls)))

@@ -1,12 +1,13 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
-Everything here is deterministic and privacy-free: batched
-eigendecomposition (one closed-form rotation per 2 x 2 matrix, LAPACK's
-``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness check
-(``positive_spectrum``), spectral projectors, the PSD-cone projection, and
-the whitened (relative) error norms that score estimates against a
-positive-definite truth.  Matrices are plain float64 ``numpy`` arrays;
-construction helpers symmetrize and validate.
+Everything here is deterministic and privacy-free: the subsample Gram
+stack (one BLAS dot per subsample and column pair, independent of the
+rows' base address), batched eigendecomposition (one closed-form rotation
+per 2 x 2 matrix, LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one
+positive-definiteness check (``positive_spectrum``), spectral projectors,
+the PSD-cone projection, and the whitened (relative) error norms that score
+estimates against a positive-definite truth.  Matrices are plain float64
+``numpy`` arrays; construction helpers symmetrize and validate.
 """
 
 from __future__ import annotations
@@ -174,30 +175,32 @@ def gram_stack(x, t, m):
     InvalidArgument unless t, m >= 1 and t * m <= n.
 
     One pass reads the rows in whole subsamples, about BLOCK_ROWS at a time
-    (one subsample when m exceeds it).  Each column product is formed in a
-    preallocated buffer and summed per subsample, and the diagonal products
-    are summed in order into the rows' ``sq_norms``.  Rows past t * m enter
-    only the maximum.
+    (one subsample when m exceeds it), as an (s, m, d) view.  Entry (i, j)
+    of each subsample is one BLAS dot product of its columns i and j
+    (``np.vecdot``), strided by d, so no product buffer is formed.  It
+    rounds in BLAS's summation order, within about 1e-15 of the subsample's
+    largest entry from a pairwise sum of the column products.  The result
+    is deterministic and does not depend on the rows' base address; above
+    10,000 rows per subsample OpenBLAS splits a dot across threads, so
+    there, as in any BLAS product, it can depend on the thread count.  The
+    maximum is ``sq_norms(block).max()`` per block, exactly the row norms
+    the clip decision compares; rows past t * m enter only the maximum.
     """
     n, d = x.shape
     if t < 1 or m < 1 or t * m > n:
         raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
-    per_pass = max(1, BLOCK_ROWS // m)  # whole subsamples per buffer
-    prod, norms = np.empty(per_pass * m), np.empty(per_pass * m)
+    per_pass = max(1, BLOCK_ROWS // m)  # whole subsamples per block
     stack = np.empty((t, d, d))
     top = 0.0
     for lo in range(0, t, per_pass):
         hi = min(lo + per_pass, t)
         block = x[lo * m : hi * m]
-        p, q = prod[: len(block)], norms[: len(block)]
+        sub = block.reshape(hi - lo, m, d)
         for i in range(d):
             for j in range(i, d):
-                out = q if i == j == 0 else p
-                np.multiply(block[:, i], block[:, j], out=out)
-                stack[lo:hi, i, j] = stack[lo:hi, j, i] = np.add.reduce(out.reshape(hi - lo, m), axis=1)
-                if i == j > 0:
-                    q += p
-        top = max(top, float(q.max()))
+                np.vecdot(sub[:, :, i], sub[:, :, j], out=stack[lo:hi, i, j])
+                stack[lo:hi, j, i] = stack[lo:hi, i, j]
+        top = max(top, float(sq_norms(block).max()))
     for start in range(t * m, n, BLOCK_ROWS):
         top = max(top, float(sq_norms(x[start : start + BLOCK_ROWS]).max()))
     return stack, top

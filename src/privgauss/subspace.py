@@ -17,11 +17,13 @@ accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
 ``n_min`` alone validates the arguments and decides whether n rows fit.
 
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
-bases, a (t, d, k) view of the subsamples' (t, d, d) eigenvectors; one
-(t, d) buffer of projected points, filled, truncated and summed in place for
-each reference point in turn; each reference point's (t,) vector of
-distances, its ``linalg.sq_norms``; and the (d, q) sums, one column per
-reference point.
+bases, copied once from the subsamples' (t, d, d) eigenvectors into a
+coordinate-major (k, d, t) array, after which the eigenvectors are freed; one
+(d, t) buffer of projected points, one contiguous row per coordinate, filled,
+truncated and summed in place for each reference point in turn; two (t,)
+scratch vectors for the projection, one of which then holds the distances
+(``linalg.sq_norms``) and truncation scales; and the (d, q) sums, one column
+per reference point.  Every pass over the t subsamples reads contiguous rows.
 """
 
 from __future__ import annotations
@@ -188,31 +190,44 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
 
     refs = sample_reference_points(q, d, rng)
 
-    bases = linalg.sym_eig_batch(rows.gram_stack(t, m))[1][:, :, :k]  # (t, d, k)
+    # basis[l, c, j]: coordinate c of subsample j's l-th eigenvector; the
+    # copy is the only reference kept, so the eigenvectors are freed here
+    basis = np.ascontiguousarray(linalg.sym_eig_batch(rows.gram_stack(t, m))[1][:, :, :k].transpose(2, 1, 0))
 
-    points = np.empty((t, d))
+    points = np.empty((d, t))
+    coord, term = np.empty(t), np.empty(t)
     sums_matrix = np.empty((d, q))
     for i in range(q):
-        # p_i^j = Pi_j p_i for every subsample j, one reference point at a time
-        np.einsum("tk,tdk->td", np.einsum("tdk,d->tk", bases, refs[i]), bases, out=points)
-        result = ball_finder.find_center(points, params.r, per_call, beta / q, rng.child("center", i))
+        # p_i^j = Pi_j p_i = sum_l <b_l^j, p_i> b_l^j for every subsample j,
+        # one reference point at a time, each sum taken in index order
+        for l in range(k):
+            np.multiply(basis[l, 0], refs[i, 0], out=coord)
+            for c in range(1, d):
+                coord += np.multiply(basis[l, c], refs[i, c], out=term)
+            for c in range(d):
+                if l == 0:
+                    np.multiply(coord, basis[l, c], out=points[c])
+                else:
+                    points[c] += np.multiply(coord, basis[l, c], out=term)
+        result = ball_finder.find_center(points.T, params.r, per_call, beta / q, rng.child("center", i))
         # truncate each point to the ball of radius trunc_radius about the
-        # center, in place; dist ends as each point's scale min(1, R / dist)
-        points -= result.center
-        dist = linalg.sq_norms(points)
-        np.sqrt(dist, out=dist)
-        np.maximum(dist, 1e-300, out=dist)
-        np.divide(params.trunc_radius, dist, out=dist)
-        np.minimum(1.0, dist, out=dist)
-        points *= dist[:, None]
-        points += result.center
+        # center, in place; the coord buffer takes each point's distance and
+        # ends as its scale min(1, R / dist)
+        center = result.center[:, None]
+        points -= center
+        scale = np.sqrt(linalg.sq_norms(points.T), out=coord)
+        np.maximum(scale, 1e-300, out=scale)
+        np.divide(params.trunc_radius, scale, out=scale)
+        np.minimum(1.0, scale, out=scale)
+        points *= scale
+        points += center
         # the last Gaussian release outside gaussian_mechanism, charged by
         # hand: params.sigma is sized for the mean of the t truncated points,
         # not for this sum, so routing it through gaussian_mechanism would
         # change the noise (ROADMAP item 1)
         sum_rng = rng.child("sum", i)
         sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
-        sums_matrix[:, i] = points.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
+        sums_matrix[:, i] = points.sum(axis=1) + sum_rng.normal(scale=params.sigma, size=d)
 
     gram = sums_matrix @ sums_matrix.T
     spec = linalg.sym_eig(gram)

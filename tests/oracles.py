@@ -103,11 +103,12 @@ def find_center_reference(points, r_opt, budget, beta, rng):
 
 
 def recover_subspace_reference(x, k, gamma, psi, budget, beta, rng):
-    """Allocating form of ``subspace.recover_subspace``: the (t, q, k)
-    coordinates of every reference point at once, then fresh arrays for each
-    reference point's projected, shifted and truncated points, and
-    ``find_center_reference`` for the centers.  The buffered loop must match
-    it bit for bit, ledger included."""
+    """Allocating form of ``subspace.recover_subspace``: the (k, q, t)
+    coordinates of every reference point at once, then fresh (d, t) arrays
+    for each reference point's projected, shifted and truncated points, and
+    ``find_center_reference`` for the centers.  Every sum is taken in the
+    loop's order (coordinates, then basis vectors, in index order), so the
+    buffered loop must match it bit for bit, ledger included."""
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
     params = subspace.subspace_params(n, d, k, gamma, psi, budget, beta)
@@ -117,20 +118,26 @@ def recover_subspace_reference(x, k, gamma, psi, budget, beta, rng):
     refs = subspace.sample_reference_points(q, d, rng)
 
     _, vecs = linalg.sym_eig_batch(rows.gram_stack(t, m))
-    bases = vecs[:, :, :k]
-    coords = np.einsum("tdk,qd->tqk", bases, refs)
+    basis = vecs[:, :, :k].transpose(2, 1, 0)  # (k, d, t)
+    coords = basis[:, None, 0, :] * refs[None, :, 0, None]
+    for c in range(1, d):
+        coords = coords + basis[:, None, c, :] * refs[None, :, c, None]
 
     sums_matrix = np.empty((d, q))
     for i in range(q):
-        points = np.einsum("tk,tdk->td", coords[:, i, :], bases)
-        result = find_center_reference(points, params.r, per_call, beta / q, rng.child("center", i))
-        delta_vec = points - result.center
-        dist = np.linalg.norm(delta_vec, axis=1)
+        points = coords[0, i] * basis[0]
+        for l in range(1, k):
+            points = points + coords[l, i] * basis[l]
+        result = find_center_reference(points.T, params.r, per_call, beta / q, rng.child("center", i))
+        delta = points - result.center[:, None]
+        dist = np.linalg.norm(delta, axis=0)
         scale = np.minimum(1.0, params.trunc_radius / np.maximum(dist, 1e-300))
-        truncated = result.center + delta_vec * scale[:, None]
+        truncated = result.center[:, None] + delta * scale
         sum_rng = rng.child("sum", i)
         sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
-        sums_matrix[:, i] = truncated.sum(axis=0) + sum_rng.normal(scale=params.sigma, size=d)
+        # broadcasting may lay ``truncated`` out column-major; the loop sums
+        # each coordinate's contiguous row, pairwise
+        sums_matrix[:, i] = np.ascontiguousarray(truncated).sum(axis=1) + sum_rng.normal(scale=params.sigma, size=d)
 
     spec = linalg.sym_eig(sums_matrix @ sums_matrix.T)
     return linalg.top_k_projector(spec, k)

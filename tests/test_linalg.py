@@ -541,6 +541,26 @@ class TestGramStack:
         assert np.abs(stack - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(stack, stack.transpose(0, 2, 1))
 
+    # floor-d2's coarse layout (shortened), fine-d3's eigenvalue layout, a
+    # subsample longer than a block, and d = 1, where the dot is unit-stride
+    @pytest.mark.parametrize("t, m, d", [(2_000, 8, 2), (300, 186, 3), (2, B + 3, 4), (50, 40, 1)])
+    def test_rounding_does_not_depend_on_the_rows_address(self, t, m, d):
+        # the benchmark requires two estimates at one seed to agree bit for
+        # bit, and each reads freshly allocated rows: the stack and maximum
+        # must not change with the rows' offset from a 64-byte boundary
+        rng = np.random.default_rng(t + m + d)
+        x = rng.normal(size=(t * m + 5, d)) * np.geomspace(0.01, 30.0, d)
+        raw = np.empty(x.size + 16)
+        aligned = (-raw.ctypes.data % 64) // raw.itemsize
+        results = []
+        for offset in range(8):
+            rows = raw[aligned + offset : aligned + offset + x.size].reshape(x.shape)
+            rows[...] = x
+            results.append(linalg.gram_stack(rows, t, m))
+        for stack, top in results[1:]:
+            assert np.array_equal(stack, results[0][0])
+            assert top == results[0][1]
+
     @pytest.mark.parametrize("t, m", [(0, 5), (5, 0), (-1, 5), (4, 26), (101, 1)])
     def test_layout_that_does_not_fit_raises(self, t, m):
         with pytest.raises(InvalidArgument):
