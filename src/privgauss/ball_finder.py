@@ -48,7 +48,7 @@ def n_min(dim, budget: PrivacyBudget, beta):
     if not 0.0 < beta < 1.0:
         raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     shape = N_MIN_SCALE * math.sqrt(dim) * math.log(dim / (budget.delta * beta)) / budget.epsilon
-    return max(int(math.ceil(shape)), release_floor(budget, dim))
+    return max(int(math.ceil(shape)), release_floor(plan_shares(budget, dim).per_call))
 
 
 def find_center(points, r_opt, budget, beta, rng: RandomSource):

@@ -280,11 +280,12 @@ def stable_release_threshold(budget: PrivacyBudget):
     return 1.0 + 2.0 * math.log(2.0 / budget.delta) / budget.epsilon
 
 
-def release_floor(budget: PrivacyBudget, histograms):
-    """Points each of ``histograms`` equal-share histograms needs so that a
-    dataset split over two adjacent buckets still clears the release
-    threshold with margin: four times the per-call threshold, rounded up."""
-    return math.ceil(4.0 * stable_release_threshold(plan_shares(budget, histograms).per_call))
+def release_floor(per_histogram: PrivacyBudget):
+    """Points a histogram released at ``per_histogram``, the share its
+    caller already split off, needs so that a dataset split over two
+    adjacent buckets still clears the release threshold with margin: four
+    times the threshold, rounded up."""
+    return math.ceil(4.0 * stable_release_threshold(per_histogram))
 
 
 def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):

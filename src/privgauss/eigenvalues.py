@@ -53,7 +53,7 @@ def subsample_count(d, budget: PrivacyBudget, beta):
     per_index = plan_shares(budget, d).per_call
     log_term = math.log(d / (budget.delta * beta))
     t_accuracy = math.ceil(C1 * log_term / per_index.epsilon)
-    return max(t_accuracy, release_floor(budget, d), 8)
+    return max(t_accuracy, release_floor(per_index), 8)
 
 
 def min_samples(d, budget, beta):
@@ -85,7 +85,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     floor = min_samples(d, budget, beta)
     if n < floor:
         raise InsufficientSamples(f"need n >= {floor} for d={d} at this budget, got {n}")
-    t = subsample_count(d, budget, beta)
+    t = floor // (linalg.MIN_ROWS_PER_DIM * d)  # the floor is t * MIN_ROWS_PER_DIM * d
     m = n // t
     per_index = plan_shares(budget, d).per_call
 

@@ -1,13 +1,14 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
 Everything here is deterministic and privacy-free: the subsample Gram
-stack (one BLAS dot per subsample and column pair, independent of the
-rows' base address), batched eigendecomposition (one closed-form rotation
-per 2 x 2 matrix, LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one
-positive-definiteness check (``positive_spectrum``), spectral projectors,
-the PSD-cone projection, and the whitened (relative) error norms that score
-estimates against a positive-definite truth.  Matrices are plain float64
-``numpy`` arrays; construction helpers symmetrize and validate.
+stack (BLAS dots of at most DOT_TERMS terms per subsample and column pair,
+independent of the rows' base address and of the BLAS thread count),
+batched eigendecomposition (one closed-form rotation per 2 x 2 matrix,
+LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness
+check (``positive_spectrum``), spectral projectors, the PSD-cone projection,
+and the whitened (relative) error norms that score estimates against a
+positive-definite truth.  Matrices are plain float64 ``numpy`` arrays;
+construction helpers symmetrize and validate.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ BLOCK_ROWS = 1 << 14
 # Rows per block of the subsample layout never drop below this many times d.
 MIN_ROWS_PER_DIM = 4
 
+# Terms per BLAS dot in gram_stack; OpenBLAS threads a dot only above 10,000.
+DOT_TERMS = 1 << 13
+
 
 def gram_stack(x, t, m):
     """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
@@ -176,15 +180,16 @@ def gram_stack(x, t, m):
 
     One pass reads the rows in whole subsamples, about BLOCK_ROWS at a time
     (one subsample when m exceeds it), as an (s, m, d) view.  Entry (i, j)
-    of each subsample is one BLAS dot product of its columns i and j
-    (``np.vecdot``), strided by d, so no product buffer is formed.  It
+    of each subsample is the BLAS dot product of its columns i and j
+    (``np.vecdot``), strided by d, so no product buffer is formed; above
+    DOT_TERMS rows per subsample it is the in-order sum of one dot per
+    DOT_TERMS rows, each too short for BLAS to split across threads.  It
     rounds in BLAS's summation order, within about 1e-15 of the subsample's
     largest entry from a pairwise sum of the column products.  The result
-    is deterministic and does not depend on the rows' base address; above
-    10,000 rows per subsample OpenBLAS splits a dot across threads, so
-    there, as in any BLAS product, it can depend on the thread count.  The
-    maximum is ``sq_norms(block).max()`` per block, exactly the row norms
-    the clip decision compares; rows past t * m enter only the maximum.
+    is deterministic and depends neither on the rows' base address nor on
+    the BLAS thread count.  The maximum is ``sq_norms(block).max()`` per
+    block, exactly the row norms the clip decision compares; rows past
+    t * m enter only the maximum.
     """
     n, d = x.shape
     if t < 1 or m < 1 or t * m > n:
@@ -198,8 +203,11 @@ def gram_stack(x, t, m):
         sub = block.reshape(hi - lo, m, d)
         for i in range(d):
             for j in range(i, d):
-                np.vecdot(sub[:, :, i], sub[:, :, j], out=stack[lo:hi, i, j])
-                stack[lo:hi, j, i] = stack[lo:hi, i, j]
+                entry = stack[lo:hi, i, j]
+                np.vecdot(sub[:, :DOT_TERMS, i], sub[:, :DOT_TERMS, j], out=entry)
+                for c in range(DOT_TERMS, m, DOT_TERMS):
+                    entry += np.vecdot(sub[:, c : c + DOT_TERMS, i], sub[:, c : c + DOT_TERMS, j])
+                stack[lo:hi, j, i] = entry
         top = max(top, float(sq_norms(block).max()))
     for start in range(t * m, n, BLOCK_ROWS):
         top = max(top, float(sq_norms(x[start : start + BLOCK_ROWS]).max()))

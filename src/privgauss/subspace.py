@@ -14,16 +14,17 @@ psi is the claimed accuracy, not a knob: it gates the subsample layout
 (m rows per subsample must support it) and enters no computation, so the
 radius, truncation and noise scale are the same at every psi the layout
 accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
-``n_min`` alone validates the arguments and decides whether n rows fit.
+``_layout`` alone validates the arguments and decides whether n rows fit.
 
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
 bases, copied once from the subsamples' (t, d, d) eigenvectors into a
 coordinate-major (k, d, t) array, after which the eigenvectors are freed; one
 (d, t) buffer of projected points, one contiguous row per coordinate, filled,
-truncated and summed in place for each reference point in turn; two (t,)
-scratch vectors for the projection, one of which then holds the distances
-(``linalg.sq_norms``) and truncation scales; and the (d, q) sums, one column
-per reference point.  Every pass over the t subsamples reads contiguous rows.
+truncated and summed in place for each reference point in turn (at k >= 2
+each further basis vector's share passes through one (d, t) temporary); two
+(t,) scratch vectors for the projection coordinate, one of which then holds
+the distances (``linalg.sq_norms``) and truncation scales; and the (d, q)
+sums, one column per reference point.  Every pass over the t subsamples reads contiguous rows.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ class SubspaceParams:
     sigma: float
 
 
-def _validate(d, k, psi, beta):
-    if not 1 <= k <= d - 1:
-        raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
-    if not 0.0 < psi < 1.0:
-        raise InvalidArgument(f"psi must lie in (0, 1), got {psi}")
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
-
-
 def _phase_budgets(budget: PrivacyBudget, q):
     """(phase, per_call): the centers phase and the sums phase each get
     ``phase``, half the budget, and each phase makes q calls at ``per_call``,
@@ -101,64 +93,66 @@ def _psi_floor(m, d, k, t):
     return math.sqrt(M_MIN_SCALE * d * math.log(math.e * d * k) / (m * t * q))
 
 
-def _fits(m, d, k, psi, t):
-    """n_min's search predicate: t subsamples of m rows support psi."""
-    return m >= linalg.MIN_ROWS_PER_DIM * d and psi >= _psi_floor(m, d, k, t)
+def _layout(d, k, psi, budget, beta):
+    """(t, m): the subsample count and the least rows per subsample that
+    support psi, the one layout n_min, feasible_psi and subspace_params
+    compare n with, after validating the arguments; n rows fit exactly
+    when n // t >= m.
 
-
-def n_min(d, k, psi, budget, beta):
-    """Smallest n recover_subspace accepts at accuracy psi, the one gate
-    feasible_psi and subspace_params compare n with.
-
-    It is t times the least fitting m >= MIN_ROWS_PER_DIM * d, found by
-    bisection: ``_fits`` is non-decreasing in m (m t q is an exact integer,
-    and the division and the sqrt round monotonically), so ``_fits(n // t)``
-    holds exactly when n >= n_min.  m t q must convert to a float, which
-    bounds m; a psi that no such m supports raises InvalidArgument."""
-    _validate(d, k, psi, beta)
+    m is at least MIN_ROWS_PER_DIM * d.  ``_psi_floor`` is non-increasing
+    in m (m t q is an exact integer, and the division and the sqrt round
+    monotonically), so one search finds the least m with psi >=
+    ``_psi_floor(m)``: m doubles from the least until it fits, then
+    bisects.  m t q must convert to a float, which bounds m; a psi that no
+    such m supports raises InvalidArgument."""
+    if not 1 <= k <= d - 1:
+        raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
+    if not 0.0 < psi < 1.0:
+        raise InvalidArgument(f"psi must lie in (0, 1), got {psi}")
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     t = subsample_count(d, k, budget, beta)
-    # _fits(lo) is false and _fits(hi) true throughout
-    least = linalg.MIN_ROWS_PER_DIM * d
-    lo, hi = least - 1, int(sys.float_info.max) // (t * REFS_PER_RANK * k)
-    if not _fits(hi, d, k, psi, t):
-        raise InvalidArgument(f"psi={psi} needs more than {float(hi):.3g} rows per subsample")
-    # _psi_floor falls as 1/sqrt(m), so this closed form lands within a row
-    # of the least fitting m, except where _psi_floor is flat in floats
-    ratio = _psi_floor(1, d, k, t) / psi
-    if ratio * ratio < hi:
-        guess = max(least, math.ceil(ratio * ratio))
-        if guess - 2 > lo and not _fits(guess - 2, d, k, psi, t):
-            lo = guess - 2
-        if guess + 2 < hi and _fits(guess + 2, d, k, psi, t):
-            hi = guess + 2
+    cap = int(sys.float_info.max) // (t * REFS_PER_RANK * k)
+    # lo does not fit, and hi does once the doubling stops
+    hi = linalg.MIN_ROWS_PER_DIM * d
+    lo = hi - 1
+    while psi < _psi_floor(hi, d, k, t):
+        if hi == cap:
+            raise InvalidArgument(f"psi={psi} needs more than {float(cap):.3g} rows per subsample")
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _fits(mid, d, k, psi, t):
+        if psi >= _psi_floor(mid, d, k, t):
             hi = mid
         else:
             lo = mid
-    return t * hi
+    return t, hi
+
+
+def n_min(d, k, psi, budget, beta):
+    """Smallest n recover_subspace accepts at accuracy psi: t times the
+    least rows per subsample of ``_layout``."""
+    t, m = _layout(d, k, psi, budget, beta)
+    return t * m
 
 
 def feasible_psi(n, d, k, budget, beta):
     """Smallest psi the given n supports;
     raises below n_min at MAX_PSI, the any-accuracy floor."""
-    floor = n_min(d, k, MAX_PSI, budget, beta)
-    if n < floor:
-        raise InsufficientSamples(f"need n >= {floor} for any accuracy, got {n}")
-    t = subsample_count(d, k, budget, beta)
+    t, m = _layout(d, k, MAX_PSI, budget, beta)
+    if n // t < m:
+        raise InsufficientSamples(f"need n >= {t * m} for any accuracy, got {n}")
     return _psi_floor(n // t, d, k, t)
 
 
 def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
     if not 0.0 < gamma <= 1.0:
         raise InvalidArgument(f"gamma must lie in (0, 1], got {gamma}")
-    floor = n_min(d, k, psi, budget, beta)
-    if n < floor:
-        raise InsufficientSamples(f"need n >= {floor} at psi={psi}, got {n}")
-    q = REFS_PER_RANK * k
-    t = subsample_count(d, k, budget, beta)
+    t, least = _layout(d, k, psi, budget, beta)
     m = n // t
+    if m < least:
+        raise InsufficientSamples(f"need n >= {t * least} at psi={psi}, got {n}")
+    q = REFS_PER_RANK * k
     r = R_SCALE * gamma * math.sqrt(d) * (math.sqrt(k) + math.sqrt(math.log(k * t))) / math.sqrt(m)
     trunc = TRUNC_SCALE * r * math.sqrt(math.log(t))
     phase, _ = _phase_budgets(budget, q)
@@ -204,11 +198,10 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
             np.multiply(basis[l, 0], refs[i, 0], out=coord)
             for c in range(1, d):
                 coord += np.multiply(basis[l, c], refs[i, c], out=term)
-            for c in range(d):
-                if l == 0:
-                    np.multiply(coord, basis[l, c], out=points[c])
-                else:
-                    points[c] += np.multiply(coord, basis[l, c], out=term)
+            if l == 0:
+                np.multiply(basis[0], coord, out=points)
+            else:
+                points += basis[l] * coord
         result = ball_finder.find_center(points.T, params.r, per_call, beta / q, rng.child("center", i))
         # truncate each point to the ball of radius trunc_radius about the
         # center, in place; the coord buffer takes each point's distance and

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -560,6 +564,25 @@ class TestGramStack:
         for stack, top in results[1:]:
             assert np.array_equal(stack, results[0][0])
             assert top == results[0][1]
+
+    def test_stack_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot of more than 10,000 terms across threads; the
+        # thread count is fixed when NumPy loads, so each count gets its own
+        # process, and both must build the same stack bit for bit
+        script = (
+            "import hashlib, numpy as np; from privgauss import linalg\n"
+            "for m in (10_001, 20_000):\n"
+            "    x = np.random.default_rng(m).normal(size=(2 * m, 3)) * np.geomspace(0.01, 30.0, 3)\n"
+            "    print(hashlib.sha256(linalg.gram_stack(x, 2, m)[0].tobytes()).hexdigest())\n"
+        )
+        src = str(pathlib.Path(linalg.__file__).resolve().parents[1])
+        hashes = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            hashes.append(run.stdout.split())
+        assert len(hashes[0]) == 2
+        assert hashes[0] == hashes[1]
 
     @pytest.mark.parametrize("t, m", [(0, 5), (5, 0), (-1, 5), (4, 26), (101, 1)])
     def test_layout_that_does_not_fit_raises(self, t, m):

@@ -271,10 +271,27 @@ class TestLayoutContract:
         start = time.process_time()
         n = n_min(2, 1, 1e-13, budget, beta)
         assert time.process_time() - start < 1.0
-        assert subspace._fits(n // t, 2, 1, 1e-13, t)
-        assert not subspace._fits(n // t - 1, 2, 1, 1e-13, t)
+        assert 1e-13 >= subspace._psi_floor(n // t, 2, 1, t)
+        assert not 1e-13 >= subspace._psi_floor(n // t - 1, 2, 1, t)
         with pytest.raises(PrivGaussError):
             n_min(2, 1, 1e-200, budget, beta)
+
+    def test_one_subsample_count_per_layout_call(self, monkeypatch):
+        # feasible_psi and subspace_params at floor-d2's coarse layout, as
+        # the scan calls them: each derives t once, in _layout
+        budget = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(2)).per_call
+        d, k, beta = 2, 1, 0.025
+        n = 8 * subspace.subsample_count(d, k, budget, beta)
+        count, calls = subspace.subsample_count, []
+
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(subspace, "subsample_count", counted)
+        psi = feasible_psi(n, d, k, budget, beta)
+        subspace_params(n, d, k, 0.01, psi, budget, beta)
+        assert len(calls) == 2
 
     def test_exact_boundary_psi(self):
         # here m = 10 rows per subsample, and re-deriving the rows that this
@@ -286,6 +303,6 @@ class TestLayoutContract:
         psi = feasible_psi(n, d, k, per_call, 0.1 / d)
         params = subspace_params(n, d, k, 0.01, psi, per_call, 0.1 / d)
         assert params.m == n // params.t == 10
-        # n sits on the rounding edge: the closed form overshoots m
+        # n sits on the rounding edge: a closed form for m would overshoot it
         assert (subspace._psi_floor(1, d, k, params.t) / psi) ** 2 > params.m
         assert n_min(d, k, psi, per_call, 0.1 / d) == params.t * params.m
