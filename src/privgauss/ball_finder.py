@@ -45,10 +45,16 @@ def n_min(dim, budget: PrivacyBudget, beta):
     Combines the sqrt(D) polylog / eps shape with a floor that lets an
     entirely clustered dataset clear the per-coordinate release threshold.
     """
+    return _n_min(dim, budget, plan_shares(budget, dim).per_call, beta)
+
+
+def _n_min(dim, budget, per_coord, beta):
+    """``n_min`` given ``per_coord``, the budget's split over the dim
+    coordinate histograms."""
     if not 0.0 < beta < 1.0:
         raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     shape = N_MIN_SCALE * math.sqrt(dim) * math.log(dim / (budget.delta * beta)) / budget.epsilon
-    return max(int(math.ceil(shape)), release_floor(plan_shares(budget, dim).per_call))
+    return max(int(math.ceil(shape)), release_floor(per_coord))
 
 
 def find_center(points, r_opt, budget, beta, rng: RandomSource):
@@ -61,11 +67,11 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource):
     if not (math.isfinite(r_opt) and r_opt > 0.0):
         raise InvalidArgument(f"r_opt must be positive, got {r_opt}")
     n, dim = pts.shape
-    needed = n_min(dim, budget, beta)
+    per_coord = plan_shares(budget, dim).per_call
+    needed = _n_min(dim, budget, per_coord, beta)
     if n < needed:
         raise InsufficientSamples(f"need at least {needed} points for D={dim}, got {n}")
 
-    per_coord = plan_shares(budget, dim).per_call
     # Shared random bin offset (public randomness): makes the released
     # center distribution shift exactly with the data.
     offsets = rng.child("offset").uniform(0.0, r_opt, size=dim)

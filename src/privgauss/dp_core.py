@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,6 +50,22 @@ def _hash_label(label):
     )
 
 
+# Words in SeedSequence's entropy pool; a spawned sequence's run entropy is
+# padded with zero words to this length before its spawn key's words.
+_POOL_WORDS = np.random.SeedSequence(0).pool_size
+
+
+def _int_words(n):
+    """A non-negative int as little-endian 32-bit words, [0] for 0: the
+    words SeedSequence reads an int's entropy as."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 class RandomSource:
     """A seeded, hierarchically splittable random stream and its run's ledger.
 
@@ -59,6 +76,16 @@ class RandomSource:
     with "/" (the root's is "").  A root stream owns ``ledger``, the
     Accountant passed in or a fresh one, and every child shares its
     parent's; mechanisms ``charge`` their releases to it under ``name``.
+
+    A stream's generator is PCG64 seeded by
+    ``SeedSequence(entropy=seed, spawn_key=key)``, where the key is two
+    32-bit words of a hash of each label on the path.  It is built from one
+    uint32 array: the words SeedSequence assembles from that pair (the
+    seed's words, padded with zeros to the pool size when the key is not
+    empty, then the key's words), passed as the entropy.  The pool, and so
+    every draw, is the same.  SeedSequence coerces a spawn key one word at
+    a time, even one given as an array, which costs twice the rest of the
+    construction; an entropy array it copies whole.
     """
 
     def __init__(self, seed, ledger=None, _spawn_key=(), _path=()):
@@ -100,7 +127,10 @@ class RandomSource:
     @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self._spawn_key)
+            words = _int_words(self.seed)
+            if self._spawn_key:
+                words += [0] * (_POOL_WORDS - len(words)) + list(self._spawn_key)
+            seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
             self._generator = np.random.Generator(np.random.PCG64(seq))
         return self._generator
 
@@ -229,7 +259,8 @@ def gue_mechanism(matrix, sensitivity, budget, rng: RandomSource):
 class BucketScheme:
     """Geometric buckets [ratio^k, ratio^{k+1}) over (0, inf), keyed by the
     int k, plus the distinguished zero bucket [0, 0] keyed by ZERO; negative
-    values are rejected.  ZERO sorts below every other key."""
+    values are rejected.  ZERO sorts below every other key.  The edge
+    ratio^k is the Python float power (``_edge``), +inf where it overflows."""
 
     ratio: float
 
@@ -239,33 +270,64 @@ class BucketScheme:
         if self.ratio <= 1.0:
             raise InvalidArgument("geometric scheme needs ratio > 1")
 
+    def _edge(self, key):
+        """ratio^key as a Python float power (NumPy's array power rounds
+        differently and would move values on an edge); +inf past the float
+        range, where the power raises OverflowError."""
+        try:
+            return self.ratio ** key
+        except OverflowError:
+            return math.inf
+
     def keys(self, values):
         """int64 bucket key of each value: ZERO for 0, otherwise the k with
-        value in [ratio^k, ratio^{k+1})."""
-        v = np.asarray(values, dtype=np.float64)
+        value in [ratio^k, ratio^{k+1}).
+
+        While the edges near x are normal floats, the estimate
+        k = floor(ln x / ln ratio) is within one of the key, so the key is
+        k - 1 + [x >= ratio^k] + [x >= ratio^{k+1}].  Subnormal edges round
+        to multiples of the smallest subnormal s, so several keys can share
+        one edge and the key can lie further above k.  An edge is at most x
+        exactly when ratio^j <= x + s / 2, so where an edge the comparisons
+        read is subnormal the estimate is taken at x + s / 2, and the same
+        two comparisons finish it; for a normal x, s / 2 is far below x's
+        own rounding and moves no estimate."""
+        v = np.asarray(values, dtype=np.float64).ravel()
         if v.size and not np.all(np.isfinite(v)):
             raise InvalidArgument("histogram values must be finite")
         if v.size and np.any(v < 0.0):
             raise InvalidArgument("geometric scheme covers [0, inf) only")
-        pos = np.flatnonzero(v > 0.0)
+        pos = v > 0.0
         out = np.full(v.size, self.ZERO, dtype=np.int64)
-        if pos.size:
-            x = v[pos]
-            k = np.floor(np.log(x) / math.log(self.ratio))
-            # the log estimate is off by at most one key near an edge, so
-            # each exact key is found among the edges of keys k - 1 .. k + 1,
-            # computed with the same Python power as bounds() (NumPy's array
-            # power rounds differently and would move values on an edge)
-            low = int(k.min()) - 1
-            edges = np.array([self.ratio ** key for key in range(low, int(k.max()) + 2)])
-            out[pos] = low - 1 + np.searchsorted(edges, x, side="right")
+        x = v[pos]
+        if x.size:
+            ln_x = np.log(x)
+            k = self._estimate(ln_x)
+            low = int(k.min())
+            if self._edge(low - 1) < sys.float_info.min:
+                # s / (2 x), scaled in two steps so that neither overflows
+                ln_x += np.log1p((2.0**-60 / x) * 2.0**-1015)
+                k = self._estimate(ln_x)
+                low = int(k.min())
+            edges = np.array([self._edge(key) for key in range(low, int(k.max()) + 2)])
+            at = k - low  # index of each value's ratio^k in edges
+            k -= 1
+            k += x >= edges[at]
+            at += 1
+            k += x >= edges[at]
+            out[pos] = k
         return out
+
+    def _estimate(self, ln_x):
+        """floor(ln_x / ln ratio) as int64."""
+        q = ln_x / math.log(self.ratio)
+        return np.floor(q, out=q).astype(np.int64)
 
     def bounds(self, key):
         key = int(key)
         if key == self.ZERO:
             return 0.0, 0.0
-        return self.ratio ** key, self.ratio ** (key + 1)
+        return self._edge(key), self._edge(key + 1)
 
 
 def bucket_counts(keys):

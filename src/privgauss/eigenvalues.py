@@ -45,20 +45,29 @@ class EigenvalueEstimate:
     subsample_count: int
 
 
-def subsample_count(d, budget: PrivacyBudget, beta):
-    """Number of subsamples t: enough for the per-index histograms to
-    release reliably at their budget share."""
+def _layout(d, budget: PrivacyBudget, beta):
+    """(per_index, t, floor): the budget's split over the d per-index
+    histograms, the subsample count, and ``min_samples``, t subsamples of
+    m = linalg.MIN_ROWS_PER_DIM * d rows."""
     if not 0.0 < beta < 1.0:
         raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
     per_index = plan_shares(budget, d).per_call
     log_term = math.log(d / (budget.delta * beta))
     t_accuracy = math.ceil(C1 * log_term / per_index.epsilon)
-    return max(t_accuracy, release_floor(per_index), 8)
+    t = max(t_accuracy, release_floor(per_index), 8)
+    return per_index, t, t * linalg.MIN_ROWS_PER_DIM * d
+
+
+def subsample_count(d, budget: PrivacyBudget, beta):
+    """Number of subsamples t: enough for the per-index histograms to
+    release reliably at their budget share."""
+    return _layout(d, budget, beta)[1]
 
 
 def min_samples(d, budget, beta):
     """Smallest n estimate_eigenvalues accepts, the one gate it compares n
-    with: t subsamples of m = linalg.MIN_ROWS_PER_DIM * d rows.
+    with (both read it from ``_layout``): t subsamples of
+    m = linalg.MIN_ROWS_PER_DIM * d rows.
 
     It promises the layout only, not a release.  With so few rows per
     subsample each eigenvalue spreads over too many buckets for one to
@@ -66,7 +75,7 @@ def min_samples(d, budget, beta):
     BottomReleased was raised in 17 of 18 cases (d = 2..4, three budgets,
     beta 0.05 and 0.1).
     """
-    return subsample_count(d, budget, beta) * linalg.MIN_ROWS_PER_DIM * d
+    return _layout(d, budget, beta)[2]
 
 
 def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
@@ -82,12 +91,10 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
-    floor = min_samples(d, budget, beta)
+    per_index, t, floor = _layout(d, budget, beta)
     if n < floor:
         raise InsufficientSamples(f"need n >= {floor} for d={d} at this budget, got {n}")
-    t = floor // (linalg.MIN_ROWS_PER_DIM * d)  # the floor is t * MIN_ROWS_PER_DIM * d
     m = n // t
-    per_index = plan_shares(budget, d).per_call
 
     vals = np.maximum(rows.subsample_eigenvalues(t, m), 0.0)
     top = vals[:, :1]

@@ -2,7 +2,9 @@
 
 Everything here is deterministic and privacy-free: the subsample Gram
 stack (BLAS dots of at most DOT_TERMS terms per subsample and column pair,
-independent of the rows' base address and of the BLAS thread count),
+independent of the rows' base address and of the BLAS thread count, with
+the rows' largest squared norm fused into the first stack of a row array
+and read from ``MappedRows``'s cache by every later one),
 batched eigendecomposition (one closed-form rotation per 2 x 2 matrix,
 LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness
 check (``positive_spectrum``), spectral projectors, the PSD-cone projection,
@@ -171,11 +173,12 @@ MIN_ROWS_PER_DIM = 4
 DOT_TERMS = 1 << 13
 
 
-def gram_stack(x, t, m):
+def gram_stack(x, t, m, norms=True):
     """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
     consecutive rows of the (n, d) float64 array ``x``, as a (t, d, d)
-    stack, and the largest ``sq_norms`` value over all n rows.  This is
-    the subsample layout of eigenvalue estimation and subspace recovery;
+    stack, and the largest ``sq_norms`` value over all n rows, or None when
+    ``norms`` is false and the caller already holds it.  This is the
+    subsample layout of eigenvalue estimation and subspace recovery;
     InvalidArgument unless t, m >= 1 and t * m <= n.
 
     One pass reads the rows in whole subsamples, about BLOCK_ROWS at a time
@@ -188,15 +191,16 @@ def gram_stack(x, t, m):
     largest entry from a pairwise sum of the column products.  The result
     is deterministic and depends neither on the rows' base address nor on
     the BLAS thread count.  The maximum is ``sq_norms(block).max()`` per
-    block, exactly the row norms the clip decision compares; rows past
-    t * m enter only the maximum.
+    block, exactly the row norms the clip decision compares, fused into the
+    same pass; rows past t * m enter only the maximum, and with ``norms``
+    false no row's norm is computed.
     """
     n, d = x.shape
     if t < 1 or m < 1 or t * m > n:
         raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
     per_pass = max(1, BLOCK_ROWS // m)  # whole subsamples per block
     stack = np.empty((t, d, d))
-    top = 0.0
+    top = 0.0 if norms else None
     for lo in range(0, t, per_pass):
         hi = min(lo + per_pass, t)
         block = x[lo * m : hi * m]
@@ -208,9 +212,11 @@ def gram_stack(x, t, m):
                 for c in range(DOT_TERMS, m, DOT_TERMS):
                     entry += np.vecdot(sub[:, c : c + DOT_TERMS, i], sub[:, c : c + DOT_TERMS, j])
                 stack[lo:hi, j, i] = entry
-        top = max(top, float(sq_norms(block).max()))
-    for start in range(t * m, n, BLOCK_ROWS):
-        top = max(top, float(sq_norms(x[start : start + BLOCK_ROWS]).max()))
+        if norms:
+            top = max(top, float(sq_norms(block).max()))
+    if norms:
+        for start in range(t * m, n, BLOCK_ROWS):
+            top = max(top, float(sq_norms(x[start : start + BLOCK_ROWS]).max()))
     return stack, top
 
 
@@ -220,7 +226,9 @@ class _RowStats:
 
     stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)[0]
     moment: np.ndarray | None = None  # X^T X over all rows
-    max_sq_norm: float | None = None  # largest squared norm of a raw row
+    # largest squared norm of a raw row: from the first raw stack's pass, or
+    # from the identity view's blocks when it is asked for before any stack
+    max_sq_norm: float | None = None
 
 
 def _frozen(a):
@@ -246,12 +254,15 @@ class MappedRows:
     gives about 1e-15.
 
     Row norms are not quadratic statistics of the raw rows.  The raw rows'
-    largest squared norm comes with the first raw stack (see ``gram_stack``)
-    and is cached with it, so the identity view reads its rows once; a
-    mapped view forms its rows BLOCK_ROWS at a time in ``blocks`` and reads
-    ``max_sq_norm`` from those blocks once per view.  Eigenvalues are not
-    quadratic either: ``subsample_eigenvalues`` decomposes the mapped stack
-    once per view and layout.
+    largest squared norm is computed once per row array: in the pass of the
+    first raw stack (see ``gram_stack``), or, when the identity view's
+    ``max_sq_norm`` is asked for before any stack, over its blocks.  Every
+    later raw stack reads it from the cache and computes no norm, so the
+    identity view's rows are swept for norms once, whatever the order of
+    layouts and requests.  A mapped view forms its rows BLOCK_ROWS at a
+    time in ``blocks`` and reads ``max_sq_norm`` from those blocks once per
+    view.  Eigenvalues are not quadratic either: ``subsample_eigenvalues``
+    decomposes the mapped stack once per view and layout.
     """
 
     def __init__(self, x, a=None, stats=None):
@@ -287,12 +298,15 @@ class MappedRows:
 
     def gram_stack(self, t, m):
         """``gram_stack`` of the mapped rows; the raw stack is computed once
-        per layout."""
-        stacks = self._stats.stacks
-        if (t, m) not in stacks:
-            stack, self._stats.max_sq_norm = gram_stack(self.x, t, m)
-            stacks[(t, m)] = _frozen(stack)
-        return self._map(stacks[(t, m)])
+        per layout, and fuses the raw rows' norm maximum only while it is
+        not yet cached."""
+        stats = self._stats
+        if (t, m) not in stats.stacks:
+            stack, top = gram_stack(self.x, t, m, norms=stats.max_sq_norm is None)
+            if top is not None:
+                stats.max_sq_norm = top
+            stats.stacks[(t, m)] = _frozen(stack)
+        return self._map(stats.stacks[(t, m)])
 
     def subsample_eigenvalues(self, t, m):
         """Eigenvalues of the subsample second moments ``gram_stack(t, m) /
@@ -328,14 +342,16 @@ class MappedRows:
 
     def max_sq_norm(self):
         """Largest ``sq_norms`` value of a mapped row (0.0 for no rows),
-        exactly as it is computed over ``blocks``.  Unmapped, it is the
-        value the first raw stack cached; else one pass, made once per
-        view."""
+        exactly as it is computed over ``blocks``.  Unmapped, it is the raw
+        rows' cached value, computed here over the blocks and cached when no
+        raw stack has been; else one pass, made once per view."""
         if self._max_sq_norm is None:
             if self.a is None and self._stats.max_sq_norm is not None:
                 self._max_sq_norm = self._stats.max_sq_norm
             else:
                 self._max_sq_norm = max((float(sq_norms(b).max()) for b in self.blocks()), default=0.0)
+                if self.a is None:
+                    self._stats.max_sq_norm = self._max_sq_norm
         return self._max_sq_norm
 
 

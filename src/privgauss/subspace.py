@@ -62,6 +62,7 @@ class SubspaceParams:
     r: float
     trunc_radius: float
     sigma: float
+    per_call: PrivacyBudget  # budget of each of the 2q releases (_phase_budgets)
 
 
 def _phase_budgets(budget: PrivacyBudget, q):
@@ -155,9 +156,9 @@ def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
     q = REFS_PER_RANK * k
     r = R_SCALE * gamma * math.sqrt(d) * (math.sqrt(k) + math.sqrt(math.log(k * t))) / math.sqrt(m)
     trunc = TRUNC_SCALE * r * math.sqrt(math.log(t))
-    phase, _ = _phase_budgets(budget, q)
+    phase, per_call = _phase_budgets(budget, q)
     sigma = 4.0 * trunc * math.sqrt(q) * math.log(q / phase.delta) / (phase.epsilon * t)
-    return SubspaceParams(t=t, m=m, q=q, r=r, trunc_radius=trunc, sigma=sigma)
+    return SubspaceParams(t=t, m=m, q=q, r=r, trunc_radius=trunc, sigma=sigma, per_call=per_call)
 
 
 def sample_reference_points(q, d, rng: RandomSource):
@@ -179,8 +180,7 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
     params = subspace_params(n, d, k, gamma, psi, budget, beta)
-    t, m, q = params.t, params.m, params.q
-    _, per_call = _phase_budgets(budget, q)
+    t, m, q, per_call = params.t, params.m, params.q, params.per_call
 
     refs = sample_reference_points(q, d, rng)
 

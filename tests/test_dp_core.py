@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,14 @@ GEOMETRIC = BucketScheme(2.0 ** 0.25)
 ZERO = BucketScheme.ZERO
 
 
+def power_edge(ratio, k):
+    """ratio ** k as a Python float power, +inf where it overflows."""
+    try:
+        return ratio**k
+    except OverflowError:
+        return math.inf
+
+
 def loop_geometric_keys(ratio, values):
     """Reference: the per-value loop the vectorized geometric keys replace."""
     out = []
@@ -42,12 +52,18 @@ def loop_geometric_keys(ratio, values):
             out.append(ZERO)
             continue
         k = math.floor(math.log(x) / ln_ratio)
-        while ratio ** (k + 1) <= x:
+        while power_edge(ratio, k + 1) <= x:
             k += 1
-        while ratio ** k > x:
+        while power_edge(ratio, k) > x:
             k -= 1
         out.append(k)
     return out
+
+
+def label_words(label):
+    """The two 32-bit spawn-key words a stream label hashes to."""
+    digest = hashlib.blake2b(repr(label).encode("utf-8"), digest_size=8).digest()
+    return [int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:], "little")]
 
 
 def gate_rows():
@@ -97,6 +113,27 @@ class TestRandomSource:
         assert rng.path == ("x", 0, "hist", 1)
         assert rng.name == "x/0/hist/1"
         assert RandomSource(5).name == ""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_streams_are_numpys_spawned_sequences(self, seed):
+        # a stream seeds its generator from one uint32 array; its draws must
+        # be those of the SeedSequence NumPy builds from the seed and the
+        # path's key words, so a change in how NumPy assembles or coerces
+        # the entropy fails here
+        paths = np.random.default_rng(seed % 2**32)
+        for _ in range(60):
+            path = tuple(
+                str(paths.integers(0, 10**6)) if paths.random() < 0.5 else int(paths.integers(-(2**40), 2**40))
+                for _ in range(paths.integers(0, 11))
+            )
+            key = [word for label in path for word in label_words(label)]
+            want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))))
+            stream = RandomSource(seed).child(*path)
+            got = stream.generator
+            assert got.integers(0, 2**64, size=4, dtype=np.uint64).tolist() == want.integers(
+                0, 2**64, size=4, dtype=np.uint64
+            ).tolist()
+            assert np.array_equal(stream.standard_normal(3), want.standard_normal(3))
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
@@ -315,12 +352,35 @@ class TestStableHistogram:
         span = range(math.ceil(-300.0 / math.log10(ratio)), math.floor(300.0 / math.log10(ratio)))
         edges = np.array([ratio ** k for k in span])
         subnormal = np.array([5e-324, 1e-323, 2e-323, 3e-322, 1e-320, 1e-310, 2.2e-308])
+        # finite values whose upper edge overflows
+        huge = np.array([1e308, sys.float_info.max])
         values = np.concatenate(
-            [random, edges, np.nextafter(edges, 0.0), [0.0], subnormal, np.nextafter(subnormal, 1.0)]
+            [
+                random,
+                edges,
+                np.nextafter(edges, 0.0),
+                np.nextafter(edges, np.inf),
+                [0.0],
+                subnormal,
+                np.nextafter(subnormal, 1.0),
+                huge,
+            ]
         )
-        got = BucketScheme(ratio).keys(values)
+        scheme = BucketScheme(ratio)
+        got = scheme.keys(values)
         assert got.dtype == np.int64
         assert got.tolist() == loop_geometric_keys(ratio, values)
+        # one value at a time, so that no other value widens the edges read
+        alone = [*subnormal, *np.nextafter(subnormal, 1.0), *huge]
+        assert [scheme.keys([v])[0] for v in alone] == loop_geometric_keys(ratio, alone)
+
+    @pytest.mark.parametrize("ratio, value", [(2.0, 1e308), (10.0, 1e308), (2.0**0.25, sys.float_info.max)])
+    def test_an_overflowing_edge_is_infinite(self, ratio, value):
+        scheme = BucketScheme(ratio)
+        [key] = scheme.keys([value]).tolist()
+        assert key == loop_geometric_keys(ratio, [value])[0]
+        lo, hi = scheme.bounds(key)
+        assert lo <= value < hi == math.inf
 
 
 class TestHeaviest:
@@ -423,6 +483,47 @@ class TestCompose:
         for b in reversed(budgets):
             acc2.charge("x", b, "gaussian", 1.0)
         assert acc1.total() == acc2.total()
+
+
+class TestOneSplitPerCall:
+    """Each stage splits its budget once per call and passes the shares on."""
+
+    WIDE = PrivacyBudget(10.0, 1e-6)
+
+    @staticmethod
+    def counted_splits(monkeypatch):
+        calls = []
+
+        def spy(budget, count):
+            calls.append((budget, count))
+            return plan_shares(budget, count)
+
+        for module in (ball_finder, eigenvalues, subspace):
+            monkeypatch.setattr(module, "plan_shares", spy)
+        return calls
+
+    def test_find_center(self, monkeypatch):
+        splits = self.counted_splits(monkeypatch)
+        ball_finder.find_center(np.tile([2.5, -1.0, 7.0], (100, 1)), 1.0, self.WIDE, 0.1, RandomSource(0))
+        assert splits == [(self.WIDE, 3)]
+
+    def test_estimate_eigenvalues(self, monkeypatch):
+        x = np.random.default_rng(0).normal(size=(50 * eigenvalues.min_samples(3, self.WIDE, 0.1), 3))
+        splits = self.counted_splits(monkeypatch)
+        eigenvalues.estimate_eigenvalues(x, self.WIDE, 0.1, RandomSource(0))
+        assert splits == [(self.WIDE, 3)]
+
+    def test_recover_subspace(self, monkeypatch):
+        # beyond subspace_params's, the only splits are each find_center's
+        d, k, gamma, psi, beta = 3, 1, 1e-2, 0.5, 0.05
+        n = subspace.n_min(d, k, psi, self.WIDE, beta)
+        x = np.random.default_rng(0).normal(size=(n, d)) * [1.0, 1e-4, 1e-4]
+        splits = self.counted_splits(monkeypatch)
+        params = subspace.subspace_params(n, d, k, gamma, psi, self.WIDE, beta)
+        for_params = list(splits)
+        splits.clear()
+        subspace.recover_subspace(x, k, gamma, psi, self.WIDE, beta, RandomSource(0))
+        assert splits == for_params + [(params.per_call, d)] * params.q
 
 
 class TestPlanShares:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import subprocess
@@ -450,7 +451,9 @@ class TestMappedRows:
     def test_mapped_views_share_one_cache_and_compose(self, monkeypatch):
         calls = []
         original = linalg.gram_stack
-        monkeypatch.setattr(linalg, "gram_stack", lambda x, t, m: calls.append((t, m)) or original(x, t, m))
+        monkeypatch.setattr(
+            linalg, "gram_stack", lambda x, t, m, norms=True: calls.append((t, m)) or original(x, t, m, norms)
+        )
         rng = np.random.default_rng(2)
         x = rng.normal(size=(300, 3))
         a, b = random_spd(rng, 3, 0.5, 2.0), random_spd(rng, 3, 0.5, 2.0)
@@ -475,6 +478,42 @@ class TestMappedRows:
         y = x @ a
         want = linalg.sq_norms(y).max()
         assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["max", (40, 12), (7, 60), (100, 5)])))
+    def test_one_norm_sweep_over_the_rows_in_any_order(self, monkeypatch, order):
+        # the raw rows' squared norms are computed once, in the first stack's
+        # pass or in the identity view's blocks, whichever comes first; later
+        # layouts read the cached maximum and compute no norm
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2 * linalg.BLOCK_ROWS + 7, 3))
+        x[-1] *= 10.0  # the largest row lies past every layout's rows
+        want = linalg.sq_norms(x).max()
+        stacks = {step: linalg.gram_stack(x, *step)[0] for step in order if step != "max"}
+        swept = []
+        sq_norms = linalg.sq_norms
+
+        def spy(block):
+            if np.may_share_memory(block, x):
+                swept.append(len(block))
+            return sq_norms(block)
+
+        monkeypatch.setattr(linalg, "sq_norms", spy)
+        view = linalg.MappedRows.of(x)
+        for step in order:
+            if step == "max":
+                assert view.max_sq_norm() == want
+            else:
+                assert np.array_equal(view.gram_stack(*step), stacks[step])
+        assert view.max_sq_norm() == linalg.MappedRows.of(x).max_sq_norm() == want
+        assert sum(swept) == 2 * len(x)  # this view's one sweep, and the fresh view's
+
+    def test_without_norms_no_norm_is_computed(self, monkeypatch):
+        x = np.random.default_rng(7).normal(size=(300, 2))
+        stack, top = linalg.gram_stack(x, 30, 9)
+        monkeypatch.setattr(linalg, "sq_norms", lambda block: pytest.fail("a norm was computed"))
+        bare, none = linalg.gram_stack(x, 30, 9, norms=False)
+        assert none is None
+        assert np.array_equal(bare, stack)
 
     def test_of_validates_rows_and_keeps_views(self):
         view = linalg.MappedRows.of(np.ones((4, 2), dtype=np.int64))

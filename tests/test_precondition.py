@@ -2,6 +2,7 @@ import math
 import re
 import traceback
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,7 +326,9 @@ class TestMappedStatistics:
     def test_one_gram_pass_per_layout_and_no_clip_pass(self, monkeypatch):
         layouts = []
         gram_stack = linalg.gram_stack
-        monkeypatch.setattr(linalg, "gram_stack", lambda x, t, m: layouts.append((t, m)) or gram_stack(x, t, m))
+        monkeypatch.setattr(
+            linalg, "gram_stack", lambda x, t, m, norms=True: layouts.append((t, m)) or gram_stack(x, t, m, norms)
+        )
         reads = []
         blocks = linalg.MappedRows.blocks
         monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: reads.append(view.a) or blocks(view))
@@ -337,6 +340,38 @@ class TestMappedStatistics:
         assert len(layouts) == 1
         assert reads == []
         assert clips == []
+
+    def test_one_raw_norm_sweep_on_the_floor_d2_draw(self, monkeypatch):
+        # the benchmark's floor-d2 draw at its floor, preconditioned as the
+        # composed estimator does: the pair differences take three raw
+        # layouts (the eigenvalue estimate, the coarse step's subspace and
+        # the post-coarse probe's eigenvalue estimate), and only the first
+        # pass computes row norms
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        w = workloads.WORKLOADS["floor-d2"]
+        raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+        y = raw[1::2] - raw[0::2]
+        layouts, swept = [], []
+        gram_stack, sq_norms = linalg.gram_stack, linalg.sq_norms
+
+        def stacked(x, t, m, **norms):
+            if x is y:
+                layouts.append((t, m))
+            return gram_stack(x, t, m, **norms)
+
+        def normed(block):
+            if np.may_share_memory(block, y):
+                swept.append(len(block))
+            return sq_norms(block)
+
+        monkeypatch.setattr(linalg, "gram_stack", stacked)
+        monkeypatch.setattr(linalg, "sq_norms", normed)
+        trace = precondition(y, workloads.HALF, workloads.HALF_BETA, RandomSource(0).child("precondition"))
+        assert [step.kind for step in trace.steps] == ["coarse"]
+        assert len(set(layouts)) == len(layouts) == 3
+        assert sum(swept) == len(y)
 
     def test_a_skip_reuses_its_views_eigenvalues(self, monkeypatch):
         # a skip leaves the view unchanged, so the next eigenvalue estimate
