@@ -4,7 +4,9 @@ Everything here is deterministic and privacy-free: the subsample Gram
 stack (BLAS dots of at most DOT_TERMS terms per subsample and column pair,
 independent of the rows' base address and of the BLAS thread count, with
 the rows' largest squared norm fused into the first stack of a row array
-and read from ``MappedRows``'s cache by every later one),
+and read from ``MappedRows``'s cache by every later one), the certificate
+that bounds every mapped row's squared norm from a cached stack
+(``sq_norm_bounds``, so a mapped view's rows are read only when it fails),
 batched eigendecomposition (one closed-form rotation per 2 x 2 matrix,
 LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness
 check (``positive_spectrum``), spectral projectors, the PSD-cone projection,
@@ -15,6 +17,7 @@ construction helpers symmetrize and validate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +223,113 @@ def gram_stack(x, t, m, norms=True):
     return stack, top
 
 
+# Range of ``sq_norm_bounds``: subsamples of at most CERT_MAX_ROWS rows in at
+# most MAX_DIM dimensions, and traces and map scales of at least CERT_FLOOR.
+CERT_MAX_ROWS = DOT_TERMS * DOT_TERMS
+CERT_FLOOR = 2.0**-500
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u = 2^-53: the relative error bound of k
+    successive roundings (Higham, Accuracy and Stability, 3.1)."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def _cert_eta():
+    """The least power of two at least twice the margin that the proof in
+    ``sq_norm_bounds`` needs at the largest roundings it covers: K roundings
+    per Gram entry at m = CERT_MAX_ROWS, and d = MAX_DIM."""
+    u, d = 2.0**-53, MAX_DIM
+    k = DOT_TERMS + CERT_MAX_ROWS // DOT_TERMS - 1
+    clip = _gamma(d) + (1.0 + _gamma(d)) * (2.0 * _gamma(d) + _gamma(d) ** 2)
+    lost = _gamma(k) + (1.0 + _gamma(k)) * _gamma(d + 1) + _gamma(d * d) * (1.0 + _gamma(k)) * (1.0 + _gamma(d + 1))
+    kept = (1.0 - _gamma(2 * d)) * (1.0 - _gamma(k)) * (1.0 - u - _gamma(d * d) * (1.0 + u))
+    return 2.0 ** math.ceil(math.log2(2.0 * (clip + lost) / kept))
+
+
+CERT_ETA = _cert_eta()  # 2^-35, about 2.9e-11
+
+
+def sq_norm_bounds(stack, m, tail, a):
+    """Upper bounds on the squared norms ``sq_norms(block @ a)`` that the
+    clip test computes for raw rows, from their Gram statistics: one bound
+    per subsample of ``stack``, the raw (t, d, d) ``gram_stack`` of m-row
+    subsamples, then one per row of ``tail``, the raw rows past t * m.
+    None where the proof below does not hold: m > CERT_MAX_ROWS,
+    d > MAX_DIM, or ||a||_F^2 or a group's trace below CERT_FLOOR, or a
+    bound or trace that is not finite.
+
+    A group's bound is <G^, w> = tr(a^T G^ a) + eta ||a||_F^2 tr(G^), with
+    G^ its computed Gram matrix (a tail row's is its outer product),
+    w = a a^T + eta ||a||_F^2 I and eta = CERT_ETA: a (2, d^2) @
+    (d^2, groups) product, whose second row is tr(G^).  Reading ``tail``
+    is the only pass over rows.
+
+    Soundness.  A row x_r of a group with exact Gram matrix G has
+    ||x_r a||^2 <= Q = tr(a^T G a), since G - x_r^T x_r is PSD.  Write
+    u = 2^-53, gamma_k = k u / (1 - k u), T = tr(G), A = ||a||_F^2 and |.|
+    for entrywise absolute values; the rows' sum of
+    (|x_r|^T |x_r|)_ik (|a| |a|^T)_ik over i, k is sum_r || |x_r| |a| ||^2,
+    at most T A.  Without underflow:
+
+    * G^: each entry is at most K = min(m, DOT_TERMS) + ceil(m / DOT_TERMS)
+      - 1 roundings from exact (BLAS dots, in any order and with or without
+      FMA, then the in-order sum of the chunks; K = 1 for an outer product),
+      so |G^ - G| <= gamma_K |X|^T |X| and tr(G^) >= (1 - gamma_K) T, and
+      <G^, a a^T> >= Q - gamma_K T A;
+    * forming w: fl(a a^T) is within gamma_d |a| |a|^T, its trace s is at
+      least (1 - gamma_2d) A, eta s is exact (eta is a power of two), and
+      adding it to the diagonal rounds once, so w = a a^T + E + eta s D
+      with |E| <= gamma_{d+1} |a| |a|^T and D diagonal within u of I;
+    * applying w: the d^2-term dot is within gamma_{d^2} sum |G^| |w|.
+
+    So the computed bound is at least Q + T A (eta (1 - gamma_2d)(1 -
+    gamma_K)(1 - u - gamma_{d^2} (1 + u)) - gamma_K - (1 + gamma_K)
+    gamma_{d+1} - gamma_{d^2} (1 + gamma_K)(1 + gamma_{d+1})).  On the
+    clip test's side, each entry of fl(x_r a) is within
+    gamma_d (|x_r| |a|)_l, so its norm is within gamma_d ||x_r|| sqrt(A) of
+    ||x_r a||, and ``sq_norms`` adds at most a factor 1 + gamma_d; with
+    ||x_r||^2 <= T the computed value is at most Q + e T A,
+    e = gamma_d + (1 + gamma_d)(2 gamma_d + gamma_d^2).  CERT_ETA is twice
+    the eta at which the first margin reaches e, at m = CERT_MAX_ROWS
+    (K = 16,383) and d = MAX_DIM, rounded up to a power of two: 2^-35
+    where 9.2e-12 suffices.  The surplus, at least 9.2e-12 T A, covers
+    underflow: with T and s at least CERT_FLOOR = 2^-500, every product
+    that underflows loses at most 2^-1075, less than 2^-57 T A in all.
+    Overflow leaves an inf or NaN, which returns None.  So every row's
+    clip-test value is at most its group's bound, whatever BLAS kernel
+    forms ``block @ a``.
+    """
+    t, d, _ = stack.shape
+    if m > CERT_MAX_ROWS or d > MAX_DIM:
+        return None
+    # w and I, one row each
+    cols = np.zeros((2, d, d))
+    w = cols[0]
+    np.matmul(a, np.transpose(a), out=w)
+    s = np.trace(w)
+    if not s >= CERT_FLOOR:
+        return None
+    w.flat[:: d + 1] += CERT_ETA * s
+    cols[1].flat[:: d + 1] = 1.0
+    cols = cols.reshape(2, d * d)
+    # the tail rows' outer products, one row per entry (i, j)
+    n = len(tail)
+    outer = np.empty((d * d, n))
+    groups = np.empty((2, t + n))  # bounds, then traces
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            for j in range(d):
+                np.multiply(tail[:, i], tail[:, j], out=outer[i * d + j])
+        np.matmul(cols, stack.reshape(t, d * d).T, out=groups[:, :t])
+        np.matmul(cols, outer, out=groups[:, t:])
+    bounds, traces = groups
+    if not (np.isfinite(groups).all() and traces.min() >= CERT_FLOOR):
+        return None
+    return bounds
+
+
 @dataclass
 class _RowStats:
     """Statistics of one raw row array, each computed on first use."""
@@ -259,9 +369,11 @@ class MappedRows:
     ``max_sq_norm`` is asked for before any stack, over its blocks.  Every
     later raw stack reads it from the cache and computes no norm, so the
     identity view's rows are swept for norms once, whatever the order of
-    layouts and requests.  A mapped view forms its rows BLOCK_ROWS at a
-    time in ``blocks`` and reads ``max_sq_norm`` from those blocks once per
-    view.  Eigenvalues are not quadratic either: ``subsample_eigenvalues``
+    layouts and requests.  A mapped view's rows are read only when its
+    ``sq_norm_bound``, computed from the finest cached raw stack and the
+    rows past it, cannot settle the clip decision: ``max_sq_norm`` then
+    forms them BLOCK_ROWS at a time in ``blocks``, once per view.
+    Eigenvalues are not quadratic either: ``subsample_eigenvalues``
     decomposes the mapped stack once per view and layout.
     """
 
@@ -291,9 +403,16 @@ class MappedRows:
         return MappedRows(self.x, b if self.a is None else self.a @ b, self._stats)
 
     def _map(self, s):
+        """a^T S a of a symmetric matrix or (t, d, d) stack S, symmetrized,
+        as two (t d, d) @ (d, d) BLAS products: the rows of S a, then those
+        of (S a)^T = a^T S times a.  Each entry sums the products that
+        a^T (S a) sums for its transpose; one batched ``np.matmul`` per
+        factor took about twice as long at t = 5,369, d = 2."""
         if self.a is None:
             return s
-        out = np.matmul(self.a.T, np.matmul(s, self.a))
+        d = self.a.shape[0]
+        right = (s.reshape(-1, d) @ self.a).reshape(-1, d, d)
+        out = (right.swapaxes(-1, -2).reshape(-1, d) @ self.a).reshape(s.shape)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def gram_stack(self, t, m):
@@ -339,6 +458,22 @@ class MappedRows:
         for start in range(0, self.x.shape[0], BLOCK_ROWS):
             block = self.x[start : start + BLOCK_ROWS]
             yield block if self.a is None else block @ self.a
+
+    def sq_norm_bound(self):
+        """An upper bound on every mapped row's ``sq_norms`` value as
+        ``blocks`` computes it, or inf when the view has none at hand.
+        Unmapped, or once this view's ``max_sq_norm`` is known, it is that
+        exact maximum.  Else it is the largest of ``sq_norm_bounds`` over
+        the finest cached raw layout (the most subsamples) and the rows past
+        it: no other row is read, and nothing is cached."""
+        if self.a is None or self._max_sq_norm is not None:
+            return self.max_sq_norm()
+        stacks = self._stats.stacks
+        if not stacks:
+            return math.inf
+        t, m = max(stacks, key=lambda layout: layout[0])
+        bounds = sq_norm_bounds(stacks[(t, m)], m, self.x[t * m :], self.a)
+        return math.inf if bounds is None else float(bounds.max())
 
     def max_sq_norm(self):
         """Largest ``sq_norms`` value of a mapped row (0.0 for no rows),

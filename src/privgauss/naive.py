@@ -6,9 +6,10 @@ calibrated to the clipped sensitivity, and the result is projected onto the
 PSD cone.  Used standalone on preconditioned data and as the probe inside
 the fine preconditioner, where the rows are a ``linalg.MappedRows`` view:
 the statistic is mapped, not the rows.  The clip is decided on the view's
-mapped row norms, ``linalg.sq_norms`` of each row: a mapped view's are read
-block by block from ``MappedRows.blocks``, and the raw rows' largest comes
-with their first Gram stack.
+mapped row norms, ``linalg.sq_norms`` of each row.  The raw rows' largest
+comes with their first Gram stack.  A mapped view's are bounded from its
+cached Gram stacks (``MappedRows.sq_norm_bound``), and read block by block
+from ``MappedRows.blocks`` only when that bound exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -97,11 +98,16 @@ def naive_estimate(
     or to ``accountant`` when one is given.
 
     Privacy: a row is kept iff its mapped squared norm is at most the clip
-    threshold.  The view's ``max_sq_norm`` is the largest ``linalg.sq_norms``
-    value of the very rows the clip test of ``clipped_second_moment`` reads:
-    a mapped view's over the same blocks, the raw rows' cached by their
-    first Gram stack, and a row's value never depends on its block.  So
-    "no row is clipped" is decided exactly: when it holds, the
+    threshold.  "No row is clipped" is first tried on the view's
+    ``sq_norm_bound``: unmapped, the raw rows' exact maximum, cached by
+    their first Gram stack; mapped, a bound from the finest cached Gram
+    stack that ``linalg.sq_norm_bounds`` proves is at least every row's
+    value in the clip test, whatever its rounding, and that reads only the
+    rows past that stack's layout.  If the bound is above the threshold,
+    the view's ``max_sq_norm`` decides exactly: it is the largest
+    ``linalg.sq_norms`` value of the very rows the clip test of
+    ``clipped_second_moment`` reads, a mapped view's over the same blocks.
+    When either holds, the exact test would keep every row, so the
     statistic is the view's cached second moment a^T (X^T X) a / n, and
     otherwise the clip test runs.  Either way the released statistic is the
     mean of the kept mapped rows' outer products up to summation order (see
@@ -130,8 +136,9 @@ def naive_estimate(
         return np.zeros((d, d))
 
     config = naive_config(n, d, kappa2, noise_budget, beta)
-    if rows.max_sq_norm() <= config.clip_threshold:
+    threshold = config.clip_threshold
+    if rows.sq_norm_bound() <= threshold or rows.max_sq_norm() <= threshold:
         moment = rows.moment() / n
     else:
-        moment, _ = clipped_second_moment(rows.x, config.clip_threshold, rows.a)
+        moment, _ = clipped_second_moment(rows.x, threshold, rows.a)
     return linalg.psd_project(gue_mechanism(moment, config.sensitivity, noise_budget, rng.child("noise")))

@@ -26,7 +26,9 @@ the rows, so the scan holds one ``linalg.MappedRows`` view of the raw rows:
 each is computed once from them and mapped as A^T (statistic) A at every
 later step.  The clip test's row norms are not quadratic: the raw rows'
 largest comes with their first Gram stack, in the same pass, and a mapped
-view's are read block by block once per map.
+view's are bounded from the finest cached raw stack and the rows past its
+layout; the view's rows are read block by block, once per map, only when
+that bound does not settle the clip.
 """
 
 from __future__ import annotations

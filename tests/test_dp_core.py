@@ -108,6 +108,15 @@ class TestRandomSource:
         b = RandomSource(5).child("x").child("y").standard_normal(8)
         np.testing.assert_array_equal(a, b)
 
+    def test_labels_that_compare_equal_give_different_streams(self):
+        # 1, True and 1.0 compare equal but print differently, so the
+        # memoized label hash must keep them apart, as the unmemoized one did
+        labels = [1, True, 1.0, "1"]
+        keys = [RandomSource(0).child(label)._spawn_key for label in labels]
+        assert keys == [tuple(label_words(label)) for label in labels]
+        assert len(set(keys)) == 4
+        assert len({RandomSource(0).child(label).standard_normal() for label in labels}) == 4
+
     def test_path_and_name(self):
         rng = RandomSource(5).child("x", 0).child("hist", 1)
         assert rng.path == ("x", 0, "hist", 1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -17,6 +18,7 @@ from privgauss.errors import (
     InvalidArgument,
     InvalidMatrix,
 )
+from privgauss.precondition import coarse_map
 
 
 def random_symmetric(rng, d, scale=10.0):
@@ -638,3 +640,110 @@ class TestGramStack:
         finally:
             tracemalloc.stop()
         assert peak < stack.nbytes + x.nbytes / 8
+
+
+def clip_values(x, a):
+    """Each row's squared norm as the clip test computes it: ``sq_norms`` of
+    the blocks ``MappedRows.blocks`` forms."""
+    return np.concatenate([linalg.sq_norms(block) for block in linalg.MappedRows(x, a).blocks()])
+
+
+def random_map(rng, d, kind, log_cond):
+    """A d x d map of condition number 10^log_cond (the coarse step's shape
+    has one eigenvalue gamma and the rest 1, so gamma = 10^-log_cond)."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    if kind == "coarse":
+        k = int(rng.integers(0, d + 1))
+        return coarse_map(q[:, :k] @ q[:, :k].T, 10.0**-log_cond)
+    spectrum = 10.0 ** np.linspace(0.0, -log_cond, d) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "spd":
+        return (q * spectrum) @ q.T
+    p, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return (q * spectrum) @ p.T
+
+
+class TestSqNormBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.one_of(st.integers(1, 12), st.integers(1, 2 * linalg.DOT_TERMS)),
+        st.integers(1, 6),
+        st.sampled_from(["spd", "coarse", "general"]),
+        st.floats(0.0, 8.0),
+    )
+    def test_every_row_is_within_its_groups_bound(self, seed, d, m, t, kind, log_cond):
+        # a layout as estimate_eigenvalues leaves it, m = n // t, so fewer
+        # than t tail rows; columns of scales 1e-3 to 1e3 and maps up to
+        # cond 1e8.  Each row's clip-test value is at most its group's
+        # bound, and the decision at thresholds at and one ulp below each
+        # bound never keeps a row the clip test would drop
+        rng = np.random.default_rng(seed)
+        t = min(t, max(1, 40_000 // m))
+        x = rng.normal(size=(t * m + int(rng.integers(0, t)), d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        a = random_map(rng, d, kind, log_cond)
+        bounds = linalg.sq_norm_bounds(linalg.gram_stack(x, t, m)[0], m, x[t * m :], a)
+        clip = clip_values(x, a)
+        assert np.all(np.concatenate([clip[: t * m].reshape(t, m).max(axis=1), clip[t * m :]]) <= bounds)
+        view = linalg.MappedRows.of(x).mapped(a)
+        view.gram_stack(t, m)
+        bound = view.sq_norm_bound()
+        assert bound == bounds.max()
+        for threshold in [*bounds, *(math.nextafter(b, 0.0) for b in bounds)]:
+            if bound <= threshold:
+                assert clip.max() <= threshold
+
+    def test_finest_cached_layout_and_the_rows_past_it(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1003, 2))
+        a = random_spd(rng, 2, 0.5, 2.0)
+        view = linalg.MappedRows.of(x).mapped(a)
+        assert view.sq_norm_bound() == math.inf  # no cached stack
+        view.gram_stack(10, 100)
+        view.gram_stack(250, 4)
+        view.gram_stack(50, 20)
+        want = linalg.sq_norm_bounds(linalg.gram_stack(x, 250, 4)[0], 4, x[1000:], a).max()
+        monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: pytest.fail("rows were read"))
+        assert view.sq_norm_bound() == want
+        assert want < linalg.sq_norm_bounds(linalg.gram_stack(x, 10, 100)[0], 100, x[1000:], a).max()
+
+    def test_unmapped_or_known_maximum_is_exact(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(300, 3))
+        raw = linalg.MappedRows.of(x)
+        raw.gram_stack(30, 10)
+        assert raw.sq_norm_bound() == raw.max_sq_norm() == linalg.sq_norms(x).max()
+        view = raw.mapped(random_spd(rng, 3, 0.5, 2.0))
+        assert view.sq_norm_bound() > view.max_sq_norm()
+        assert view.sq_norm_bound() == view.max_sq_norm()
+
+    def test_eta_is_a_power_of_two_above_twice_the_need(self):
+        # the proof takes eta * s as exact, and the surplus over the
+        # 9.2e-12 its roundings need covers underflow
+        assert math.frexp(linalg.CERT_ETA)[0] == 0.5
+        assert linalg.CERT_ETA >= 2 * 9.2e-12
+
+    @pytest.mark.parametrize("case", ["rows", "dim", "zero map", "zero subsample", "zero tail row", "inf", "nan"])
+    def test_outside_the_proofs_range_there_is_no_bound(self, case):
+        rng = np.random.default_rng(10)
+        d, t, m = 2, 5, 4
+        x = rng.normal(size=(t * m + 3, d))
+        a = random_spd(rng, d, 0.5, 2.0)
+        assert linalg.sq_norm_bounds(linalg.gram_stack(x, t, m)[0], m, x[t * m :], a) is not None
+        if case == "rows":
+            m = linalg.CERT_MAX_ROWS + 1
+        elif case == "dim":
+            d = linalg.MAX_DIM + 1
+            x, a = rng.normal(size=(t * m, d)), np.eye(d)
+        elif case == "zero map":
+            a = np.zeros((d, d))
+        elif case == "zero subsample":
+            x[m : 2 * m] = 0.0
+        elif case == "zero tail row":
+            x[-1] = 0.0
+        elif case == "nan":
+            x[0, 0] = math.nan
+        stack = linalg.gram_stack(x, t, min(m, len(x) // t), norms=False)[0]
+        if case == "inf":
+            stack[1, 0, 1] = stack[1, 1, 0] = math.inf
+        assert linalg.sq_norm_bounds(stack, m, x[t * m :], a) is None

@@ -305,3 +305,60 @@ class TestEigenvalueBandCheck:
             noise = np.triu(noise) + np.triu(noise, 1).T
             wins += eigenvalue_band_check(truth_mat + noise, truth, d)
         assert wins >= 95
+
+
+class TestNoClipCertificate:
+    """A mapped view's "no row is clipped" comes from its cached Gram stack
+    when that suffices, and from one exact blocked pass when it does not."""
+
+    N, D, BETA = 4000, 2, 0.05
+
+    def view(self, t):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(self.N + 3, self.D)) * [1.0, 1e-3]
+        view = linalg.MappedRows.of(x).mapped(np.diag([1e-3, 1.0]))
+        view.gram_stack(t, (self.N + 3) // t)
+        return view
+
+    def kappa2(self, threshold):
+        # kappa2 whose clip threshold at (N + 3, D, BETA) is about ``threshold``
+        return threshold / (self.D * math.log((self.N + 3) / self.BETA))
+
+    def probe(self, view, kappa2, monkeypatch):
+        """naive_estimate on ``view``, with the views whose rows it read and
+        the dropped count of every clip test it ran."""
+        reads = []
+        blocks = linalg.MappedRows.blocks
+        monkeypatch.setattr(linalg.MappedRows, "blocks", lambda v: reads.append(v) or blocks(v))
+        dropped = record_clips(monkeypatch)
+        out = naive_estimate(view, BUDGET, self.BETA, RandomSource(4).child("probe"), kappa2=kappa2)
+        monkeypatch.undo()
+        return out, reads, dropped
+
+    def test_fine_stack_certifies_without_reading_the_rows(self, monkeypatch):
+        view = self.view(t=2000)
+        kappa2 = self.kappa2(2.0 * view.sq_norm_bound())
+        out, reads, dropped = self.probe(view, kappa2, monkeypatch)
+        assert reads == [] and dropped == []
+        # the exact decision on the same view releases the same bits
+        monkeypatch.setattr(linalg.MappedRows, "sq_norm_bound", lambda v: math.inf)
+        exact, reads, dropped = self.probe(view, kappa2, monkeypatch)
+        assert len(reads) == 1 and dropped == []
+        assert np.array_equal(out, exact)
+
+    def test_coarse_stack_falls_back_to_one_exact_pass(self, monkeypatch):
+        # one subsample of all the rows bounds each row by their sum, far
+        # above the largest row: the threshold between them is decided by
+        # one blocked pass, once per view, and no row is clipped
+        view = self.view(t=1)
+        top = linalg.MappedRows(view.x, view.a).max_sq_norm()
+        kappa2 = self.kappa2(math.sqrt(top * view.sq_norm_bound()))
+        threshold = naive_config(self.N + 3, self.D, kappa2, BUDGET, self.BETA).clip_threshold
+        assert top < threshold < view.sq_norm_bound()
+        _, reads, dropped = self.probe(view, kappa2, monkeypatch)
+        assert reads == [view] and dropped == []
+        _, reads, dropped = self.probe(view, kappa2, monkeypatch)
+        assert reads == [] and dropped == []
+        # below the largest row, the clip test runs and drops it
+        _, reads, dropped = self.probe(view, self.kappa2(0.999 * top), monkeypatch)
+        assert reads and dropped and dropped[0] >= 1

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privgauss import linalg, naive, subspace
+from privgauss import eigenvalues, linalg, naive, subspace
 from privgauss import precondition as precondition_module
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.eigenvalues import EigenvalueEstimate
@@ -235,6 +237,30 @@ class TestCallCount:
         assert_within_budget(acc)
 
 
+class TestSampleFloor:
+    # d 2-8, eps 1e-3-1e5, delta 1e-12-0.1, beta 1e-6-0.99
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8), st.floats(-3.0, 5.0), st.floats(-12.0, -1.0), st.floats(1e-6, 0.99))
+    def test_floor_covers_every_call_at_its_share(self, d, log_eps, log_delta, beta):
+        # every budgeted call of the scan gets plan_shares(budget,
+        # max_calls(d)) and beta / d; the floor must admit each call's own
+        # gate there, the post-coarse probe's eigenvalue layout included,
+        # which the stubs of TestCallCount never reach
+        budget = PrivacyBudget(10.0**log_eps, 10.0**log_delta)
+        per_call, beta_i = plan_shares(budget, max_calls(d)).per_call, beta / d
+        needs = {
+            "eigenvalue estimate": eigenvalues.min_samples(d, per_call, beta_i),
+            "post-coarse probe's eigenvalue estimate": eigenvalues.min_samples(
+                d, plan_shares(per_call, 2).per_call, beta_i
+            ),
+            "naive probe": 2 * d,
+        }
+        for k in range(1, d):
+            needs[f"subspace at k = {k}"] = subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i)
+        floor = min_samples(d, budget, beta)
+        assert all(floor >= need for need in needs.values()), (floor, needs)
+
+
 def stub_releases(monkeypatch, spectrum, probe=None, fail_eig=None):
     """Replace the scan's three releases with data-free ones: each charges
     its share and reports ``spectrum`` (the eigenvalue estimate), ``probe``
@@ -408,13 +434,13 @@ class TestMappedStatistics:
 
     @pytest.mark.parametrize(
         "spectrum, reads",
-        [((1.0, 1e-6), [True]), ((1.0, 1e-3, 1e-7), [True]), ((1.0, 0.3, 0.003), [])],
+        [((1.0, 1e-6), []), ((1.0, 1e-3, 1e-7), []), ((1.0, 0.3, 0.003), [])],
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_each_view_is_read_once_and_never_clipped(self, monkeypatch, spectrum, reads, seed):
-        # one blocked pass over the rows per mapped view the probes read,
-        # whether one or two probes read it; the unmapped view's maximum
-        # comes with its raw stack, so it is never read again; no clip test
+        # no blocked pass over the rows: the unmapped view's maximum comes
+        # with its raw stack, and every mapped view the probes read is
+        # certified from its finest cached stack; no clip test
         got = []
         blocks = linalg.MappedRows.blocks
         monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: got.append(view.a is not None) or blocks(view))
