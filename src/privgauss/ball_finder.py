@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp_core import PrivacyBudget, RandomSource, bucket_counts, heaviest, plan_shares, release_floor, stable_counts
+from .dp_core import PrivacyBudget, RandomSource, check_beta, plan_shares
+from .dp_core import bucket_counts, heaviest, release_floor, stable_counts  # the stability histogram
 from .errors import InsufficientSamples, InvalidArgument
 
 # Radius inflation: radius_used = INFLATION * sqrt(D) * r_opt * sqrt(ln n).
@@ -51,8 +52,7 @@ def n_min(dim, budget: PrivacyBudget, beta):
 def _n_min(dim, budget, per_coord, beta):
     """``n_min`` given ``per_coord``, the budget's split over the dim
     coordinate histograms."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)
     shape = N_MIN_SCALE * math.sqrt(dim) * math.log(dim / (budget.delta * beta)) / budget.epsilon
     return max(int(math.ceil(shape)), release_floor(per_coord))
 

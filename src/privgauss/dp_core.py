@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +39,13 @@ class PrivacyBudget:
 
     def scaled(self, factor):
         return PrivacyBudget(self.epsilon * factor, self.delta * factor)
+
+
+def check_beta(beta):
+    """Raise InvalidArgument unless the failure probability ``beta`` lies in
+    (0, 1); every entry point that takes a beta calls this."""
+    if not 0.0 < beta < 1.0:
+        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -263,41 +269,30 @@ def gue_mechanism(matrix, sensitivity, budget, rng: RandomSource):
 
 @dataclass(frozen=True)
 class BucketScheme:
-    """Geometric buckets [ratio^k, ratio^{k+1}) over (0, inf), keyed by the
-    int k, plus the distinguished zero bucket [0, 0] keyed by ZERO; negative
-    values are rejected.  ZERO sorts below every other key.  The edge
-    ratio^k is the Python float power (``_edge``), +inf where it overflows."""
+    """Quarter-octave buckets [2^{k/4}, 2^{(k+1)/4}) over (0, inf), keyed by
+    the int k, plus the distinguished zero bucket [0, 0] keyed by ZERO;
+    negative values are rejected.  ZERO sorts below every other key.
 
-    ratio: float
+    Edge k is ``ldexp(QUARTERS[k % 4], k // 4)``: a correctly rounded
+    quarter power of two, scaled exactly (rounded once where the edge is
+    subnormal), and +inf where it overflows."""
 
     ZERO = np.iinfo(np.int64).min  # key of the zero bucket, a Python int
-
-    def __post_init__(self):
-        if self.ratio <= 1.0:
-            raise InvalidArgument("geometric scheme needs ratio > 1")
+    QUARTERS = (1.0, 2.0**0.25, 2.0**0.5, 2.0**0.75)
 
     def _edge(self, key):
-        """ratio^key as a Python float power (NumPy's array power rounds
-        differently and would move values on an edge); +inf past the float
-        range, where the power raises OverflowError."""
         try:
-            return self.ratio ** key
+            return math.ldexp(self.QUARTERS[key % 4], key // 4)
         except OverflowError:
             return math.inf
 
     def keys(self, values):
         """int64 bucket key of each value: ZERO for 0, otherwise the k with
-        value in [ratio^k, ratio^{k+1}).
-
-        While the edges near x are normal floats, the estimate
-        k = floor(ln x / ln ratio) is within one of the key, so the key is
-        k - 1 + [x >= ratio^k] + [x >= ratio^{k+1}].  Subnormal edges round
-        to multiples of the smallest subnormal s, so several keys can share
-        one edge and the key can lie further above k.  An edge is at most x
-        exactly when ratio^j <= x + s / 2, so where an edge the comparisons
-        read is subnormal the estimate is taken at x + s / 2, and the same
-        two comparisons finish it; for a normal x, s / 2 is far below x's
-        own rounding and moves no estimate."""
+        value in [edge k, edge k + 1).  A value x in [2^e, 2^{e+1}), with
+        e one less than ``np.frexp``'s exponent, has key 4e plus the number
+        of its octave's three inner edges, ``np.ldexp(q, e)``, that it
+        reaches.  Those are the very floats ``bounds`` returns, so every
+        key's bounds contain its value, subnormals included."""
         v = np.asarray(values, dtype=np.float64).ravel()
         if v.size and not np.all(np.isfinite(v)):
             raise InvalidArgument("histogram values must be finite")
@@ -306,28 +301,12 @@ class BucketScheme:
         pos = v > 0.0
         out = np.full(v.size, self.ZERO, dtype=np.int64)
         x = v[pos]
-        if x.size:
-            ln_x = np.log(x)
-            k = self._estimate(ln_x)
-            low = int(k.min())
-            if self._edge(low - 1) < sys.float_info.min:
-                # s / (2 x), scaled in two steps so that neither overflows
-                ln_x += np.log1p((2.0**-60 / x) * 2.0**-1015)
-                k = self._estimate(ln_x)
-                low = int(k.min())
-            edges = np.array([self._edge(key) for key in range(low, int(k.max()) + 2)])
-            at = k - low  # index of each value's ratio^k in edges
-            k -= 1
-            k += x >= edges[at]
-            at += 1
-            k += x >= edges[at]
-            out[pos] = k
+        e = np.frexp(x)[1] - 1
+        k = 4 * e.astype(np.int64)
+        for q in self.QUARTERS[1:]:
+            k += x >= np.ldexp(q, e)
+        out[pos] = k
         return out
-
-    def _estimate(self, ln_x):
-        """floor(ln_x / ln ratio) as int64."""
-        q = ln_x / math.log(self.ratio)
-        return np.floor(q, out=q).astype(np.int64)
 
     def bounds(self, key):
         key = int(key)

@@ -2,8 +2,10 @@
 
 Subsample-and-aggregate: split the rows into t chunks, eigendecompose each
 chunk's empirical second-moment matrix, and for each eigenvalue index run a
-stability-based histogram over geometric buckets of ratio 2^{1/4} (plus the
-distinguished [0, 0] bucket, which is what detects rank deficiency).
+stability-based histogram over quarter-octave buckets [2^{k/4}, 2^{(k+1)/4})
+(``dp_core.BucketScheme``, plus the distinguished [0, 0] bucket, which is
+what detects rank deficiency).  Each index releases the lower edge of its
+heaviest bucket.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from .dp_core import (
     PrivacyBudget,
     RandomSource,
     bucket_counts,
+    check_beta,
     heaviest,
     plan_shares,
     release_floor,
     stable_counts,
 )
-from .errors import InsufficientSamples, InvalidArgument
+from .errors import InsufficientSamples
 
-BUCKET_RATIO = 2.0 ** 0.25
 # Subsample count scale: t ~ C1 log(d / (delta beta)) / eps_hist.
 C1 = 8.0
 # Empirical eigenvalues below this times the chunk's top eigenvalue are
@@ -34,7 +36,7 @@ C1 = 8.0
 # the [0, 0] bucket.
 ZERO_CLAMP = 1e-12
 
-_SCHEME = BucketScheme(BUCKET_RATIO)
+_SCHEME = BucketScheme()
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,7 @@ def _layout(d, budget: PrivacyBudget, beta):
     """(per_index, t, floor): the budget's split over the d per-index
     histograms, the subsample count, and ``min_samples``, t subsamples of
     m = linalg.MIN_ROWS_PER_DIM * d rows."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)
     per_index = plan_shares(budget, d).per_call
     log_term = math.log(d / (budget.delta * beta))
     t_accuracy = math.ceil(C1 * log_term / per_index.epsilon)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dp_core import PrivacyBudget, RandomSource, gaussian_sigma, gue_mechanism, plan_shares
+from .dp_core import PrivacyBudget, RandomSource, check_beta, gaussian_sigma, gue_mechanism, plan_shares
 from .errors import InsufficientSamples, InvalidArgument
 from .eigenvalues import estimate_eigenvalues
 
@@ -116,8 +116,7 @@ def naive_estimate(
     """
     rows = linalg.MappedRows.of(x)
     rng = rng.charging_to(accountant)
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)
     n, d = rows.shape
     if n < 2 * d:
         raise InsufficientSamples(f"need n >= {2 * d}, got {n}")

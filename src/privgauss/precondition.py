@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigenvalues, linalg, subspace
-from .dp_core import PrivacyBudget, RandomSource, plan_shares
+from .dp_core import PrivacyBudget, RandomSource, check_beta, plan_shares
 from .eigenvalues import estimate_eigenvalues
-from .errors import DegenerateSpectrum, InvalidArgument, PrivGaussError
+from .errors import DegenerateSpectrum, PrivGaussError
 from .naive import KAPPA_FACTOR, naive_config, naive_estimate
 
 # Gap thresholds of the scanning loop.
@@ -75,8 +75,7 @@ def _shares(d, budget, beta):
     """(per_call, beta_i): the budget and failure probability of each
     budgeted call the scan makes, an equal share of ``budget`` over
     ``max_calls(d)`` calls and beta / d (see ``precondition``)."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)
     return plan_shares(budget, max_calls(d)).per_call, beta / d
 
 
@@ -138,8 +137,11 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
 
     Each call fails with probability at most beta / d, and up to 4(d - 1)
     calls run, so the union bound on the scan's failure probability is
-    4(d - 1) / d * beta, not beta: 2 beta at d = 2.  The share is kept
-    because the published floors are computed at it (ROADMAP, "Carried").
+    4(d - 1) / d * beta, not beta: 2 beta at d = 2.  A share of
+    beta / max_calls(d) would leave the published floors as they are (at d
+    = 2, 3, 4, 5 and 8 under (0.5, 5e-7) and beta = 0.05), but it would move
+    every output, so the share is kept until the failure probabilities are
+    composed like the budget (ROADMAP item 14).
 
     Every release is charged to ``rng``'s ledger under its stream's path,
     or to ``accountant`` when one is given; either way this call's charges

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ball_finder, linalg
-from .dp_core import PrivacyBudget, RandomSource, plan_shares
+from .dp_core import PrivacyBudget, RandomSource, check_beta, plan_shares
 from .errors import InsufficientSamples, InvalidArgument
 
 # q = REFS_PER_RANK * k reference points.
@@ -110,8 +110,7 @@ def _layout(d, k, psi, budget, beta):
         raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
     if not 0.0 < psi < 1.0:
         raise InvalidArgument(f"psi must lie in (0, 1), got {psi}")
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)
     t = subsample_count(d, k, budget, beta)
     cap = int(sys.float_info.max) // (t * REFS_PER_RANK * k)
     # lo does not fit, and hi does once the doubling stops

@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 from privgauss.dp_core import Accountant, RandomSource, gaussian_sigma  # noqa: E402
+from test_precondition import assert_calls_within_reserve  # noqa: E402
 
 
 def test_every_binding_resolves():
@@ -64,6 +65,19 @@ def test_ledger_labels_are_unique(name, step):
     labels = [e.label for e in acc.entries]
     assert len(set(labels)) == len(labels)
     assert any(step in label for label in labels)
+
+
+@pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])
+def test_each_preconditioner_call_spends_at_most_its_share(name):
+    # the preconditioner gets the estimator's half budget, and each call of
+    # its scan charges at most an equal share of it over max_calls(d)
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    acc = Accountant()
+    workloads.estimate_covariance(raw, 0, acc)
+    scan = Accountant([e for e in acc.entries if e.label.startswith("precondition/")])
+    assert scan.entries
+    assert_calls_within_reserve(scan, w.d, workloads.HALF)
 
 
 @pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])

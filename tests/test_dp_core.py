@@ -31,30 +31,23 @@ FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudg
 HALF = PrivacyBudget(0.5, 5e-7)
 PER_CALL = plan_shares(HALF, precondition.max_calls(2)).per_call
 BETA_I = 0.05 / 2
-GEOMETRIC = BucketScheme(2.0 ** 0.25)
+GEOMETRIC = BucketScheme()
 ZERO = BucketScheme.ZERO
 
 
-def power_edge(ratio, k):
-    """ratio ** k as a Python float power, +inf where it overflows."""
-    try:
-        return ratio**k
-    except OverflowError:
-        return math.inf
-
-
-def loop_geometric_keys(ratio, values):
-    """Reference: the per-value loop the vectorized geometric keys replace."""
+def loop_geometric_keys(values):
+    """Reference: the definition of a positive value's key, the largest k
+    whose lower edge ``bounds(k)[0]`` is at most the value, found by a walk
+    over the edges from an estimate."""
     out = []
-    ln_ratio = math.log(ratio)
     for x in np.asarray(values, dtype=np.float64):
         if x == 0.0:
             out.append(ZERO)
             continue
-        k = math.floor(math.log(x) / ln_ratio)
-        while power_edge(ratio, k + 1) <= x:
+        k = math.floor(4.0 * math.log2(x))
+        while GEOMETRIC.bounds(k + 1)[0] <= x:
             k += 1
-        while power_edge(ratio, k) > x:
+        while GEOMETRIC.bounds(k)[0] > x:
             k -= 1
         out.append(k)
     return out
@@ -354,42 +347,56 @@ class TestStableHistogram:
         assert counts == {ZERO: 3, 0: 2}
         assert all(type(k) is int and type(c) is int for k, c in counts.items())
 
-    @pytest.mark.parametrize("ratio", [2.0 ** 0.25, 1.5, 2.0, 10.0])
-    def test_geometric_keys_match_loop(self, ratio):
+    def test_geometric_keys_match_loop(self):
         rng = np.random.default_rng(41)
         random = 10.0 ** rng.uniform(-300.0, 300.0, size=5000)
-        span = range(math.ceil(-300.0 / math.log10(ratio)), math.floor(300.0 / math.log10(ratio)))
-        edges = np.array([ratio ** k for k in span])
+        span = range(math.ceil(-300.0 / math.log10(2.0**0.25)), math.floor(300.0 / math.log10(2.0**0.25)))
+        edges = np.array([GEOMETRIC.bounds(k)[0] for k in span])
+        # (2^{1/4})^k carries the rounding of 2^{1/4} into a value a few ulps
+        # from edge k
+        powers = np.array([(2.0**0.25) ** k for k in span])
         subnormal = np.array([5e-324, 1e-323, 2e-323, 3e-322, 1e-320, 1e-310, 2.2e-308])
         # finite values whose upper edge overflows
-        huge = np.array([1e308, sys.float_info.max])
+        huge = np.array([np.nextafter(sys.float_info.max, 0.0), sys.float_info.max])
         values = np.concatenate(
             [
                 random,
                 edges,
                 np.nextafter(edges, 0.0),
                 np.nextafter(edges, np.inf),
+                powers,
                 [0.0],
                 subnormal,
                 np.nextafter(subnormal, 1.0),
                 huge,
             ]
         )
-        scheme = BucketScheme(ratio)
-        got = scheme.keys(values)
+        got = GEOMETRIC.keys(values)
         assert got.dtype == np.int64
-        assert got.tolist() == loop_geometric_keys(ratio, values)
-        # one value at a time, so that no other value widens the edges read
+        assert got.tolist() == loop_geometric_keys(values)
+        # one value at a time, so that no other value is keyed alongside
         alone = [*subnormal, *np.nextafter(subnormal, 1.0), *huge]
-        assert [scheme.keys([v])[0] for v in alone] == loop_geometric_keys(ratio, alone)
+        assert [GEOMETRIC.keys([v])[0] for v in alone] == loop_geometric_keys(alone)
 
-    @pytest.mark.parametrize("ratio, value", [(2.0, 1e308), (10.0, 1e308), (2.0**0.25, sys.float_info.max)])
-    def test_an_overflowing_edge_is_infinite(self, ratio, value):
-        scheme = BucketScheme(ratio)
-        [key] = scheme.keys([value]).tolist()
-        assert key == loop_geometric_keys(ratio, [value])[0]
-        lo, hi = scheme.bounds(key)
+    @pytest.mark.parametrize("value", [2.0**1023.75, sys.float_info.max])
+    def test_an_overflowing_edge_is_infinite(self, value):
+        # the lowest and the highest value of the top bucket, [2^1023.75, 2^1024)
+        [key] = GEOMETRIC.keys([value]).tolist()
+        assert key == loop_geometric_keys([value])[0] == 4 * 1024 - 1
+        lo, hi = GEOMETRIC.bounds(key)
         assert lo <= value < hi == math.inf
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, allow_subnormal=True), min_size=1))
+    def test_bounds_contain_every_finite_value(self, values):
+        values = np.sort(np.array(values))
+        keys = GEOMETRIC.keys(values)
+        # keys are non-decreasing in the value, and ZERO keys 0 alone
+        assert np.all(keys[:-1] <= keys[1:])
+        assert np.array_equal(keys == ZERO, values == 0.0)
+        for x, key in zip(values.tolist(), keys.tolist()):
+            lo, hi = GEOMETRIC.bounds(key)
+            assert lo <= x < hi or lo == x == hi == 0.0
 
 
 class TestHeaviest:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bucket_of
-from privgauss import eigenvalues
+from privgauss import eigenvalues, precondition
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.eigenvalues import estimate_eigenvalues, subsample_count
 from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
@@ -113,6 +113,25 @@ class TestEstimateEigenvalues:
                 pass  # the floor promises the subsample layout, not a release
         with pytest.raises(InsufficientSamples):
             estimate_eigenvalues(gaussian_samples(np.ones(d), floor - 1, 0), budget, beta, RandomSource(0))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_published_floor_releases(self, d):
+        # at the floor of one eigenvalue estimate in the preconditioner's
+        # scan, under the benchmark's half budget (0.5, 5e-7) and beta = 0.05,
+        # the estimate must release with probability at least 1 - beta_i;
+        # it promises only the subsample layout and releases in 0 of 20
+        per_call = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(d)).per_call
+        beta_i = 0.05 / d
+        n = eigenvalues.min_samples(d, per_call, beta_i)
+        released = 0
+        for seed in range(20):
+            try:
+                estimate_eigenvalues(gaussian_samples(np.ones(d), n, seed), per_call, beta_i, RandomSource(seed))
+                released += 1
+            except BottomReleased:
+                pass
+        assert released >= (1.0 - beta_i) * 20
 
     def test_ledger_charges(self):
         d = 3

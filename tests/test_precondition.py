@@ -56,14 +56,21 @@ def assert_labels_unique(acc):
     assert len(set(labels)) == len(labels)
 
 
-def assert_calls_within_reserve(acc, d):
+def assert_calls_within_reserve(acc, d, budget=BUDGET):
     """The scan makes at most max_calls(d) budgeted calls, each charging
-    under its own prefix precondition/<call>/<i>, and one eigenvalue
-    estimate per iteration, the last under precondition/eig/{d - 2}."""
+    under its own prefix precondition/<call>/<i> at most its planned share
+    of ``budget`` in epsilon and in delta, and one eigenvalue estimate per
+    iteration, the last under precondition/eig/{d - 2}."""
     prefix = re.compile(r"precondition/(eig|coarse|naive_post|naive|fine)/\d+")
-    calls = {prefix.match(entry.label).group() for entry in acc.entries}
+    calls = {}
+    for entry in acc.entries:
+        calls.setdefault(prefix.match(entry.label).group(), []).append(entry.budget)
     assert len(calls) <= max_calls(d)
     assert f"precondition/eig/{d - 1}" not in calls
+    share = plan_shares(budget, max_calls(d)).per_call
+    for spent in calls.values():
+        assert math.fsum(b.epsilon for b in spent) <= share.epsilon
+        assert math.fsum(b.delta for b in spent) <= share.delta
 
 
 def assert_within_budget(acc):
