@@ -328,6 +328,23 @@ class TestStableHistogram:
         with pytest.raises(InvalidArgument):
             release([-1.0], RandomSource(0))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_geometric_rejects_non_finite(self, value):
+        with pytest.raises(InvalidArgument):
+            GEOMETRIC.keys([1.0, value])
+
+    def test_octave_edges_are_exact_powers_of_two(self):
+        # edge 4e is 2^e itself, from the smallest subnormal to the top octave
+        octaves = range(-1074, 1024)
+        powers = [math.ldexp(1.0, e) for e in octaves]
+        assert [GEOMETRIC.bounds(4 * e)[0] for e in octaves] == powers
+        # a normal 2^e keys to 4e; below 2^-1022 an inner edge can round down
+        # onto 2^e, and 2^e keys to the last edge equal to it
+        normal = range(-1022, 1024)
+        assert GEOMETRIC.keys([math.ldexp(1.0, e) for e in normal]).tolist() == [4 * e for e in normal]
+        assert GEOMETRIC.keys([5e-324]).tolist() == [4 * -1074 + 2]
+        assert GEOMETRIC.bounds(4 * -1074 + 2) == (5e-324, 1e-323)
+
     def test_boundary_belongs_to_upper_bucket(self):
         keys = GEOMETRIC.keys([1.0, np.nextafter(1.0, 0.0), 2.0])
         assert keys.dtype == np.int64
