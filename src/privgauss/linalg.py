@@ -1,12 +1,14 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
 Everything here is deterministic and privacy-free: the subsample Gram
-stack (BLAS dots of at most DOT_TERMS terms per subsample and column pair,
+stack (unit-stride BLAS dots of at most DOT_TERMS terms per subsample and
+column pair over a transposed, 64-byte-aligned copy of each block,
 independent of the rows' base address and of the BLAS thread count, with
-the rows' largest squared norm fused into the first stack of a row array
-and read from ``MappedRows``'s cache by every later one), the certificate
-that bounds every mapped row's squared norm from a cached stack
-(``sq_norm_bounds``, so a mapped view's rows are read only when it fails),
+each column's largest absolute entry fused into the first stack of a row
+array and cached by ``MappedRows``), the certificates that bound every
+row's squared norm without reading the rows (``sq_norms`` of those column
+maxima for the raw rows, ``sq_norm_bounds`` from a cached stack for mapped
+rows, so a view's rows are read only when its certificate fails),
 batched eigendecomposition (one closed-form rotation per 2 x 2 matrix,
 LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness
 check (``positive_spectrum``), spectral projectors, the PSD-cone projection,
@@ -176,51 +178,87 @@ MIN_ROWS_PER_DIM = 4
 DOT_TERMS = 1 << 13
 
 
+def _aligned(d, rows):
+    """An uninitialised (d, rows) float64 array whose data starts on a
+    64-byte boundary."""
+    raw = np.empty(d * rows + 7)
+    start = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[start : start + d * rows].reshape(d, rows)
+
+
 def gram_stack(x, t, m, norms=True):
     """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
     consecutive rows of the (n, d) float64 array ``x``, as a (t, d, d)
-    stack, and the largest ``sq_norms`` value over all n rows, or None when
-    ``norms`` is false and the caller already holds it.  This is the
-    subsample layout of eigenvalue estimation and subspace recovery;
-    InvalidArgument unless t, m >= 1 and t * m <= n.
+    stack, and the largest absolute entry of each column over all n rows,
+    as a (d,) array M, or None when ``norms`` is false and the caller
+    already holds it.  This is the subsample layout of eigenvalue
+    estimation and subspace recovery; InvalidArgument unless t, m >= 1 and
+    t * m <= n.
 
-    One pass reads the rows in whole subsamples, about BLOCK_ROWS at a time
-    (one subsample when m exceeds it), as an (s, m, d) view.  Entry (i, j)
-    of each subsample is the BLAS dot product of its columns i and j
-    (``np.vecdot``), strided by d, so no product buffer is formed; above
-    DOT_TERMS rows per subsample it is the in-order sum of one dot per
-    DOT_TERMS rows, each too short for BLAS to split across threads.  It
-    rounds in BLAS's summation order, within about 1e-15 of the subsample's
-    largest entry from a pairwise sum of the column products.  The result
-    is deterministic and depends neither on the rows' base address nor on
-    the BLAS thread count.  The maximum is ``sq_norms(block).max()`` per
-    block, exactly the row norms the clip decision compares, fused into the
-    same pass; rows past t * m enter only the maximum, and with ``norms``
-    false no row's norm is computed.
+    One pass copies the rows, transposed, into one reused (d, rows) buffer,
+    whole subsamples at a time: as many as fit in the values of the two
+    row-long temporaries of ``sq_norms`` over the whole subsamples a
+    BLOCK_ROWS-row block holds.  Where not one fits, it takes one
+    subsample's rows min(m, DOT_TERMS) at a time.  Entry (i, j) of
+    each subsample is the unit-stride BLAS dot product of buffer rows i and
+    j (``np.vecdot``); above DOT_TERMS rows per subsample it is the in-order
+    sum of one dot per DOT_TERMS rows.  So each entry is at most K =
+    min(m, DOT_TERMS) + ceil(m / DOT_TERMS) - 1 roundings from exact, within
+    gamma_K (|X_j|^T |X_j|)_ij of it (see ``sq_norm_bounds``).  M is each
+    buffer row's largest entry and negated smallest, fused into the same
+    pass; rows past t * m enter only M, and with ``norms`` false no
+    extreme is taken.
+
+    The result is deterministic.  The buffer starts on a 64-byte boundary
+    and every dot's operands start at an offset from it fixed by (d, t, m),
+    so a BLAS kernel that splits its loop by alignment splits it the same
+    way on every call, whatever the rows' base address.  No dot has more
+    than DOT_TERMS terms, too few for BLAS to split across threads, so the
+    BLAS thread count does not matter either.
     """
     n, d = x.shape
     if t < 1 or m < 1 or t * m > n:
         raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
-    per_pass = max(1, BLOCK_ROWS // m)  # whole subsamples per block
+    per_pass = 2 * (BLOCK_ROWS // m) // d  # whole subsamples per fill
+    if per_pass:
+        span = min(per_pass, t) * m
+        fills = ((lo, min(lo + per_pass, t), 0, m) for lo in range(0, t, per_pass))
+    else:
+        span = min(m, DOT_TERMS)
+        fills = ((j, j + 1, c, min(c + span, m)) for j in range(t) for c in range(0, m, span))
+    buf = _aligned(d, span)
     stack = np.empty((t, d, d))
-    top = 0.0 if norms else None
-    for lo in range(0, t, per_pass):
-        hi = min(lo + per_pass, t)
-        block = x[lo * m : hi * m]
-        sub = block.reshape(hi - lo, m, d)
+    top, bottom = np.zeros((2, d))  # each column's largest entry and smallest, or 0
+
+    def take_extremes(rows):
+        np.maximum(top, np.maximum.reduce(rows, axis=1), out=top)
+        np.minimum(bottom, np.minimum.reduce(rows, axis=1), out=bottom)
+
+    for lo, hi, c0, c1 in fills:
+        # rows c0:c1 of subsamples lo:hi, one contiguous range of x
+        rows = buf[:, : (hi - lo) * (c1 - c0)]
+        np.copyto(rows, x[lo * m + c0 : (hi - 1) * m + c1].T)
+        part = stack[lo:hi]
+        for k in range(0, c1 - c0, DOT_TERMS):
+            cols = rows.reshape(d, hi - lo, c1 - c0)[:, :, k : k + DOT_TERMS]
+            for i in range(d):
+                for j in range(i, d):
+                    if c0 + k == 0:  # the subsample's first chunk
+                        np.vecdot(cols[i], cols[j], out=part[:, i, j])
+                    else:
+                        part[:, i, j] += np.vecdot(cols[i], cols[j])
         for i in range(d):
-            for j in range(i, d):
-                entry = stack[lo:hi, i, j]
-                np.vecdot(sub[:, :DOT_TERMS, i], sub[:, :DOT_TERMS, j], out=entry)
-                for c in range(DOT_TERMS, m, DOT_TERMS):
-                    entry += np.vecdot(sub[:, c : c + DOT_TERMS, i], sub[:, c : c + DOT_TERMS, j])
-                stack[lo:hi, j, i] = entry
+            for j in range(i + 1, d):
+                part[:, j, i] = part[:, i, j]  # one column at a time: no temporary copy
         if norms:
-            top = max(top, float(sq_norms(block).max()))
-    if norms:
-        for start in range(t * m, n, BLOCK_ROWS):
-            top = max(top, float(sq_norms(x[start : start + BLOCK_ROWS]).max()))
-    return stack, top
+            take_extremes(rows)
+    if not norms:
+        return stack, None
+    for start in range(t * m, n, span):  # the rows past the layout, through the buffer too
+        rows = buf[:, : min(span, n - start)]
+        np.copyto(rows, x[start : start + span].T)
+        take_extremes(rows)
+    return stack, np.maximum(top, np.negative(bottom))
 
 
 # Range of ``sq_norm_bounds``: subsamples of at most CERT_MAX_ROWS rows in at
@@ -336,9 +374,7 @@ class _RowStats:
 
     stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)[0]
     moment: np.ndarray | None = None  # X^T X over all rows
-    # largest squared norm of a raw row: from the first raw stack's pass, or
-    # from the identity view's blocks when it is asked for before any stack
-    max_sq_norm: float | None = None
+    col_max: np.ndarray | None = None  # largest |entry| per column, from the first raw stack's pass
 
 
 def _frozen(a):
@@ -363,16 +399,15 @@ class MappedRows:
     number 1e6 mapped to near 1, about 1e-11, where squaring the mapped rows
     gives about 1e-15.
 
-    Row norms are not quadratic statistics of the raw rows.  The raw rows'
-    largest squared norm is computed once per row array: in the pass of the
-    first raw stack (see ``gram_stack``), or, when the identity view's
-    ``max_sq_norm`` is asked for before any stack, over its blocks.  Every
-    later raw stack reads it from the cache and computes no norm, so the
-    identity view's rows are swept for norms once, whatever the order of
-    layouts and requests.  A mapped view's rows are read only when its
-    ``sq_norm_bound``, computed from the finest cached raw stack and the
-    rows past it, cannot settle the clip decision: ``max_sq_norm`` then
-    forms them BLOCK_ROWS at a time in ``blocks``, once per view.
+    Row norms are not quadratic statistics of the raw rows, and no view
+    computes them until its ``sq_norm_bound`` fails to settle the clip
+    decision.  The first raw stack's pass (see ``gram_stack``) takes each
+    raw column's largest absolute entry, M, into the cache the views share:
+    the identity view's bound is ``sq_norms`` of M, which monotone rounding
+    puts at or above every row's value.  A mapped view's bound comes from the finest
+    cached raw stack and the rows past its layout.  Where a bound fails,
+    ``max_sq_norm`` reads the view's rows BLOCK_ROWS at a time in
+    ``blocks``, once per view.
     Eigenvalues are not quadratic either: ``subsample_eigenvalues``
     decomposes the mapped stack once per view and layout.
     """
@@ -417,13 +452,13 @@ class MappedRows:
 
     def gram_stack(self, t, m):
         """``gram_stack`` of the mapped rows; the raw stack is computed once
-        per layout, and fuses the raw rows' norm maximum only while it is
-        not yet cached."""
+        per layout, and fuses the raw columns' absolute maxima only while
+        they are not yet cached."""
         stats = self._stats
         if (t, m) not in stats.stacks:
-            stack, top = gram_stack(self.x, t, m, norms=stats.max_sq_norm is None)
-            if top is not None:
-                stats.max_sq_norm = top
+            stack, col_max = gram_stack(self.x, t, m, norms=stats.col_max is None)
+            if col_max is not None:
+                stats.col_max = _frozen(col_max)
             stats.stacks[(t, m)] = _frozen(stack)
         return self._map(stats.stacks[(t, m)])
 
@@ -461,14 +496,30 @@ class MappedRows:
 
     def sq_norm_bound(self):
         """An upper bound on every mapped row's ``sq_norms`` value as
-        ``blocks`` computes it, or inf when the view has none at hand.
-        Unmapped, or once this view's ``max_sq_norm`` is known, it is that
-        exact maximum.  Else it is the largest of ``sq_norm_bounds`` over
-        the finest cached raw layout (the most subsamples) and the rows past
-        it: no other row is read, and nothing is cached."""
-        if self.a is None or self._max_sq_norm is not None:
-            return self.max_sq_norm()
-        stacks = self._stats.stacks
+        ``blocks`` computes it, or inf when the view has none at hand.  Once
+        this view's ``max_sq_norm`` is known, it is that exact maximum.
+        Nothing is cached.
+
+        Unmapped, it is ``sq_norms`` of the one row M of the raw columns'
+        absolute maxima, which the first raw stack's pass cached; no row is
+        read.  |x_rj| <= M_j for every row x_r, and correctly rounded * and
+        + are monotone in each operand, so each step of ``sq_norms`` on x_r
+        is at most the same step on M: no row's value exceeds the bound,
+        with no margin, through underflow and overflow alike.  A NaN in the
+        rows makes the bound NaN, which settles nothing.
+
+        Mapped, it is the largest of ``sq_norm_bounds`` over the finest
+        cached raw layout (the most subsamples) and the rows past it, the
+        only rows it reads."""
+        if self._max_sq_norm is not None:
+            return self._max_sq_norm
+        stats = self._stats
+        if self.a is None:
+            if stats.col_max is None:
+                return math.inf
+            with np.errstate(over="ignore"):  # an inf bound settles nothing
+                return float(sq_norms(stats.col_max[None])[0])
+        stacks = stats.stacks
         if not stacks:
             return math.inf
         t, m = max(stacks, key=lambda layout: layout[0])
@@ -477,16 +528,10 @@ class MappedRows:
 
     def max_sq_norm(self):
         """Largest ``sq_norms`` value of a mapped row (0.0 for no rows),
-        exactly as it is computed over ``blocks``.  Unmapped, it is the raw
-        rows' cached value, computed here over the blocks and cached when no
-        raw stack has been; else one pass, made once per view."""
+        exactly as it is computed over ``blocks``: one pass, made once per
+        view."""
         if self._max_sq_norm is None:
-            if self.a is None and self._stats.max_sq_norm is not None:
-                self._max_sq_norm = self._stats.max_sq_norm
-            else:
-                self._max_sq_norm = max((float(sq_norms(b).max()) for b in self.blocks()), default=0.0)
-                if self.a is None:
-                    self._stats.max_sq_norm = self._max_sq_norm
+            self._max_sq_norm = max((float(sq_norms(b).max()) for b in self.blocks()), default=0.0)
         return self._max_sq_norm
 
 

@@ -6,10 +6,12 @@ calibrated to the clipped sensitivity, and the result is projected onto the
 PSD cone.  Used standalone on preconditioned data and as the probe inside
 the fine preconditioner, where the rows are a ``linalg.MappedRows`` view:
 the statistic is mapped, not the rows.  The clip is decided on the view's
-mapped row norms, ``linalg.sq_norms`` of each row.  The raw rows' largest
-comes with their first Gram stack.  A mapped view's are bounded from its
-cached Gram stacks (``MappedRows.sq_norm_bound``), and read block by block
-from ``MappedRows.blocks`` only when that bound exceeds the threshold.
+mapped row norms, ``linalg.sq_norms`` of each row.  They are bounded
+without reading the rows (``MappedRows.sq_norm_bound``): the raw rows' by
+``sq_norms`` of their columns' absolute maxima, which come with their
+first Gram stack, and a mapped view's from its cached Gram stacks.  The
+rows are read block by block from ``MappedRows.blocks`` only when that
+bound exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -99,11 +101,15 @@ def naive_estimate(
 
     Privacy: a row is kept iff its mapped squared norm is at most the clip
     threshold.  "No row is clipped" is first tried on the view's
-    ``sq_norm_bound``: unmapped, the raw rows' exact maximum, cached by
-    their first Gram stack; mapped, a bound from the finest cached Gram
-    stack that ``linalg.sq_norm_bounds`` proves is at least every row's
-    value in the clip test, whatever its rounding, and that reads only the
-    rows past that stack's layout.  If the bound is above the threshold,
+    ``sq_norm_bound``, which is at least every row's value in the clip
+    test.  Unmapped, it is ``linalg.sq_norms`` of the row M of the columns'
+    absolute maxima, cached by the first Gram stack: |x_rj| <= M_j, and
+    correctly rounded * and + are monotone, so the clip test's value for
+    each row is at most the bound, with no margin, and a NaN or inf entry
+    leaves a bound that settles nothing.  Mapped, it is a bound from the
+    finest cached Gram stack that ``linalg.sq_norm_bounds`` proves, whatever
+    the rounding of ``block @ a``, reading only the rows past that stack's
+    layout.  If the bound is above the threshold,
     the view's ``max_sq_norm`` decides exactly: it is the largest
     ``linalg.sq_norms`` value of the very rows the clip test of
     ``clipped_second_moment`` reads, a mapped view's over the same blocks.

@@ -24,11 +24,13 @@ The mapped rows x @ A are never formed.  The Gram statistics the steps
 read -- subsample Gram stacks, the full second moment -- are quadratic in
 the rows, so the scan holds one ``linalg.MappedRows`` view of the raw rows:
 each is computed once from them and mapped as A^T (statistic) A at every
-later step.  The clip test's row norms are not quadratic: the raw rows'
-largest comes with their first Gram stack, in the same pass, and a mapped
-view's are bounded from the finest cached raw stack and the rows past its
-layout; the view's rows are read block by block, once per map, only when
-that bound does not settle the clip.
+later step.  The clip test's row norms are not quadratic, so they are
+bounded instead.  The raw rows' columns' absolute maxima come with their
+first Gram stack, in the same pass, and ``sq_norms`` of that one row is at
+least every raw row's norm, since rounding is monotone.  A mapped view's
+norms are bounded from the finest cached raw stack and the rows past its
+layout.  A view's rows are read block by block, once per map, only when
+its bound does not settle the clip.
 """
 
 from __future__ import annotations

@@ -82,6 +82,30 @@ def clipped_second_moment_reference(x, threshold):
     return (kept.T @ kept) / n, int(np.sum(~keep))
 
 
+def gram_stack_reference(x, t, m):
+    """Strided form of ``linalg.gram_stack``'s stack: entry (i, j) of each
+    m-row subsample is the BLAS dot of its columns i and j read in place,
+    strided by d, BLOCK_ROWS rows of whole subsamples at a time, and above
+    DOT_TERMS rows the in-order sum of one dot per DOT_TERMS rows.  Its
+    entries are as many roundings from exact as the kernel's, in another
+    order, so the two agree within twice the kernel's rounding bound."""
+    n, d = x.shape
+    per_pass = max(1, linalg.BLOCK_ROWS // m)
+    step = linalg.DOT_TERMS
+    stack = np.empty((t, d, d))
+    for lo in range(0, t, per_pass):
+        hi = min(lo + per_pass, t)
+        sub = x[lo * m : hi * m].reshape(hi - lo, m, d)
+        for i in range(d):
+            for j in range(i, d):
+                entry = stack[lo:hi, i, j]
+                np.vecdot(sub[:, :step, i], sub[:, :step, j], out=entry)
+                for c in range(step, m, step):
+                    entry += np.vecdot(sub[:, c : c + step, i], sub[:, c : c + step, j])
+                stack[lo:hi, j, i] = entry
+    return stack
+
+
 def find_center_reference(points, r_opt, budget, beta, rng):
     """Allocating form of ``ball_finder.find_center`` on valid input: fresh
     arrays for each coordinate's bin indexes.  The buffered kernel must match

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import condition_ratio, reconstruct, weyl_interval
+from oracles import condition_ratio, gram_stack_reference, reconstruct, weyl_interval
 from privgauss import linalg
 from privgauss.errors import (
     DegenerateSpectrum,
@@ -483,16 +483,19 @@ class TestMappedRows:
 
     @pytest.mark.parametrize("order", list(itertools.permutations(["max", (40, 12), (7, 60), (100, 5)])))
     def test_one_norm_sweep_over_the_rows_in_any_order(self, monkeypatch, order):
-        # the raw rows' squared norms are computed once, in the first stack's
-        # pass or in the identity view's blocks, whichever comes first; later
-        # layouts read the cached maximum and compute no norm
+        # only the first raw stack's pass takes the columns' extremes, and no
+        # stack computes a row norm; the identity view's exact maximum is
+        # one sweep of its blocks, made on request, once per view
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2 * linalg.BLOCK_ROWS + 7, 3))
         x[-1] *= 10.0  # the largest row lies past every layout's rows
         want = linalg.sq_norms(x).max()
         stacks = {step: linalg.gram_stack(x, *step)[0] for step in order if step != "max"}
-        swept = []
-        sq_norms = linalg.sq_norms
+        swept, flags = [], []
+        sq_norms, gram_stack = linalg.sq_norms, linalg.gram_stack
+        monkeypatch.setattr(
+            linalg, "gram_stack", lambda x, t, m, norms=True: flags.append(norms) or gram_stack(x, t, m, norms)
+        )
 
         def spy(block):
             if np.may_share_memory(block, x):
@@ -508,10 +511,11 @@ class TestMappedRows:
                 assert np.array_equal(view.gram_stack(*step), stacks[step])
         assert view.max_sq_norm() == linalg.MappedRows.of(x).max_sq_norm() == want
         assert sum(swept) == 2 * len(x)  # this view's one sweep, and the fresh view's
+        assert flags == [True, False, False]
 
     def test_without_norms_no_norm_is_computed(self, monkeypatch):
         x = np.random.default_rng(7).normal(size=(300, 2))
-        stack, top = linalg.gram_stack(x, 30, 9)
+        stack, _ = linalg.gram_stack(x, 30, 9)
         monkeypatch.setattr(linalg, "sq_norms", lambda block: pytest.fail("a norm was computed"))
         bare, none = linalg.gram_stack(x, 30, 9, norms=False)
         assert none is None
@@ -579,20 +583,20 @@ class TestGramStack:
     def test_stack_and_maximum_cover_every_row(self, t, m, tail, d):
         rng = np.random.default_rng(t + m + tail)
         x = rng.normal(size=(t * m + tail, d)) * np.geomspace(0.01, 30.0, d)
-        x[-1] *= 100.0  # the largest row lies in the tail when there is one
-        stack, top = linalg.gram_stack(x, t, m)
-        assert top == linalg.sq_norms(x).max()
+        x[-1] *= -100.0  # the largest entries lie in the tail when there is one
+        stack, col_max = linalg.gram_stack(x, t, m)
+        assert np.array_equal(col_max, np.abs(x).max(axis=0))
         want = matmul_stack(x, t, m)
         assert np.abs(stack - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(stack, stack.transpose(0, 2, 1))
 
     # floor-d2's coarse layout (shortened), fine-d3's eigenvalue layout, a
-    # subsample longer than a block, and d = 1, where the dot is unit-stride
+    # subsample longer than a block, and d = 1
     @pytest.mark.parametrize("t, m, d", [(2_000, 8, 2), (300, 186, 3), (2, B + 3, 4), (50, 40, 1)])
     def test_rounding_does_not_depend_on_the_rows_address(self, t, m, d):
         # the benchmark requires two estimates at one seed to agree bit for
-        # bit, and each reads freshly allocated rows: the stack and maximum
-        # must not change with the rows' offset from a 64-byte boundary
+        # bit, and each reads freshly allocated rows: the stack and column
+        # maxima must not change with the rows' offset from a 64-byte boundary
         rng = np.random.default_rng(t + m + d)
         x = rng.normal(size=(t * m + 5, d)) * np.geomspace(0.01, 30.0, d)
         raw = np.empty(x.size + 16)
@@ -602,9 +606,9 @@ class TestGramStack:
             rows = raw[aligned + offset : aligned + offset + x.size].reshape(x.shape)
             rows[...] = x
             results.append(linalg.gram_stack(rows, t, m))
-        for stack, top in results[1:]:
+        for stack, col_max in results[1:]:
             assert np.array_equal(stack, results[0][0])
-            assert top == results[0][1]
+            assert np.array_equal(col_max, results[0][1])
 
     def test_stack_does_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS splits a dot of more than 10,000 terms across threads; the
@@ -630,16 +634,48 @@ class TestGramStack:
         with pytest.raises(InvalidArgument):
             linalg.gram_stack(np.ones((100, 2)), t, m)
 
-    def test_temporaries_scale_with_the_block_not_the_rows(self):
-        x = np.random.default_rng(4).normal(size=(1_000_000, 3))
-        t, m = 2145, 466
+    # floor-d2's coarse layout (shortened) and fine-d3's two eigenvalue
+    # layouts, with a tail of rows past each
+    @pytest.mark.parametrize("t, m, d", [(2_000, 8, 2), (8364, 466, 3), (1853, 2104, 3)])
+    def test_matches_the_strided_reference(self, t, m, d):
+        # both sum each entry's products in chunks of DOT_TERMS, in another
+        # order, so each is within gamma_K (|X|^T |X|)_ij of exact, and
+        # (|X|^T |X|)_ij <= sqrt(G_ii G_jj) by Cauchy-Schwarz
+        rng = np.random.default_rng(t + m)
+        x = rng.normal(size=(t * m + 779, d)) * np.geomspace(0.01, 30.0, d)
+        stack, _ = linalg.gram_stack(x, t, m)
+        want = gram_stack_reference(x, t, m)
+        k = min(m, linalg.DOT_TERMS) + -(-m // linalg.DOT_TERMS) - 1
+        g = k * 2.0**-53 / (1.0 - k * 2.0**-53)
+        diag = np.diagonal(want, axis1=1, axis2=2)
+        bound = 2.0 * g / (1.0 - g) * np.sqrt(diag[:, :, None] * diag[:, None, :])
+        assert np.all(np.abs(stack - want) <= bound)
+        assert np.array_equal(linalg.gram_stack(x, t, m, norms=False)[0], stack)
+
+    @staticmethod
+    def traced_peak(work):
         tracemalloc.start()
         try:
-            stack, _ = linalg.gram_stack(x, t, m)
-            _, peak = tracemalloc.get_traced_memory()
+            out = work()
+            return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < stack.nbytes + x.nbytes / 8
+
+    # fine-d3's two subsample lengths
+    @pytest.mark.parametrize("t, m", [(2145, 466), (475, 2104)])
+    @pytest.mark.parametrize("norms", [True, False])
+    def test_temporaries_scale_with_the_block_not_the_rows(self, t, m, norms):
+        # at d = 3, beyond the stack, no more than the row norms that the
+        # transposed buffer replaces: ``sq_norms`` over the whole subsamples
+        # of each BLOCK_ROWS-row block
+        x = np.random.default_rng(4).normal(size=(1_000_000, 3))
+        rows = self.B // m * m
+        _, norms_peak = self.traced_peak(
+            lambda: max(float(linalg.sq_norms(x[s : s + rows]).max()) for s in range(0, len(x), rows))
+        )
+        (stack, _), peak = self.traced_peak(lambda: linalg.gram_stack(x, t, m, norms))
+        assert peak - stack.nbytes <= norms_peak
+        assert norms_peak < 2 * rows * x.itemsize + 4096
 
 
 def clip_values(x, a):
@@ -660,6 +696,18 @@ def random_map(rng, d, kind, log_cond):
         return (q * spectrum) @ q.T
     p, _ = np.linalg.qr(rng.normal(size=(d, d)))
     return (q * spectrum) @ p.T
+
+
+# finite entries of mixed signs and exponents, with signed zeros,
+# subnormals, the smallest normal and values whose squares overflow
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.0**-1022, 1e154, -1.4e154, 1.7976931348623157e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def row_lists(d):
+    return st.lists(st.lists(ENTRIES, min_size=d, max_size=d), min_size=1, max_size=40)
 
 
 class TestSqNormBound:
@@ -707,15 +755,47 @@ class TestSqNormBound:
         assert view.sq_norm_bound() == want
         assert want < linalg.sq_norm_bounds(linalg.gram_stack(x, 10, 100)[0], 100, x[1000:], a).max()
 
-    def test_unmapped_or_known_maximum_is_exact(self):
+    def test_unmapped_bound_is_the_column_maxima_row_until_the_maximum_is_known(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(300, 3))
         raw = linalg.MappedRows.of(x)
+        assert raw.sq_norm_bound() == math.inf  # no cached stack
         raw.gram_stack(30, 10)
-        assert raw.sq_norm_bound() == raw.max_sq_norm() == linalg.sq_norms(x).max()
-        view = raw.mapped(random_spd(rng, 3, 0.5, 2.0))
-        assert view.sq_norm_bound() > view.max_sq_norm()
-        assert view.sq_norm_bound() == view.max_sq_norm()
+        assert raw.sq_norm_bound() == linalg.sq_norms(np.abs(x).max(axis=0)[None])[0]
+        for view in (raw, raw.mapped(random_spd(rng, 3, 0.5, 2.0))):
+            assert view.sq_norm_bound() > view.max_sq_norm()
+            assert view.sq_norm_bound() == view.max_sq_norm()
+        assert raw.max_sq_norm() == linalg.sq_norms(x).max()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(row_lists), st.data())
+    def test_unmapped_bound_covers_every_row(self, rows, data):
+        # |x_rj| <= M_j and monotone rounding: each row's sq_norms value is
+        # at most sq_norms(M), with no margin; the rows are not read again
+        x = np.array(rows)
+        n = len(x)
+        t = data.draw(st.integers(1, n))
+        m = data.draw(st.integers(1, n // t))
+        view = linalg.MappedRows.of(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            view.gram_stack(t, m)
+            values = linalg.sq_norms(x)
+            want = linalg.sq_norms(np.abs(x).max(axis=0)[None])[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg.MappedRows, "blocks", lambda view: pytest.fail("rows were read"))
+            bound = view.sq_norm_bound()
+        assert bound == want
+        assert np.all(values <= bound)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("row", [0, -1])  # in a subsample, or past the layout
+    def test_a_non_finite_row_leaves_no_finite_unmapped_bound(self, bad, row):
+        x = np.random.default_rng(11).normal(size=(23, 2))
+        x[row, 1] = bad
+        view = linalg.MappedRows.of(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            view.gram_stack(5, 4)
+        assert not math.isfinite(view.sq_norm_bound())
 
     def test_eta_is_a_power_of_two_above_twice_the_need(self):
         # the proof takes eta * s as exact, and the surplus over the

@@ -308,8 +308,8 @@ class TestEigenvalueBandCheck:
 
 
 class TestNoClipCertificate:
-    """A mapped view's "no row is clipped" comes from its cached Gram stack
-    when that suffices, and from one exact blocked pass when it does not."""
+    """A view's "no row is clipped" comes from its cached Gram statistics
+    when they suffice, and from one exact blocked pass when they do not."""
 
     N, D, BETA = 4000, 2, 0.05
 
@@ -362,3 +362,18 @@ class TestNoClipCertificate:
         # below the largest row, the clip test runs and drops it
         _, reads, dropped = self.probe(view, self.kappa2(0.999 * top), monkeypatch)
         assert reads and dropped and dropped[0] >= 1
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_raw_row_is_decided_by_the_exact_pass(self, bad, monkeypatch):
+        # the column maxima's bound is not finite, so it settles nothing:
+        # the exact maximum reads the rows, and the clip test drops the row
+        x = np.random.default_rng(13).normal(size=(self.N + 3, self.D)) * 0.1
+        x[7, 1] = bad
+        view = linalg.MappedRows.of(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            view.gram_stack(2000, 2)
+        assert not math.isfinite(view.sq_norm_bound())
+        out, reads, dropped = self.probe(view, 1.0, monkeypatch)
+        assert reads[0] is view and len(reads) == 2  # the exact maximum's pass, then the clip test's
+        assert dropped == [1]
+        assert np.isfinite(out).all()

@@ -374,12 +374,12 @@ class TestMappedStatistics:
         assert reads == []
         assert clips == []
 
-    def test_one_raw_norm_sweep_on_the_floor_d2_draw(self, monkeypatch):
+    def test_no_raw_norm_sweep_on_the_floor_d2_draw(self, monkeypatch):
         # the benchmark's floor-d2 draw at its floor, preconditioned as the
         # composed estimator does: the pair differences take three raw
         # layouts (the eigenvalue estimate, the coarse step's subspace and
-        # the post-coarse probe's eigenvalue estimate), and only the first
-        # pass computes row norms
+        # the post-coarse probe's eigenvalue estimate); only the first pass
+        # takes the columns' extremes, and no row norm of them is computed
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
@@ -389,10 +389,10 @@ class TestMappedStatistics:
         layouts, swept = [], []
         gram_stack, sq_norms = linalg.gram_stack, linalg.sq_norms
 
-        def stacked(x, t, m, **norms):
+        def stacked(x, t, m, norms=True):
             if x is y:
-                layouts.append((t, m))
-            return gram_stack(x, t, m, **norms)
+                layouts.append((t, m, norms))
+            return gram_stack(x, t, m, norms)
 
         def normed(block):
             if np.may_share_memory(block, y):
@@ -404,7 +404,8 @@ class TestMappedStatistics:
         trace = precondition(y, workloads.HALF, workloads.HALF_BETA, RandomSource(0).child("precondition"))
         assert [step.kind for step in trace.steps] == ["coarse"]
         assert len(set(layouts)) == len(layouts) == 3
-        assert sum(swept) == len(y)
+        assert [norms for *_, norms in layouts] == [True, False, False]
+        assert swept == []
 
     def test_a_skip_reuses_its_views_eigenvalues(self, monkeypatch):
         # a skip leaves the view unchanged, so the next eigenvalue estimate
