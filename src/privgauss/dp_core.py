@@ -91,23 +91,24 @@ class RandomSource:
     A stream's generator is PCG64 seeded by
     ``SeedSequence(entropy=seed, spawn_key=key)``, where the key is two
     32-bit words of a hash of each label on the path (labels are hashable:
-    their hashes are memoized).  It is built from one
-    uint32 array: the words SeedSequence assembles from that pair (the
-    seed's words, padded with zeros to the pool size when the key is not
-    empty, then the key's words), passed as the entropy.  The pool, and so
-    every draw, is the same.  SeedSequence coerces a spawn key one word at
-    a time, even one given as an array, which costs twice the rest of the
-    construction; an entropy array it copies whole.
+    their hashes are memoized).  The path is the stream's only identity:
+    the key is read from it when the generator is first built.  The
+    generator is built from one uint32 array: the words SeedSequence
+    assembles from that pair (the seed's words, padded with zeros to the
+    pool size when the path is not empty, then the key's words), passed as
+    the entropy.  The pool, and so every draw, is the same.  SeedSequence
+    coerces a spawn key one word at a time, even one given as an array,
+    which costs twice the rest of the construction; an entropy array it
+    copies whole.
     """
 
-    def __init__(self, seed, ledger=None, _spawn_key=(), _path=()):
+    def __init__(self, seed, ledger=None, _path=()):
         # checked here, not at the first draw: mechanisms charge before they
         # draw, so a seed the generator rejects would leave a charge behind
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.ledger = Accountant() if ledger is None else ledger
-        self._spawn_key = tuple(_spawn_key)
         self.path = tuple(_path)
         self._generator = None
 
@@ -116,19 +117,16 @@ class RandomSource:
         return "/".join(map(str, self.path))
 
     def child(self, *labels) -> "RandomSource":
-        key = self._spawn_key
-        for label in labels:
-            key = key + _hash_label(label)
-        return RandomSource(self.seed, self.ledger, key, self.path + labels)
+        return RandomSource(self.seed, self.ledger, self.path + labels)
 
     def charging_to(self, ledger):
         """This stream continued, with its and its children's releases
         charged to ``ledger``; None keeps this stream's own.  The result
-        has the same seed, spawn key and path and shares the generator, so
-        its draws follow this stream's and none repeats."""
+        has the same seed and path and shares the generator, so its draws
+        follow this stream's and none repeats."""
         if ledger is None:
             return self
-        rebound = RandomSource(self.seed, ledger, self._spawn_key, self.path)
+        rebound = RandomSource(self.seed, ledger, self.path)
         rebound._generator = self.generator
         return rebound
 
@@ -140,8 +138,10 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             words = _int_words(self.seed)
-            if self._spawn_key:
-                words += [0] * (_POOL_WORDS - len(words)) + list(self._spawn_key)
+            if self.path:
+                words += [0] * (_POOL_WORDS - len(words))
+                for label in self.path:
+                    words += _hash_label(label)
             seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
             self._generator = np.random.Generator(np.random.PCG64(seq))
         return self._generator

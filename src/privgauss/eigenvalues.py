@@ -49,7 +49,8 @@ class EigenvalueEstimate:
 
 def _layout(d, budget: PrivacyBudget, beta):
     """(per_index, t, floor): the budget's split over the d per-index
-    histograms, the subsample count, and ``min_samples``, t subsamples of
+    histograms, the subsample count t, enough for each histogram to release
+    reliably at its share, and ``min_samples``, t subsamples of
     m = linalg.MIN_ROWS_PER_DIM * d rows."""
     check_beta(beta)
     per_index = plan_shares(budget, d).per_call
@@ -57,12 +58,6 @@ def _layout(d, budget: PrivacyBudget, beta):
     t_accuracy = math.ceil(C1 * log_term / per_index.epsilon)
     t = max(t_accuracy, release_floor(per_index), 8)
     return per_index, t, t * linalg.MIN_ROWS_PER_DIM * d
-
-
-def subsample_count(d, budget: PrivacyBudget, beta):
-    """Number of subsamples t: enough for the per-index histograms to
-    release reliably at their budget share."""
-    return _layout(d, budget, beta)[1]
 
 
 def min_samples(d, budget, beta):

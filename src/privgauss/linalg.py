@@ -46,22 +46,6 @@ def as_sym_matrix(m):
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted non-increasing with an aligned orthonormal basis.
-
-    ``eigenvectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``;
-    the source matrix reconstructs as ``V @ diag(vals) @ V.T``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self):
-        return self.eigenvalues.shape[0]
-
-
 def sym_eig_batch(mats, vectors=True):
     """Eigendecompose a stack of symmetric matrices.
 
@@ -535,14 +519,13 @@ class MappedRows:
         return self._max_sq_norm
 
 
-def sym_eig(m) -> Spectrum:
-    """Full eigendecomposition of one symmetric matrix.
-
-    Eigenvalues may be negative and are sorted non-increasing.
-    """
-    a = as_sym_matrix(m)
-    vals, vecs = sym_eig_batch(a[None, :, :])
-    return Spectrum(eigenvalues=vals[0], eigenvectors=vecs[0])
+def sym_eig(m):
+    """Full eigendecomposition of one symmetric matrix, as (values,
+    vectors): the values, possibly negative, sorted non-increasing, and
+    ``vectors[:, i]`` the unit eigenvector of ``values[i]``, so the matrix
+    is ``vectors @ diag(values) @ vectors.T``."""
+    vals, vecs = sym_eig_batch(as_sym_matrix(m)[None])
+    return vals[0], vecs[0]
 
 
 def outer_sym(left, right):
@@ -555,19 +538,18 @@ def outer_sym(left, right):
 
 def psd_project(m):
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero."""
-    spec = sym_eig(m)
-    v = spec.eigenvectors
-    return outer_sym(v * np.maximum(spec.eigenvalues, 0.0), v)
+    vals, vecs = sym_eig(m)
+    return outer_sym(vecs * np.maximum(vals, 0.0), vecs)
 
 
 def positive_spectrum(m, what):
-    """``sym_eig(m)`` of a matrix that must be positive definite; raises
-    DegenerateSpectrum naming ``what`` when its smallest eigenvalue is zero
-    or negative."""
-    spec = sym_eig(m)
-    if spec.eigenvalues[-1] <= 0.0:
+    """``sym_eig(m)``, (values, vectors), of a matrix that must be positive
+    definite; raises DegenerateSpectrum naming ``what`` when its smallest
+    eigenvalue is zero or negative."""
+    vals, vecs = sym_eig(m)
+    if vals[-1] <= 0.0:
         raise DegenerateSpectrum(f"{what} is not positive definite")
-    return spec
+    return vals, vecs
 
 
 def rel_cov_norm(estimate, truth):
@@ -577,11 +559,11 @@ def rel_cov_norm(estimate, truth):
     it is whitened by its full eigenbasis.
     """
     e = as_sym_matrix(estimate)
-    spec = positive_spectrum(truth, "truth")
+    vals, vecs = positive_spectrum(truth, "truth")
     # matmul rounding depends on operand layout: both scorers hold the basis
     # Fortran-ordered, the layout every recorded score was computed with
-    basis = np.asfortranarray(spec.eigenvectors)
-    inv_root = 1.0 / np.sqrt(spec.eigenvalues)
+    basis = np.asfortranarray(vecs)
+    inv_root = 1.0 / np.sqrt(vals)
     white = (inv_root[:, None] * (basis.T @ e @ basis)) * inv_root[None, :]
     return float(np.linalg.norm(white - np.eye(len(white))))
 
@@ -594,25 +576,26 @@ def rel_mean_norm(mu_hat, mu, truth):
         raise InvalidArgument("means must be vectors")
     if not np.all(np.isfinite(x)):
         raise InvalidArgument("mean difference contains NaN or Inf")
-    spec = positive_spectrum(truth, "truth")
-    inv_root = 1.0 / np.sqrt(spec.eigenvalues)
-    return float(np.linalg.norm(inv_root * (np.asfortranarray(spec.eigenvectors).T @ x)))
+    vals, vecs = positive_spectrum(truth, "truth")
+    inv_root = 1.0 / np.sqrt(vals)
+    return float(np.linalg.norm(inv_root * (np.asfortranarray(vecs).T @ x)))
 
 
-def top_k_projector(spectrum: Spectrum, k):
-    """The (d, d) projector onto the span of the top-k eigenvectors."""
-    d = spectrum.dim
+def top_k_projector(vectors, k):
+    """The (d, d) projector onto the span of the first k columns of the
+    (d, d) eigenvectors ``vectors``, as ``sym_eig`` orders them: the top-k
+    eigenspace."""
+    d = vectors.shape[1]
     if not 0 <= k <= d:
         raise InvalidArgument(f"k={k} out of range [0, {d}]")
-    b = spectrum.eigenvectors[:, :k]
+    b = vectors[:, :k]
     return outer_sym(b, b)
 
 
 def spd_inverse(m):
     """Inverse of a symmetric positive-definite matrix via its spectrum."""
-    spec = positive_spectrum(m, "matrix")
-    v = spec.eigenvectors
-    return outer_sym(v / spec.eigenvalues, v)
+    vals, vecs = positive_spectrum(m, "matrix")
+    return outer_sym(vecs / vals, vecs)
 
 
 def symmetric_polar_factor(a):
@@ -623,6 +606,5 @@ def symmetric_polar_factor(a):
     symmetric positive definite without changing any conditioning claim.
     """
     a = np.asarray(a, dtype=np.float64)
-    spec = positive_spectrum(a.T @ a, "A^T A")
-    v = spec.eigenvectors
-    return outer_sym(v * np.sqrt(spec.eigenvalues), v)
+    vals, vecs = positive_spectrum(a.T @ a, "A^T A")
+    return outer_sym(vecs * np.sqrt(vals), vecs)

@@ -94,8 +94,7 @@ def fine_map(z, k, noise_level):
     that level, where gamma_bar^2 is GAMMA_BAR_SQ and the pivot is
     lambda_{k+1}(Z) floored at ``noise_level``, the probe's noise scale
     (0 for a noiseless Z)."""
-    spec = linalg.sym_eig(z)
-    lam = spec.eigenvalues
+    lam, v = linalg.sym_eig(z)
     # lambda_{k+1}(Z), 0-indexed, is not resolved below the probe's noise level
     pivot = max(lam[k], noise_level)
     if pivot <= 0.0:
@@ -107,22 +106,22 @@ def fine_map(z, k, noise_level):
     in_s = lam >= cutoff
     g = np.sqrt(np.maximum(lam, 0.0) / pivot)
     scales[in_s] = 1.0 / (4.0 * g[in_s] * gamma_bar)
-    v = spec.eigenvectors
     return linalg.outer_sym(v * scales, v)
 
 
 def min_samples(d, budget, beta):
-    """Published sample floor for the scanning loop (subroutine needs at the
-    per-call budget share).  The post-coarse probe spends half its share on
-    an eigenvalue estimate, whose layout needs eigenvalues.min_samples at
-    plan_shares(per_call, 2).per_call; no term here names it, because the
-    subspace terms are larger wherever the scan makes a call, d >= 2.  At
-    d = 1 the scan releases nothing; the floor is then the eigenvalue
-    estimate's at a one-call share, which keeps it defined."""
+    """Published sample floor for the scanning loop: the largest floor of a
+    budgeted call at its share (see ``_shares``).  Those are the eigenvalue
+    estimate; at each k, the subspace recovery at subspace.MAX_PSI; and,
+    where a coarse step can fire (d >= 2), the post-coarse probe, which
+    spends half its share on an eigenvalue estimate.  At d = 1 the scan
+    releases nothing; the floor is then the eigenvalue estimate's at a
+    one-call share, which keeps it defined."""
     per_call, beta_i = _shares(d, budget, beta)
     needs = [eigenvalues.min_samples(d, per_call, beta_i)]
-    for k in range(1, d):
-        needs.append(subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i))
+    if d > 1:
+        needs.append(eigenvalues.min_samples(d, plan_shares(per_call, 2).per_call, beta_i))
+    needs += [subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i) for k in range(1, d)]
     return max(needs)
 
 
@@ -195,13 +194,14 @@ def _scan(x, budget, beta, rng, trace):
             # coarse step at k = i.  Promise: lambda_k / lambda_1 >= gamma_bar^2
             # and the true ratio lambda_{k+1} / lambda_k lies within a factor 4
             # of gamma_hat^2.  The release is the top-k projector P, recovered
-            # at the best accuracy psi the sample size supports (psi gates the
-            # subsample layout only); the map is coarse_map(P, gamma_hat)
+            # at subspace.MAX_PSI, the accuracy min_samples publishes the floor
+            # at.  psi gates the subsample layout only and enters no
+            # computation, and the layout takes MAX_PSI at exactly the n at
+            # which feasible_psi is defined.  The map is coarse_map(P, gamma_hat)
             kind = "coarse"
             gamma_hat = math.sqrt(ratio_consec)
-            psi = subspace.feasible_psi(n, d, i, per_call, beta_i)
             p = subspace.recover_subspace(
-                xa, i, gamma_hat, psi, per_call, beta_i, rng.child("coarse", i, "subspace")
+                xa, i, gamma_hat, subspace.MAX_PSI, per_call, beta_i, rng.child("coarse", i, "subspace")
             )
             a = linalg.symmetric_polar_factor(coarse_map(p, gamma_hat) @ a)
             xa = x.mapped(a)
@@ -209,7 +209,7 @@ def _scan(x, budget, beta, rng, trace):
             # fresh probe of the transformed data; its own internal scale
             # estimate, since lam_hat is stale after the coarse rescale
             z = naive_estimate(xa, per_call, beta_i, rng.child("naive_post", i))
-            lam_z = linalg.sym_eig(z).eigenvalues
+            lam_z = linalg.sym_eig(z)[0]
             if lam_z[0] > 0.0 and lam_z[i] / lam_z[0] < 4.0 * GAMMA_BAR_SQ:
                 kind = "coarse+fine"
                 ratios["post_coarse_probe"] = lam_z[i] / lam_z[0]
@@ -218,7 +218,7 @@ def _scan(x, budget, beta, rng, trace):
             kind = "fine"
             kappa2 = KAPPA_FACTOR * lam_hat[0]
             z = naive_estimate(xa, per_call, beta_i, rng.child("naive", i - 1), kappa2=kappa2)
-            lam_z = linalg.sym_eig(z).eigenvalues
+            lam_z = linalg.sym_eig(z)[0]
             kappa = lam_z[0] if lam_z[0] > 0.0 else kappa2
 
         if kappa is not None:

@@ -13,7 +13,8 @@ in spectral norm with constant probability.
 psi is the claimed accuracy, not a knob: it gates the subsample layout
 (m rows per subsample must support it) and enters no computation, so the
 radius, truncation and noise scale are the same at every psi the layout
-accepts.  Callers pass ``feasible_psi``, the best accuracy n supports.
+accepts.  The preconditioner passes MAX_PSI, the accuracy its published
+floor is sized for; ``feasible_psi`` reports the best accuracy n supports.
 ``_layout`` alone validates the arguments and decides whether n rows fit.
 
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
@@ -221,7 +222,6 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
         sum_rng.charge(per_call, "gaussian", 2.0 * params.trunc_radius)
         sums_matrix[:, i] = points.sum(axis=1) + sum_rng.normal(scale=params.sigma, size=d)
 
-    gram = sums_matrix @ sums_matrix.T
-    spec = linalg.sym_eig(gram)
-    return linalg.top_k_projector(spec, k)
+    _, vecs = linalg.sym_eig(sums_matrix @ sums_matrix.T)
+    return linalg.top_k_projector(vecs, k)
 

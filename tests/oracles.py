@@ -8,22 +8,22 @@ from privgauss import ball_finder, dp_core, eigenvalues, linalg, subspace
 from privgauss.errors import DegenerateSpectrum, InvalidArgument
 
 
-def reconstruct(spectrum: linalg.Spectrum):
-    """V diag(lambda) V^T: the matrix a spectrum decomposes."""
-    v = spectrum.eigenvectors
-    return (v * spectrum.eigenvalues) @ v.T
+def reconstruct(vals, vecs):
+    """V diag(lambda) V^T: the matrix that ``sym_eig``'s (values, vectors)
+    decompose."""
+    return (vecs * vals) @ vecs.T
 
 
 def condition_ratio(m, i, j):
     """lambda_i / lambda_j of a symmetric matrix (1-based eigenvalue indices)."""
-    spec = linalg.sym_eig(m)
-    d = spec.dim
+    vals, _ = linalg.sym_eig(m)
+    d = len(vals)
     if not (1 <= i <= d and 1 <= j <= d):
         raise InvalidArgument(f"indices ({i}, {j}) out of range [1, {d}]")
-    denom = spec.eigenvalues[j - 1]
+    denom = vals[j - 1]
     if denom <= 0.0:
         raise DegenerateSpectrum(f"lambda_{j} = {denom} is not positive")
-    return float(spec.eigenvalues[i - 1] / denom)
+    return float(vals[i - 1] / denom)
 
 
 def weyl_interval(n, r, i):
@@ -39,19 +39,20 @@ def weyl_interval(n, r, i):
     d = a.shape[0]
     if not 1 <= i <= d:
         raise InvalidArgument(f"index {i} out of range [1, {d}]")
-    lam_n = linalg.sym_eig(a).eigenvalues
-    lam_r = linalg.sym_eig(b).eigenvalues
+    lam_n, _ = linalg.sym_eig(a)
+    lam_r, _ = linalg.sym_eig(b)
     return float(lam_n[i - 1] + lam_r[-1]), float(lam_n[i - 1] + lam_r[0])
 
 
-def eigenvalue_band_check(m, truth_spectrum: linalg.Spectrum, k):
+def eigenvalue_band_check(m, truth_spectrum, k):
     """True iff the top-k eigenvalues of ``m`` are within a factor 2 of the
-    truth's (a deterministic test oracle, not a DP release)."""
-    d = truth_spectrum.dim
+    truth's, given as ``sym_eig``'s (values, vectors) (a deterministic test
+    oracle, not a DP release)."""
+    truth, _ = truth_spectrum
+    d = len(truth)
     if not 0 <= k <= d:
         raise InvalidArgument(f"k={k} out of range [0, {d}]")
-    vals = linalg.sym_eig(m).eigenvalues
-    truth = truth_spectrum.eigenvalues
+    vals, _ = linalg.sym_eig(m)
     for i in range(k):
         if not (truth[i] / 2.0 <= vals[i] <= 2.0 * truth[i]):
             return False
@@ -163,5 +164,5 @@ def recover_subspace_reference(x, k, gamma, psi, budget, beta, rng):
         # each coordinate's contiguous row, pairwise
         sums_matrix[:, i] = np.ascontiguousarray(truncated).sum(axis=1) + sum_rng.normal(scale=params.sigma, size=d)
 
-    spec = linalg.sym_eig(sums_matrix @ sums_matrix.T)
-    return linalg.top_k_projector(spec, k)
+    _, vecs = linalg.sym_eig(sums_matrix @ sums_matrix.T)
+    return linalg.top_k_projector(vecs, k)

@@ -6,7 +6,7 @@ import pytest
 from oracles import bucket_of
 from privgauss import eigenvalues, precondition
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
-from privgauss.eigenvalues import estimate_eigenvalues, subsample_count
+from privgauss.eigenvalues import estimate_eigenvalues
 from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
 
 BUDGET = PrivacyBudget(10.0, 1e-6)
@@ -56,7 +56,7 @@ class TestBucketOf:
 class TestEstimateEigenvalues:
     def test_identity_covariance_factor_two(self):
         d = 4
-        t = subsample_count(d, BUDGET, 0.1)
+        t = eigenvalues._layout(d, BUDGET, 0.1)[1]
         n = 50 * t * d
         wins = 0
         for seed in range(30):
@@ -69,7 +69,7 @@ class TestEstimateEigenvalues:
     def test_huge_condition_number(self):
         d = 4
         diag = np.array([1e6, 1e2, 1.0, 1e-4])
-        t = subsample_count(d, BUDGET, 0.1)
+        t = eigenvalues._layout(d, BUDGET, 0.1)[1]
         n = 50 * t * d
         wins = 0
         for seed in range(30):
@@ -81,7 +81,7 @@ class TestEstimateEigenvalues:
 
     def test_rank_deficient_zero_bucket(self):
         rng = np.random.default_rng(5)
-        n = 50 * subsample_count(2, BUDGET, 0.1) * 2
+        n = 50 * eigenvalues._layout(2, BUDGET, 0.1)[1] * 2
         x = np.zeros((n, 2))
         x[:, 0] = rng.normal(size=n)
         est = estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(0).child("rank"))
@@ -90,7 +90,7 @@ class TestEstimateEigenvalues:
 
     def test_sorted_nonnegative_any_seed(self):
         d = 3
-        n = 50 * subsample_count(d, BUDGET, 0.1) * d
+        n = 50 * eigenvalues._layout(d, BUDGET, 0.1)[1] * d
         for seed in range(5):
             x = gaussian_samples([5.0, 1.0, 0.2], n, seed)
             est = estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(seed).child("s"))
@@ -135,7 +135,7 @@ class TestEstimateEigenvalues:
 
     def test_ledger_charges(self):
         d = 3
-        n = 50 * subsample_count(d, BUDGET, 0.1) * d
+        n = 50 * eigenvalues._layout(d, BUDGET, 0.1)[1] * d
         x = gaussian_samples(np.ones(d), n, 0)
         acc = Accountant()
         estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(0, acc).child("l"))
@@ -147,7 +147,7 @@ class TestEstimateEigenvalues:
 
     def test_determinism(self):
         d = 2
-        n = 50 * subsample_count(d, BUDGET, 0.1) * d
+        n = 50 * eigenvalues._layout(d, BUDGET, 0.1)[1] * d
         x = gaussian_samples([2.0, 0.5], n, 3)
         a = estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(11).child("d"))
         b = estimate_eigenvalues(x, BUDGET, 0.1, RandomSource(11).child("d"))
@@ -158,7 +158,7 @@ class TestEstimateEigenvalues:
         # the lower edge of the bucket holding the median subsample value
         budget = PrivacyBudget(1e6, 1e-6)
         d = 2
-        t = subsample_count(d, budget, 0.1)
+        t = eigenvalues._layout(d, budget, 0.1)[1]
         n = 3200 * t  # large m so subsample values concentrate in one bucket
         # eigenvalues chosen away from bucket boundaries (4.0 is exactly one)
         x = gaussian_samples([5.0, 1.3], n, 9)

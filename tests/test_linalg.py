@@ -28,27 +28,27 @@ def random_symmetric(rng, d, scale=10.0):
 
 class TestSymEig:
     def test_diagonal(self):
-        spec = linalg.sym_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(2), atol=1e-12)
+        vals, vecs = linalg.sym_eig(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(vals, [3.0, 1.0])
+        np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-12)
 
     def test_identity(self):
-        spec = linalg.sym_eig(np.eye(5))
-        np.testing.assert_allclose(spec.eigenvalues, np.ones(5))
+        vals, _ = linalg.sym_eig(np.eye(5))
+        np.testing.assert_allclose(vals, np.ones(5))
 
     def test_two_by_two_hand_solved(self):
         # char. poly of [[2,1],[1,2]] is (2-x)^2 - 1, roots 3 and 1
-        spec = linalg.sym_eig([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(spec.eigenvalues, [3.0, 1.0], atol=1e-12)
+        vals, vecs = linalg.sym_eig([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-12)
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        v0 = spec.eigenvectors[:, 0]
-        v1 = spec.eigenvectors[:, 1]
+        v0 = vecs[:, 0]
+        v1 = vecs[:, 1]
         assert abs(abs(v0 @ [inv_sqrt2, inv_sqrt2]) - 1.0) < 1e-12
         assert abs(abs(v1 @ [inv_sqrt2, -inv_sqrt2]) - 1.0) < 1e-12
 
     def test_negative_eigenvalues_allowed(self):
-        spec = linalg.sym_eig(np.diag([1.0, -4.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, -4.0])
+        vals, _ = linalg.sym_eig(np.diag([1.0, -4.0]))
+        np.testing.assert_allclose(vals, [1.0, -4.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidMatrix):
@@ -73,20 +73,19 @@ class TestSymEig:
         for trial in range(500):
             d = int(rng.integers(1, 17))
             m = random_symmetric(rng, d)
-            spec = linalg.sym_eig(m)
+            vals, v = linalg.sym_eig(m)
             fro = np.linalg.norm(m)
-            recon = reconstruct(spec)
+            recon = reconstruct(vals, v)
             assert np.linalg.norm(recon - m) <= 1e-10 * max(1.0, fro)
-            v = spec.eigenvectors
             assert np.linalg.norm(v.T @ v - np.eye(d)) <= 1e-10
-            assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
+            assert np.all(np.diff(vals) <= 1e-12)
 
     def test_matches_lapack_on_random_input(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             d = int(rng.integers(2, 13))
             m = random_symmetric(rng, d)
-            ours = linalg.sym_eig(m).eigenvalues
+            ours, _ = linalg.sym_eig(m)
             lapack = np.linalg.eigh(m)[0][::-1]
             np.testing.assert_allclose(ours, lapack, atol=1e-9 * max(1.0, abs(lapack[0])))
 
@@ -95,8 +94,8 @@ class TestSymEig:
         mats = np.stack([random_symmetric(rng, 6) for _ in range(40)])
         vals, vecs = linalg.sym_eig_batch(mats)
         for i in range(40):
-            single = linalg.sym_eig(mats[i])
-            np.testing.assert_allclose(vals[i], single.eigenvalues, atol=1e-10)
+            single, _ = linalg.sym_eig(mats[i])
+            np.testing.assert_allclose(vals[i], single, atol=1e-10)
             recon = (vecs[i] * vals[i]) @ vecs[i].T
             assert np.linalg.norm(recon - mats[i]) <= 1e-9
 
@@ -237,9 +236,7 @@ class TestPsdProject:
             p2 = linalg.psd_project(p1)
             assert np.linalg.norm(p2 - p1) <= 1e-9 * max(1.0, np.linalg.norm(p1))
             assert np.linalg.norm(p1 - m) <= np.linalg.norm(m) + 1e-12
-            assert linalg.sym_eig(p1).eigenvalues[-1] >= -1e-10 * max(
-                1.0, abs(linalg.sym_eig(m).eigenvalues[0])
-            )
+            assert linalg.sym_eig(p1)[0][-1] >= -1e-10 * max(1.0, abs(linalg.sym_eig(m)[0][0]))
 
 
 class TestRelNorms:
@@ -303,30 +300,30 @@ class TestProjectors:
         np.testing.assert_array_equal(out, 0.5 * (product + product.T))
 
     def test_top_one_of_diag(self):
-        spec = linalg.sym_eig(np.diag([3.0, 1.0]))
-        p = linalg.top_k_projector(spec, 1)
+        _, vecs = linalg.sym_eig(np.diag([3.0, 1.0]))
+        p = linalg.top_k_projector(vecs, 1)
         np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
         assert abs(np.trace(p) - 1) <= 1e-9 * 2
 
     def test_full_and_zero_rank(self):
-        spec = linalg.sym_eig(np.diag([2.0, 1.0, 0.5]))
-        np.testing.assert_allclose(linalg.top_k_projector(spec, 3), np.eye(3), atol=1e-12)
-        zero = linalg.top_k_projector(spec, 0)
+        _, vecs = linalg.sym_eig(np.diag([2.0, 1.0, 0.5]))
+        np.testing.assert_allclose(linalg.top_k_projector(vecs, 3), np.eye(3), atol=1e-12)
+        zero = linalg.top_k_projector(vecs, 0)
         np.testing.assert_allclose(zero, np.zeros((3, 3)), atol=1e-12)
         assert abs(np.trace(zero)) <= 1e-9 * 3
 
     def test_out_of_range_rank(self):
-        spec = linalg.sym_eig(np.eye(2))
+        _, vecs = linalg.sym_eig(np.eye(2))
         with pytest.raises(InvalidArgument):
-            linalg.top_k_projector(spec, 3)
+            linalg.top_k_projector(vecs, 3)
 
     def test_idempotence_and_trace(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             d = int(rng.integers(2, 10))
             k = int(rng.integers(0, d + 1))
-            spec = linalg.sym_eig(random_symmetric(rng, d))
-            p = linalg.top_k_projector(spec, k)
+            _, vecs = linalg.sym_eig(random_symmetric(rng, d))
+            p = linalg.top_k_projector(vecs, k)
             assert np.linalg.norm(p @ p - p) <= 1e-9
             assert abs(np.trace(p) - k) <= 1e-9 * d
 
@@ -367,7 +364,7 @@ class TestWeyl:
             d = int(rng.integers(1, 9))
             n = random_symmetric(rng, d)
             r = random_symmetric(rng, d)
-            lam_sum = linalg.sym_eig(n + r).eigenvalues
+            lam_sum, _ = linalg.sym_eig(n + r)
             for i in range(1, d + 1):
                 lo, hi = weyl_interval(n, r, i)
                 assert lo - 1e-9 <= lam_sum[i - 1] <= hi + 1e-9

@@ -298,7 +298,7 @@ class TestEigenvalueBandCheck:
         d = 6
         truth_mat = np.diag([8.0, 7.0, 6.0, 5.0, 4.0, 3.0])
         truth = linalg.sym_eig(truth_mat)
-        sigma = truth.eigenvalues[-1] / (8.0 * math.sqrt(d))
+        sigma = truth[0][-1] / (8.0 * math.sqrt(d))
         wins = 0
         for seed in range(100):
             noise = np.random.default_rng(seed).normal(scale=sigma, size=(d, d))

@@ -252,6 +252,28 @@ class TestLayoutContract:
         assert eigenvalues.min_samples(d, plan_shares(per_call, 2).per_call, beta_i) <= floor
 
     @settings(max_examples=300, deadline=None)
+    @given(LAYOUTS, BUDGETS, BETAS, st.floats(min_value=0.0, max_value=2.0))
+    def test_coarse_gate_agrees_with_feasible_psi(self, layout, budget, beta, multiple):
+        # the scan's coarse step recovers at MAX_PSI without asking
+        # feasible_psi, so its layout must refuse exactly the n that
+        # feasible_psi refuses, well below the any-accuracy floor and above it
+        d, k = layout
+        per_call = plan_shares(budget, precondition.max_calls(d)).per_call
+        beta_i = beta / d
+        floor = n_min(d, k, subspace.MAX_PSI, per_call, beta_i)
+
+        def refuses(call):
+            try:
+                call()
+            except InsufficientSamples:
+                return True
+            return False
+
+        for n in (int(floor * multiple), floor - 1, floor):
+            gate = refuses(lambda: subspace_params(n, d, k, 0.01, subspace.MAX_PSI, per_call, beta_i))
+            assert gate == refuses(lambda: feasible_psi(n, d, k, per_call, beta_i)), n
+
+    @settings(max_examples=300, deadline=None)
     @given(LAYOUTS, BUDGETS, BETAS, st.floats(min_value=1e-4, max_value=subspace.MAX_PSI))
     def test_n_min_is_the_smallest_accepted_n(self, layout, budget, beta, psi):
         d, k = layout
@@ -278,7 +300,8 @@ class TestLayoutContract:
 
     def test_one_subsample_count_per_layout_call(self, monkeypatch):
         # feasible_psi and subspace_params at floor-d2's coarse layout, as
-        # the scan calls them: each derives t once, in _layout
+        # the benchmark's layout count calls them (the scan calls only
+        # subspace_params, at MAX_PSI): each derives t once, in _layout
         budget = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(2)).per_call
         d, k, beta = 2, 1, 0.025
         n = 8 * subspace.subsample_count(d, k, budget, beta)
