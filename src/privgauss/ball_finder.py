@@ -40,21 +40,21 @@ def grid_cell(r_opt, dim):
     return r_opt / (100.0 * math.sqrt(dim))
 
 
-def n_min(dim, budget: PrivacyBudget, beta):
-    """Smallest point count find_center accepts.
-
-    Combines the sqrt(D) polylog / eps shape with a floor that lets an
-    entirely clustered dataset clear the per-coordinate release threshold.
-    """
-    return _n_min(dim, budget, plan_shares(budget, dim).per_call, beta)
-
-
-def _n_min(dim, budget, per_coord, beta):
-    """``n_min`` given ``per_coord``, the budget's split over the dim
-    coordinate histograms."""
+def _layout(dim, budget: PrivacyBudget, beta):
+    """(per_coord, floor): the budget's split over the dim coordinate
+    histograms and ``n_min``, the larger of the sqrt(D) polylog / eps shape
+    and the floor that lets an entirely clustered dataset clear the
+    per-coordinate release threshold at ``per_coord``."""
     check_beta(beta)
+    per_coord = plan_shares(budget, dim).per_call
     shape = N_MIN_SCALE * math.sqrt(dim) * math.log(dim / (budget.delta * beta)) / budget.epsilon
-    return max(int(math.ceil(shape)), release_floor(per_coord))
+    return per_coord, max(int(math.ceil(shape)), release_floor(per_coord))
+
+
+def n_min(dim, budget: PrivacyBudget, beta):
+    """Smallest point count find_center accepts, the one gate it compares n
+    with (both read it from ``_layout``)."""
+    return _layout(dim, budget, beta)[1]
 
 
 def find_center(points, r_opt, budget, beta, rng: RandomSource):
@@ -67,8 +67,7 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource):
     if not (math.isfinite(r_opt) and r_opt > 0.0):
         raise InvalidArgument(f"r_opt must be positive, got {r_opt}")
     n, dim = pts.shape
-    per_coord = plan_shares(budget, dim).per_call
-    needed = _n_min(dim, budget, per_coord, beta)
+    per_coord, needed = _layout(dim, budget, beta)
     if n < needed:
         raise InsufficientSamples(f"need at least {needed} points for D={dim}, got {n}")
 

@@ -242,7 +242,14 @@ def plan_shares(budget: PrivacyBudget, calls) -> SharePlan:
 
 
 def gaussian_sigma(sensitivity, budget: PrivacyBudget):
-    """Noise scale of the Gaussian mechanism: sigma^2 = 2 s^2 ln(2/delta) / eps^2."""
+    """Noise scale of the Gaussian mechanism: sigma^2 = 2 s^2 ln(2/delta) / eps^2.
+
+    This is the classic calibration, proved for eps < 1 (Dwork and Roth
+    2014, Thm A.1).  Beyond it the claim fails eventually: by the exact
+    Gaussian privacy profile (Balle and Wang 2018) it holds at delta = 1e-6
+    only up to eps of about 9.7, and at eps = 10 the true delta is about
+    1.15e-6.  ``PrivacyBudget`` accepts any eps > 0, so a Gaussian release
+    at eps >= 1 is outside the proved range."""
     if not (math.isfinite(sensitivity) and sensitivity > 0.0):
         raise InvalidArgument(f"sensitivity must be positive and finite, got {sensitivity}")
     return sensitivity * math.sqrt(2.0 * math.log(2.0 / budget.delta)) / budget.epsilon

@@ -480,8 +480,7 @@ class MappedRows:
 
     def sq_norm_bound(self):
         """An upper bound on every mapped row's ``sq_norms`` value as
-        ``blocks`` computes it, or inf when the view has none at hand.  Once
-        this view's ``max_sq_norm`` is known, it is that exact maximum.
+        ``blocks`` computes it, or inf when the view has none at hand.
         Nothing is cached.
 
         Unmapped, it is ``sq_norms`` of the one row M of the raw columns'
@@ -495,8 +494,6 @@ class MappedRows:
         Mapped, it is the largest of ``sq_norm_bounds`` over the finest
         cached raw layout (the most subsamples) and the rows past it, the
         only rows it reads."""
-        if self._max_sq_norm is not None:
-            return self._max_sq_norm
         stats = self._stats
         if self.a is None:
             if stats.col_max is None:

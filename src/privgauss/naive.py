@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import eigenvalues, linalg
 from .dp_core import PrivacyBudget, RandomSource, check_beta, gaussian_sigma, gue_mechanism, plan_shares
 from .errors import InsufficientSamples, InvalidArgument
 from .eigenvalues import estimate_eigenvalues
@@ -81,6 +81,14 @@ def naive_config(n, d, kappa2, budget: PrivacyBudget, beta) -> NaiveConfig:
     sensitivity = 2.0 * clip / n
     sigma = gaussian_sigma(sensitivity, budget) if clip > 0.0 else 0.0
     return NaiveConfig(clip_threshold=clip, sensitivity=sensitivity, sigma=sigma)
+
+
+def min_samples(d, budget, beta):
+    """Smallest n naive_estimate accepts without ``kappa2``: 2d, or the
+    floor of the eigenvalue estimate at the half share it spends on kappa2,
+    whichever is larger.  Like ``eigenvalues.min_samples``, it promises the
+    layout, not a release."""
+    return max(2 * d, eigenvalues.min_samples(d, plan_shares(budget, 2).per_call, beta))
 
 
 def naive_estimate(

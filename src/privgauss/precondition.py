@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import eigenvalues, linalg, subspace
+from . import eigenvalues, linalg, naive, subspace
 from .dp_core import PrivacyBudget, RandomSource, check_beta, plan_shares
 from .eigenvalues import estimate_eigenvalues
 from .errors import DegenerateSpectrum, PrivGaussError
@@ -113,14 +113,15 @@ def min_samples(d, budget, beta):
     """Published sample floor for the scanning loop: the largest floor of a
     budgeted call at its share (see ``_shares``).  Those are the eigenvalue
     estimate; at each k, the subspace recovery at subspace.MAX_PSI; and,
-    where a coarse step can fire (d >= 2), the post-coarse probe, which
-    spends half its share on an eigenvalue estimate.  At d = 1 the scan
-    releases nothing; the floor is then the eigenvalue estimate's at a
-    one-call share, which keeps it defined."""
+    where a coarse step can fire (d >= 2), the post-coarse probe, whose
+    floor without kappa2 is ``naive.min_samples``.  The fine step's probes
+    take kappa2 and need only 2d rows, which the probe's floor covers.  At
+    d = 1 the scan releases nothing; the floor is then the eigenvalue
+    estimate's at a one-call share, which keeps it defined."""
     per_call, beta_i = _shares(d, budget, beta)
     needs = [eigenvalues.min_samples(d, per_call, beta_i)]
     if d > 1:
-        needs.append(eigenvalues.min_samples(d, plan_shares(per_call, 2).per_call, beta_i))
+        needs.append(naive.min_samples(d, per_call, beta_i))
     needs += [subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i) for k in range(1, d)]
     return max(needs)
 

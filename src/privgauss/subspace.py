@@ -15,7 +15,8 @@ psi is the claimed accuracy, not a knob: it gates the subsample layout
 radius, truncation and noise scale are the same at every psi the layout
 accepts.  The preconditioner passes MAX_PSI, the accuracy its published
 floor is sized for; ``feasible_psi`` reports the best accuracy n supports.
-``_layout`` alone validates the arguments and decides whether n rows fit.
+``_layout`` alone validates the arguments, splits the budget and sizes the
+layout; ``n_min``, ``feasible_psi`` and ``subspace_params`` each read it once.
 
 Working set of one call, beyond the rows' cached raw Gram stack: the top-k
 bases, copied once from the subsamples' (t, d, d) eigenvectors into a
@@ -63,30 +64,7 @@ class SubspaceParams:
     r: float
     trunc_radius: float
     sigma: float
-    per_call: PrivacyBudget  # budget of each of the 2q releases (_phase_budgets)
-
-
-def _phase_budgets(budget: PrivacyBudget, q):
-    """(phase, per_call): the centers phase and the sums phase each get
-    ``phase``, half the budget, and each phase makes q calls at ``per_call``,
-    an equal share of ``phase``.  Every subsample adds one point to each of
-    the q calls, so one changed row moves one point in every call and the q
-    calls compose by the basic rule."""
-    phase = plan_shares(budget, 2).per_call
-    return phase, plan_shares(phase, q).per_call
-
-
-def subsample_count(d, k, budget: PrivacyBudget, beta):
-    q = REFS_PER_RANK * k
-    _, per_center = _phase_budgets(budget, q)
-    t_accuracy = math.ceil(
-        T_SCALE
-        * math.sqrt(d * k)
-        * math.log(d * k / (budget.epsilon * budget.delta))
-        / budget.epsilon
-    )
-    t_release = ball_finder.n_min(d, per_center, beta / q)
-    return max(t_accuracy, t_release, 2 * k + 2, 8)
+    per_call: PrivacyBudget  # budget of each of the 2q releases (_layout)
 
 
 def _psi_floor(m, d, k, t):
@@ -96,24 +74,36 @@ def _psi_floor(m, d, k, t):
 
 
 def _layout(d, k, psi, budget, beta):
-    """(t, m): the subsample count and the least rows per subsample that
-    support psi, the one layout n_min, feasible_psi and subspace_params
-    compare n with, after validating the arguments; n rows fit exactly
-    when n // t >= m.
+    """(t, m, phase, per_call): the one derivation of a call's budget split
+    and subsample layout, after validating the arguments.
 
-    m is at least MIN_ROWS_PER_DIM * d.  ``_psi_floor`` is non-increasing
-    in m (m t q is an exact integer, and the division and the sqrt round
-    monotonically), so one search finds the least m with psi >=
-    ``_psi_floor(m)``: m doubles from the least until it fits, then
-    bisects.  m t q must convert to a float, which bounds m; a psi that no
-    such m supports raises InvalidArgument."""
+    The centers phase and the sums phase each get ``phase``, half the
+    budget, and each phase makes q calls at ``per_call``, an equal share of
+    ``phase``.  Every subsample adds one point to each of the q calls, so
+    one changed row moves one point in every call and the q calls compose
+    by the basic rule.  t subsamples are enough for accuracy and for each
+    ball finder to release at ``per_call``; m is the least rows per
+    subsample that support psi, at least MIN_ROWS_PER_DIM * d.  n rows fit
+    exactly when n // t >= m.
+
+    ``_psi_floor`` is non-increasing in m (m t q is an exact integer, and
+    the division and the sqrt round monotonically), so one search finds the
+    least m with psi >= ``_psi_floor(m)``: m doubles from the least until
+    it fits, then bisects.  m t q must convert to a float, which bounds m;
+    a psi that no such m supports raises InvalidArgument."""
     if not 1 <= k <= d - 1:
         raise InvalidArgument(f"k={k} out of range [1, {d - 1}]")
     if not 0.0 < psi < 1.0:
         raise InvalidArgument(f"psi must lie in (0, 1), got {psi}")
     check_beta(beta)
-    t = subsample_count(d, k, budget, beta)
-    cap = int(sys.float_info.max) // (t * REFS_PER_RANK * k)
+    q = REFS_PER_RANK * k
+    phase = plan_shares(budget, 2).per_call
+    per_call = plan_shares(phase, q).per_call
+    t_accuracy = math.ceil(
+        T_SCALE * math.sqrt(d * k) * math.log(d * k / (budget.epsilon * budget.delta)) / budget.epsilon
+    )
+    t = max(t_accuracy, ball_finder._layout(d, per_call, beta / q)[1], 2 * k + 2, 8)
+    cap = int(sys.float_info.max) // (t * q)
     # lo does not fit, and hi does once the doubling stops
     hi = linalg.MIN_ROWS_PER_DIM * d
     lo = hi - 1
@@ -127,20 +117,20 @@ def _layout(d, k, psi, budget, beta):
             hi = mid
         else:
             lo = mid
-    return t, hi
+    return t, hi, phase, per_call
 
 
 def n_min(d, k, psi, budget, beta):
     """Smallest n recover_subspace accepts at accuracy psi: t times the
     least rows per subsample of ``_layout``."""
-    t, m = _layout(d, k, psi, budget, beta)
+    t, m, _, _ = _layout(d, k, psi, budget, beta)
     return t * m
 
 
 def feasible_psi(n, d, k, budget, beta):
     """Smallest psi the given n supports;
     raises below n_min at MAX_PSI, the any-accuracy floor."""
-    t, m = _layout(d, k, MAX_PSI, budget, beta)
+    t, m, _, _ = _layout(d, k, MAX_PSI, budget, beta)
     if n // t < m:
         raise InsufficientSamples(f"need n >= {t * m} for any accuracy, got {n}")
     return _psi_floor(n // t, d, k, t)
@@ -149,14 +139,13 @@ def feasible_psi(n, d, k, budget, beta):
 def subspace_params(n, d, k, gamma, psi, budget, beta) -> SubspaceParams:
     if not 0.0 < gamma <= 1.0:
         raise InvalidArgument(f"gamma must lie in (0, 1], got {gamma}")
-    t, least = _layout(d, k, psi, budget, beta)
+    t, least, phase, per_call = _layout(d, k, psi, budget, beta)
     m = n // t
     if m < least:
         raise InsufficientSamples(f"need n >= {t * least} at psi={psi}, got {n}")
     q = REFS_PER_RANK * k
     r = R_SCALE * gamma * math.sqrt(d) * (math.sqrt(k) + math.sqrt(math.log(k * t))) / math.sqrt(m)
     trunc = TRUNC_SCALE * r * math.sqrt(math.log(t))
-    phase, per_call = _phase_budgets(budget, q)
     sigma = 4.0 * trunc * math.sqrt(q) * math.log(q / phase.delta) / (phase.epsilon * t)
     return SubspaceParams(t=t, m=m, q=q, r=r, trunc_radius=trunc, sigma=sigma, per_call=per_call)
 

@@ -137,8 +137,7 @@ def recover_subspace_reference(x, k, gamma, psi, budget, beta, rng):
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
     params = subspace.subspace_params(n, d, k, gamma, psi, budget, beta)
-    t, m, q = params.t, params.m, params.q
-    _, per_call = subspace._phase_budgets(budget, q)
+    t, m, q, per_call = params.t, params.m, params.q, params.per_call
 
     refs = subspace.sample_reference_points(q, d, rng)
 

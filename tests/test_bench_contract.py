@@ -164,3 +164,17 @@ def test_every_laplace_draw_has_its_charged_scale(name, monkeypatch):
     }
     assert draws
     assert [(label, scale, charged[label]) for label, scale in draws if scale != charged[label]] == []
+
+
+@pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])
+def test_every_gaussian_release_is_in_the_calibrations_range(name):
+    # gaussian_sigma's calibration is proved for eps < 1 only; each
+    # workload's Gaussian releases stay there (the largest is the final
+    # naive estimate's noise, at a quarter of the budget)
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    acc = Accountant()
+    workloads.estimate_covariance(raw, 0, acc)
+    gaussian = [e for e in acc.entries if e.mechanism == "gaussian"]
+    assert gaussian
+    assert [(e.label, e.budget.epsilon) for e in gaussian if not e.budget.epsilon < 1.0] == []

@@ -7,7 +7,7 @@ import pytest
 from oracles import clipped_second_moment_reference, eigenvalue_band_check
 from privgauss import linalg, naive
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
-from privgauss.errors import InsufficientSamples, InvalidArgument
+from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
 from privgauss.naive import clipped_second_moment, naive_config, naive_estimate
 
 BUDGET = PrivacyBudget(1.0, 1e-6)
@@ -127,6 +127,18 @@ class TestNaiveEstimate:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             naive_estimate(np.zeros((3, 2)), BUDGET, 0.05, RandomSource(0), kappa2=1.0)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_published_floor_is_the_smallest_accepted_n(self, d):
+        # without kappa2 the estimate's gate is its eigenvalue estimate's, at
+        # half the budget; the floor promises that layout, not a release
+        floor = naive.min_samples(d, BUDGET, 0.05)
+        try:
+            naive_estimate(gaussian_samples(np.ones(d), floor, 0), BUDGET, 0.05, RandomSource(0))
+        except BottomReleased:
+            pass  # ROADMAP item 13
+        with pytest.raises(InsufficientSamples):
+            naive_estimate(gaussian_samples(np.ones(d), floor - 1, 0), BUDGET, 0.05, RandomSource(0))
 
     @pytest.mark.parametrize("rows", [np.zeros((10, 0)), np.zeros(10)])
     def test_rows_without_columns_are_rejected(self, rows):

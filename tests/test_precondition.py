@@ -257,10 +257,8 @@ class TestSampleFloor:
         per_call, beta_i = plan_shares(budget, max_calls(d)).per_call, beta / d
         needs = {
             "eigenvalue estimate": eigenvalues.min_samples(d, per_call, beta_i),
-            "post-coarse probe's eigenvalue estimate": eigenvalues.min_samples(
-                d, plan_shares(per_call, 2).per_call, beta_i
-            ),
-            "naive probe": 2 * d,
+            "post-coarse probe": naive.min_samples(d, per_call, beta_i),
+            "fine probe": 2 * d,
         }
         for k in range(1, d):
             needs[f"subspace at k = {k}"] = subspace.n_min(d, k, subspace.MAX_PSI, per_call, beta_i)

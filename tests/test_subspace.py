@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import recover_subspace_reference
-from privgauss import eigenvalues, linalg, precondition, subspace
+from privgauss import ball_finder, linalg, naive, precondition, subspace
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
 from privgauss.errors import InsufficientSamples, InvalidArgument, PrivGaussError
 from privgauss.subspace import (
@@ -193,7 +193,7 @@ class TestBufferedLoop:
         # the coarse step's layout on floor-d2: t = 19,830 subsamples of m = 8
         budget = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(2)).per_call
         d, k, beta = 2, 1, 0.025
-        t = subspace.subsample_count(d, k, budget, beta)
+        t = subspace._layout(d, k, subspace.MAX_PSI, budget, beta)[0]
         assert t == 19_830
         n = 8 * t
         rows = linalg.MappedRows.of(gapped_samples(d, k, 1e-4, n, 0))
@@ -248,8 +248,8 @@ class TestLayoutContract:
         beta_i = beta / d
         psi = feasible_psi(n, d, k, per_call, beta_i)
         subspace_params(n, d, k, 0.01, psi, per_call, beta_i)
-        # the post-coarse probe's eigenvalue estimate, at half a share
-        assert eigenvalues.min_samples(d, plan_shares(per_call, 2).per_call, beta_i) <= floor
+        # the post-coarse probe, which estimates its own kappa2
+        assert naive.min_samples(d, per_call, beta_i) <= floor
 
     @settings(max_examples=300, deadline=None)
     @given(LAYOUTS, BUDGETS, BETAS, st.floats(min_value=0.0, max_value=2.0))
@@ -289,7 +289,7 @@ class TestLayoutContract:
         # near m = 1e25 rows per subsample _psi_floor is flat in floats over
         # long runs of m, and beyond float range m t q cannot be converted
         budget, beta = PrivacyBudget(0.125, 1.25e-7), 0.025
-        t = subspace.subsample_count(2, 1, budget, beta)
+        t = subspace._layout(2, 1, subspace.MAX_PSI, budget, beta)[0]
         start = time.process_time()
         n = n_min(2, 1, 1e-13, budget, beta)
         assert time.process_time() - start < 1.0
@@ -298,23 +298,27 @@ class TestLayoutContract:
         with pytest.raises(PrivGaussError):
             n_min(2, 1, 1e-200, budget, beta)
 
-    def test_one_subsample_count_per_layout_call(self, monkeypatch):
+    def test_one_split_per_layout_call(self, monkeypatch):
         # feasible_psi and subspace_params at floor-d2's coarse layout, as
         # the benchmark's layout count calls them (the scan calls only
-        # subspace_params, at MAX_PSI): each derives t once, in _layout
+        # subspace_params, at MAX_PSI): each splits the budget into phases,
+        # each phase into q calls and each call into d coordinates once,
+        # in _layout
         budget = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(2)).per_call
         d, k, beta = 2, 1, 0.025
-        n = 8 * subspace.subsample_count(d, k, budget, beta)
-        count, calls = subspace.subsample_count, []
+        t, _, phase, per_call = subspace._layout(d, k, subspace.MAX_PSI, budget, beta)
+        n = 8 * t
+        calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return count(*args)
+        def spy(budget, count):
+            calls.append((budget, count))
+            return plan_shares(budget, count)
 
-        monkeypatch.setattr(subspace, "subsample_count", counted)
+        for module in (ball_finder, subspace):
+            monkeypatch.setattr(module, "plan_shares", spy)
         psi = feasible_psi(n, d, k, budget, beta)
         subspace_params(n, d, k, 0.01, psi, budget, beta)
-        assert len(calls) == 2
+        assert calls == [(budget, 2), (phase, subspace.REFS_PER_RANK * k), (per_call, d)] * 2
 
     def test_exact_boundary_psi(self):
         # here m = 10 rows per subsample, and re-deriving the rows that this
