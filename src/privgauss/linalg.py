@@ -1,14 +1,15 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
-Everything here is deterministic and privacy-free: the subsample Gram
-stack (unit-stride BLAS dots of at most DOT_TERMS terms per subsample and
-column pair over a transposed, 64-byte-aligned copy of each block,
-independent of the rows' base address and of the BLAS thread count, with
-each column's largest absolute entry fused into the first stack of a row
-array and cached by ``MappedRows``), the certificates that bound every
-row's squared norm without reading the rows (``sq_norms`` of those column
-maxima for the raw rows, ``sq_norm_bounds`` from a cached stack for mapped
-rows, so a view's rows are read only when its certificate fails),
+Everything here is deterministic and privacy-free: the Gram stack of
+every block of m rows, the last holding the rows left over (unit-stride
+BLAS dots of at most DOT_TERMS terms per block and column pair over a
+transposed, 64-byte-aligned copy of the rows, independent of the rows'
+base address and of the BLAS thread count, with each column's largest
+absolute entry fused into the first stack of a row array and cached by
+``MappedRows``), the certificates that bound every row's squared norm
+without reading the rows (``sq_norms`` of those column maxima for the raw
+rows, ``sq_norm_bounds`` from a cached stack, which covers every row, for
+mapped rows, so a view's rows are read only when its certificate fails),
 batched eigendecomposition (one closed-form rotation per 2 x 2 matrix,
 LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness
 check (``positive_spectrum``), spectral projectors, the PSD-cone projection,
@@ -170,40 +171,40 @@ def _aligned(d, rows):
     return raw[start : start + d * rows].reshape(d, rows)
 
 
-def gram_stack(x, t, m, norms=True):
-    """Unscaled second-moment matrices X_j^T X_j of the first t blocks of m
-    consecutive rows of the (n, d) float64 array ``x``, as a (t, d, d)
-    stack, and the largest absolute entry of each column over all n rows,
-    as a (d,) array M, or None when ``norms`` is false and the caller
-    already holds it.  This is the subsample layout of eigenvalue
-    estimation and subspace recovery; InvalidArgument unless t, m >= 1 and
-    t * m <= n.
+def gram_stack(x, m, norms=True):
+    """Unscaled second-moment matrices X_j^T X_j of every block of m
+    consecutive rows of the (n, d) float64 array ``x``, m >= 1, as a
+    (ceil(n / m), d, d) stack whose last block holds the n mod m rows left
+    over, if any, and the largest absolute entry of each column, as a (d,)
+    array M, or None when ``norms`` is false and the caller already holds
+    it.  The first t blocks are the subsample layout of eigenvalue
+    estimation and subspace recovery (see ``MappedRows.gram_stack``).
 
     One pass copies the rows, transposed, into one reused (d, rows) buffer,
-    whole subsamples at a time: as many as fit in the values of the two
-    row-long temporaries of ``sq_norms`` over the whole subsamples a
-    BLOCK_ROWS-row block holds.  Where not one fits, it takes one
-    subsample's rows min(m, DOT_TERMS) at a time.  Entry (i, j) of
-    each subsample is the unit-stride BLAS dot product of buffer rows i and
-    j (``np.vecdot``); above DOT_TERMS rows per subsample it is the in-order
-    sum of one dot per DOT_TERMS rows.  So each entry is at most K =
-    min(m, DOT_TERMS) + ceil(m / DOT_TERMS) - 1 roundings from exact, within
-    gamma_K (|X_j|^T |X_j|)_ij of it (see ``sq_norm_bounds``).  M is each
-    buffer row's largest entry and negated smallest, fused into the same
-    pass; rows past t * m enter only M, and with ``norms`` false no
-    extreme is taken.
+    whole blocks at a time: as many as fit in the values of the two
+    row-long temporaries of ``sq_norms`` over the whole blocks a
+    BLOCK_ROWS-row block holds.  Where not one fits, it takes one block's
+    rows min(m, DOT_TERMS) at a time.  The leftover block's missing rows
+    are zeros in the buffer, which add exactly nothing to a dot and move
+    neither column extreme.  Entry (i, j) of each block is the unit-stride
+    BLAS dot product of buffer rows i and j (``np.vecdot``); above
+    DOT_TERMS rows per block it is the in-order sum of one dot per
+    DOT_TERMS rows.  So each entry is at most K = min(m, DOT_TERMS) +
+    ceil(m / DOT_TERMS) - 1 roundings from exact, within gamma_K (|X_j|^T
+    |X_j|)_ij of it (see ``sq_norm_bounds``).  M is each buffer row's
+    largest entry and negated smallest, fused into the same pass; with
+    ``norms`` false no extreme is taken.
 
     The result is deterministic.  The buffer starts on a 64-byte boundary
-    and every dot's operands start at an offset from it fixed by (d, t, m),
+    and every dot's operands start at an offset from it fixed by (d, n, m),
     so a BLAS kernel that splits its loop by alignment splits it the same
     way on every call, whatever the rows' base address.  No dot has more
     than DOT_TERMS terms, too few for BLAS to split across threads, so the
     BLAS thread count does not matter either.
     """
     n, d = x.shape
-    if t < 1 or m < 1 or t * m > n:
-        raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
-    per_pass = 2 * (BLOCK_ROWS // m) // d  # whole subsamples per fill
+    t = -(-n // m)
+    per_pass = 2 * (BLOCK_ROWS // m) // d  # whole blocks per fill
     if per_pass:
         span = min(per_pass, t) * m
         fills = ((lo, min(lo + per_pass, t), 0, m) for lo in range(0, t, per_pass))
@@ -213,21 +214,18 @@ def gram_stack(x, t, m, norms=True):
     buf = _aligned(d, span)
     stack = np.empty((t, d, d))
     top, bottom = np.zeros((2, d))  # each column's largest entry and smallest, or 0
-
-    def take_extremes(rows):
-        np.maximum(top, np.maximum.reduce(rows, axis=1), out=top)
-        np.minimum(bottom, np.minimum.reduce(rows, axis=1), out=bottom)
-
     for lo, hi, c0, c1 in fills:
-        # rows c0:c1 of subsamples lo:hi, one contiguous range of x
+        # rows c0:c1 of blocks lo:hi, one contiguous range of x
         rows = buf[:, : (hi - lo) * (c1 - c0)]
-        np.copyto(rows, x[lo * m + c0 : (hi - 1) * m + c1].T)
+        src = x[lo * m + c0 : (hi - 1) * m + c1]
+        np.copyto(rows[:, : len(src)], src.T)
+        rows[:, len(src) :] = 0.0  # the leftover block's missing rows
         part = stack[lo:hi]
         for k in range(0, c1 - c0, DOT_TERMS):
             cols = rows.reshape(d, hi - lo, c1 - c0)[:, :, k : k + DOT_TERMS]
             for i in range(d):
                 for j in range(i, d):
-                    if c0 + k == 0:  # the subsample's first chunk
+                    if c0 + k == 0:  # the block's first chunk
                         np.vecdot(cols[i], cols[j], out=part[:, i, j])
                     else:
                         part[:, i, j] += np.vecdot(cols[i], cols[j])
@@ -235,17 +233,14 @@ def gram_stack(x, t, m, norms=True):
             for j in range(i + 1, d):
                 part[:, j, i] = part[:, i, j]  # one column at a time: no temporary copy
         if norms:
-            take_extremes(rows)
+            np.maximum(top, np.maximum.reduce(rows, axis=1), out=top)
+            np.minimum(bottom, np.minimum.reduce(rows, axis=1), out=bottom)
     if not norms:
         return stack, None
-    for start in range(t * m, n, span):  # the rows past the layout, through the buffer too
-        rows = buf[:, : min(span, n - start)]
-        np.copyto(rows, x[start : start + span].T)
-        take_extremes(rows)
     return stack, np.maximum(top, np.negative(bottom))
 
 
-# Range of ``sq_norm_bounds``: subsamples of at most CERT_MAX_ROWS rows in at
+# Range of ``sq_norm_bounds``: blocks of at most CERT_MAX_ROWS rows in at
 # most MAX_DIM dimensions, and traces and map scales of at least CERT_FLOOR.
 CERT_MAX_ROWS = DOT_TERMS * DOT_TERMS
 CERT_FLOOR = 2.0**-500
@@ -273,32 +268,33 @@ def _cert_eta():
 CERT_ETA = _cert_eta()  # 2^-35, about 2.9e-11
 
 
-def sq_norm_bounds(stack, m, tail, a):
+def sq_norm_bounds(stack, m, a):
     """Upper bounds on the squared norms ``sq_norms(block @ a)`` that the
     clip test computes for raw rows, from their Gram statistics: one bound
-    per subsample of ``stack``, the raw (t, d, d) ``gram_stack`` of m-row
-    subsamples, then one per row of ``tail``, the raw rows past t * m.
-    None where the proof below does not hold: m > CERT_MAX_ROWS,
-    d > MAX_DIM, or ||a||_F^2 or a group's trace below CERT_FLOOR, or a
-    bound or trace that is not finite.
+    per block of ``stack``, the raw (t, d, d) ``gram_stack`` of m-row
+    blocks, so one for every row it covers.  None where the proof below
+    does not hold: m > CERT_MAX_ROWS, d > MAX_DIM, or ||a||_F^2 or a
+    block's trace below CERT_FLOOR, or a bound or trace that is not finite.
 
-    A group's bound is <G^, w> = tr(a^T G^ a) + eta ||a||_F^2 tr(G^), with
-    G^ its computed Gram matrix (a tail row's is its outer product),
-    w = a a^T + eta ||a||_F^2 I and eta = CERT_ETA: a (2, d^2) @
-    (d^2, groups) product, whose second row is tr(G^).  Reading ``tail``
-    is the only pass over rows.
+    A block's bound is <G^, w> = tr(a^T G^ a) + eta ||a||_F^2 tr(G^), with
+    G^ its computed Gram matrix, w = a a^T + eta ||a||_F^2 I and
+    eta = CERT_ETA: a (2, d^2) @ (d^2, t) product, whose second row is
+    tr(G^).  No row is read.
 
-    Soundness.  A row x_r of a group with exact Gram matrix G has
+    Soundness.  A row x_r of a block with exact Gram matrix G has
     ||x_r a||^2 <= Q = tr(a^T G a), since G - x_r^T x_r is PSD.  Write
     u = 2^-53, gamma_k = k u / (1 - k u), T = tr(G), A = ||a||_F^2 and |.|
     for entrywise absolute values; the rows' sum of
     (|x_r|^T |x_r|)_ik (|a| |a|^T)_ik over i, k is sum_r || |x_r| |a| ||^2,
-    at most T A.  Without underflow:
+    at most T A.  The leftover block of ``gram_stack`` is summed over m
+    rows, its own and zero rows, which add nothing to G, |X|^T |X|, T or
+    Q, so all that follows holds for it as for a full block.  Without
+    underflow:
 
     * G^: each entry is at most K = min(m, DOT_TERMS) + ceil(m / DOT_TERMS)
       - 1 roundings from exact (BLAS dots, in any order and with or without
-      FMA, then the in-order sum of the chunks; K = 1 for an outer product),
-      so |G^ - G| <= gamma_K |X|^T |X| and tr(G^) >= (1 - gamma_K) T, and
+      FMA, then the in-order sum of the chunks), so
+      |G^ - G| <= gamma_K |X|^T |X| and tr(G^) >= (1 - gamma_K) T, and
       <G^, a a^T> >= Q - gamma_K T A;
     * forming w: fl(a a^T) is within gamma_d |a| |a|^T, its trace s is at
       least (1 - gamma_2d) A, eta s is exact (eta is a power of two), and
@@ -320,7 +316,7 @@ def sq_norm_bounds(stack, m, tail, a):
     underflow: with T and s at least CERT_FLOOR = 2^-500, every product
     that underflows loses at most 2^-1075, less than 2^-57 T A in all.
     Overflow leaves an inf or NaN, which returns None.  So every row's
-    clip-test value is at most its group's bound, whatever BLAS kernel
+    clip-test value is at most its block's bound, whatever BLAS kernel
     forms ``block @ a``.
     """
     t, d, _ = stack.shape
@@ -335,17 +331,8 @@ def sq_norm_bounds(stack, m, tail, a):
         return None
     w.flat[:: d + 1] += CERT_ETA * s
     cols[1].flat[:: d + 1] = 1.0
-    cols = cols.reshape(2, d * d)
-    # the tail rows' outer products, one row per entry (i, j)
-    n = len(tail)
-    outer = np.empty((d * d, n))
-    groups = np.empty((2, t + n))  # bounds, then traces
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(d):
-            for j in range(d):
-                np.multiply(tail[:, i], tail[:, j], out=outer[i * d + j])
-        np.matmul(cols, stack.reshape(t, d * d).T, out=groups[:, :t])
-        np.matmul(cols, outer, out=groups[:, t:])
+        groups = cols.reshape(2, d * d) @ stack.reshape(t, d * d).T  # bounds, then traces
     bounds, traces = groups
     if not (np.isfinite(groups).all() and traces.min() >= CERT_FLOOR):
         return None
@@ -356,7 +343,7 @@ def sq_norm_bounds(stack, m, tail, a):
 class _RowStats:
     """Statistics of one raw row array, each computed on first use."""
 
-    stacks: dict = field(default_factory=dict)  # (t, m) -> gram_stack(x, t, m)[0]
+    stacks: dict = field(default_factory=dict)  # m -> gram_stack(x, m)[0], over every row
     moment: np.ndarray | None = None  # X^T X over all rows
     col_max: np.ndarray | None = None  # largest |entry| per column, from the first raw stack's pass
 
@@ -388,8 +375,8 @@ class MappedRows:
     decision.  The first raw stack's pass (see ``gram_stack``) takes each
     raw column's largest absolute entry, M, into the cache the views share:
     the identity view's bound is ``sq_norms`` of M, which monotone rounding
-    puts at or above every row's value.  A mapped view's bound comes from the finest
-    cached raw stack and the rows past its layout.  Where a bound fails,
+    puts at or above every row's value.  A mapped view's bound comes from
+    the finest cached raw stack, which covers every row.  Where a bound fails,
     ``max_sq_norm`` reads the view's rows BLOCK_ROWS at a time in
     ``blocks``, once per view.
     Eigenvalues are not quadratic either: ``subsample_eigenvalues``
@@ -435,16 +422,20 @@ class MappedRows:
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def gram_stack(self, t, m):
-        """``gram_stack`` of the mapped rows; the raw stack is computed once
-        per layout, and fuses the raw columns' absolute maxima only while
-        they are not yet cached."""
+        """The first t blocks of ``gram_stack`` of the mapped rows, blocks
+        of m rows; InvalidArgument unless t, m >= 1 and t * m <= n.  The raw
+        stack of every block is computed once per m, and fuses the raw
+        columns' absolute maxima only while they are not yet cached."""
+        n = self.x.shape[0]
+        if t < 1 or m < 1 or t * m > n:
+            raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
         stats = self._stats
-        if (t, m) not in stats.stacks:
-            stack, col_max = gram_stack(self.x, t, m, norms=stats.col_max is None)
+        if m not in stats.stacks:
+            stack, col_max = gram_stack(self.x, m, norms=stats.col_max is None)
             if col_max is not None:
                 stats.col_max = _frozen(col_max)
-            stats.stacks[(t, m)] = _frozen(stack)
-        return self._map(stats.stacks[(t, m)])
+            stats.stacks[m] = _frozen(stack)
+        return self._map(stats.stacks[m][:t])
 
     def subsample_eigenvalues(self, t, m):
         """Eigenvalues of the subsample second moments ``gram_stack(t, m) /
@@ -457,16 +448,12 @@ class MappedRows:
         return self._eigenvalues[(t, m)]
 
     def moment(self):
-        """Unscaled second moment X^T X of all mapped rows.  From a cached
-        stack it costs only the tail rows past the layout."""
+        """Unscaled second moment X^T X of all mapped rows: the sum of a
+        cached raw stack, which covers every row, or one product of the
+        rows when none is cached."""
         stats = self._stats
         if stats.moment is None:
-            if stats.stacks:
-                (t, m), stack = next(iter(stats.stacks.items()))
-                tail = self.x[t * m :]
-                full = stack.sum(axis=0) + tail.T @ tail
-            else:
-                full = self.x.T @ self.x
+            full = next(iter(stats.stacks.values())).sum(axis=0) if stats.stacks else self.x.T @ self.x
             stats.moment = _frozen(0.5 * (full + full.T))
         return self._map(stats.moment)
 
@@ -492,8 +479,8 @@ class MappedRows:
         rows makes the bound NaN, which settles nothing.
 
         Mapped, it is the largest of ``sq_norm_bounds`` over the finest
-        cached raw layout (the most subsamples) and the rows past it, the
-        only rows it reads."""
+        cached raw stack (the smallest m, so the most blocks); no row is
+        read either."""
         stats = self._stats
         if self.a is None:
             if stats.col_max is None:
@@ -503,8 +490,8 @@ class MappedRows:
         stacks = stats.stacks
         if not stacks:
             return math.inf
-        t, m = max(stacks, key=lambda layout: layout[0])
-        bounds = sq_norm_bounds(stacks[(t, m)], m, self.x[t * m :], self.a)
+        m = min(stacks)
+        bounds = sq_norm_bounds(stacks[m], m, self.a)
         return math.inf if bounds is None else float(bounds.max())
 
     def max_sq_norm(self):

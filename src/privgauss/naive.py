@@ -9,9 +9,9 @@ the statistic is mapped, not the rows.  The clip is decided on the view's
 mapped row norms, ``linalg.sq_norms`` of each row.  They are bounded
 without reading the rows (``MappedRows.sq_norm_bound``): the raw rows' by
 ``sq_norms`` of their columns' absolute maxima, which come with their
-first Gram stack, and a mapped view's from its cached Gram stacks.  The
-rows are read block by block from ``MappedRows.blocks`` only when that
-bound exceeds the threshold.
+first Gram stack, and a mapped view's from its finest cached Gram stack,
+which covers every row.  The rows are read block by block from
+``MappedRows.blocks`` only when that bound exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -83,12 +83,20 @@ def naive_config(n, d, kappa2, budget: PrivacyBudget, beta) -> NaiveConfig:
     return NaiveConfig(clip_threshold=clip, sensitivity=sensitivity, sigma=sigma)
 
 
+def _layout(d, budget: PrivacyBudget, beta):
+    """(half, floor): the share of ``budget`` that naive_estimate without
+    ``kappa2`` spends on each of kappa2 and the noise, and ``min_samples``,
+    2d or the floor of the eigenvalue estimate at that share, whichever is
+    larger."""
+    half = plan_shares(budget, 2).per_call
+    return half, max(2 * d, eigenvalues.min_samples(d, half, beta))
+
+
 def min_samples(d, budget, beta):
-    """Smallest n naive_estimate accepts without ``kappa2``: 2d, or the
-    floor of the eigenvalue estimate at the half share it spends on kappa2,
-    whichever is larger.  Like ``eigenvalues.min_samples``, it promises the
+    """Smallest n naive_estimate accepts without ``kappa2`` (see
+    ``_layout``).  Like ``eigenvalues.min_samples``, it promises the
     layout, not a release."""
-    return max(2 * d, eigenvalues.min_samples(d, plan_shares(budget, 2).per_call, beta))
+    return _layout(d, budget, beta)[1]
 
 
 def naive_estimate(
@@ -115,9 +123,9 @@ def naive_estimate(
     correctly rounded * and + are monotone, so the clip test's value for
     each row is at most the bound, with no margin, and a NaN or inf entry
     leaves a bound that settles nothing.  Mapped, it is a bound from the
-    finest cached Gram stack that ``linalg.sq_norm_bounds`` proves, whatever
-    the rounding of ``block @ a``, reading only the rows past that stack's
-    layout.  If the bound is above the threshold,
+    finest cached Gram stack, which covers every row, that
+    ``linalg.sq_norm_bounds`` proves whatever the rounding of
+    ``block @ a``, reading no row.  If the bound is above the threshold,
     the view's ``max_sq_norm`` decides exactly: it is the largest
     ``linalg.sq_norms`` value of the very rows the clip test of
     ``clipped_second_moment`` reads, a mapped view's over the same blocks.
@@ -136,7 +144,7 @@ def naive_estimate(
         raise InsufficientSamples(f"need n >= {2 * d}, got {n}")
 
     if kappa2 is None:
-        kappa_budget = noise_budget = plan_shares(budget, 2).per_call
+        kappa_budget = noise_budget = _layout(d, budget, beta)[0]
         est = estimate_eigenvalues(rows, kappa_budget, beta, rng.child("kappa"))
         kappa2 = KAPPA_FACTOR * float(est.values[0])
     else:

@@ -28,8 +28,8 @@ later step.  The clip test's row norms are not quadratic, so they are
 bounded instead.  The raw rows' columns' absolute maxima come with their
 first Gram stack, in the same pass, and ``sq_norms`` of that one row is at
 least every raw row's norm, since rounding is monotone.  A mapped view's
-norms are bounded from the finest cached raw stack and the rows past its
-layout.  A view's rows are read block by block, once per map, only when
+norms are bounded from the finest cached raw stack, which covers every
+row.  A view's rows are read block by block, once per map, only when
 its bound does not settle the clip.
 """
 

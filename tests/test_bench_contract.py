@@ -5,8 +5,9 @@ which parses arguments and times whole runs) and checks that every name the
 tracer wraps still exists, that one traced estimate fills a ledger within
 the benchmark's budget, that the tracer puts the library back, that no
 two releases of one estimate share a noise stream, that every noise draw
-is charged to the benchmark's ledger, and that every Gaussian and Laplace
-draw has the scale its charge pays for.
+is charged to the benchmark's ledger, that every Gaussian and Laplace
+draw has the scale its charge pays for, and that no clip decision of one
+estimate reads its rows.
 """
 
 import sys
@@ -19,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
+from privgauss import linalg  # noqa: E402
 from privgauss.dp_core import Accountant, RandomSource, gaussian_sigma  # noqa: E402
 from test_precondition import assert_calls_within_reserve  # noqa: E402
 
@@ -65,6 +67,20 @@ def test_ledger_labels_are_unique(name, step):
     labels = [e.label for e in acc.entries]
     assert len(set(labels)) == len(labels)
     assert any(step in label for label in labels)
+
+
+@pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])
+def test_no_probe_reads_its_rows(name, monkeypatch):
+    # at the published floor, the certificates from the cached Gram stacks
+    # settle every clip decision of one composed estimate, so no view
+    # sweeps its rows and no clip test runs
+    w = workloads.WORKLOADS[name]
+    raw, _ = workloads.draw_rows(0, w.tag, 0, workloads.floor_rows(w.d), w.lam)
+    reads = []
+    blocks = linalg.MappedRows.blocks
+    monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: reads.append(view.shape) or blocks(view))
+    workloads.estimate_covariance(raw, 0, Accountant())
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", ["floor-d2", "fine-d3"])

@@ -442,8 +442,8 @@ class TestMappedRows:
         x = np.random.default_rng(1).normal(size=(500, 3))
         view = linalg.MappedRows.of(x)
         stack = view.gram_stack(40, 12)
-        assert np.array_equal(stack, linalg.gram_stack(x, 40, 12)[0])
-        assert view.gram_stack(40, 12) is stack
+        assert np.array_equal(stack, linalg.gram_stack(x, 12)[0][:40])
+        assert view.gram_stack(40, 12).base is stack.base is not None  # the cached stack, not a copy
         assert not stack.flags.writeable
         assert view.max_sq_norm() == linalg.sq_norms(x).max()
 
@@ -451,7 +451,7 @@ class TestMappedRows:
         calls = []
         original = linalg.gram_stack
         monkeypatch.setattr(
-            linalg, "gram_stack", lambda x, t, m, norms=True: calls.append((t, m)) or original(x, t, m, norms)
+            linalg, "gram_stack", lambda x, m, norms=True: calls.append(m) or original(x, m, norms)
         )
         rng = np.random.default_rng(2)
         x = rng.normal(size=(300, 3))
@@ -462,7 +462,8 @@ class TestMappedRows:
         y = x @ a @ b
         assert rel_err(composed.gram_stack(30, 10), matmul_stack(y, 30, 10)) <= 1e-12
         assert rel_err(composed.moment(), y.T @ y) <= 1e-12
-        assert calls == [(30, 10)]
+        assert rel_err(composed.gram_stack(20, 10), matmul_stack(y, 20, 10)) <= 1e-12
+        assert calls == [10]
 
     def test_max_sq_norm_is_the_max_over_mapped_blocks(self):
         # three blocks, the last of 5 rows: the maximum is exactly the one
@@ -485,13 +486,13 @@ class TestMappedRows:
         # one sweep of its blocks, made on request, once per view
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2 * linalg.BLOCK_ROWS + 7, 3))
-        x[-1] *= 10.0  # the largest row lies past every layout's rows
+        x[-1] *= 10.0  # the largest row lies past every layout's t * m rows
         want = linalg.sq_norms(x).max()
-        stacks = {step: linalg.gram_stack(x, *step)[0] for step in order if step != "max"}
+        stacks = {step: linalg.gram_stack(x, step[1])[0][: step[0]] for step in order if step != "max"}
         swept, flags = [], []
         sq_norms, gram_stack = linalg.sq_norms, linalg.gram_stack
         monkeypatch.setattr(
-            linalg, "gram_stack", lambda x, t, m, norms=True: flags.append(norms) or gram_stack(x, t, m, norms)
+            linalg, "gram_stack", lambda x, m, norms=True: flags.append(norms) or gram_stack(x, m, norms)
         )
 
         def spy(block):
@@ -512,9 +513,9 @@ class TestMappedRows:
 
     def test_without_norms_no_norm_is_computed(self, monkeypatch):
         x = np.random.default_rng(7).normal(size=(300, 2))
-        stack, _ = linalg.gram_stack(x, 30, 9)
+        stack, _ = linalg.gram_stack(x, 9)
         monkeypatch.setattr(linalg, "sq_norms", lambda block: pytest.fail("a norm was computed"))
-        bare, none = linalg.gram_stack(x, 30, 9, norms=False)
+        bare, none = linalg.gram_stack(x, 9, norms=False)
         assert none is None
         assert np.array_equal(bare, stack)
 
@@ -570,8 +571,9 @@ class TestSqNorms:
 class TestGramStack:
     B = linalg.BLOCK_ROWS
 
-    # (t, m, tail rows past t * m): several subsamples per buffer, m not
-    # dividing BLOCK_ROWS, and m > BLOCK_ROWS, one subsample per buffer
+    # (t, m, tail): t full blocks of m rows and a leftover block of tail
+    # rows; several blocks per buffer, m not dividing BLOCK_ROWS, and
+    # m > BLOCK_ROWS, one block per buffer
     @pytest.mark.parametrize(
         "t, m, tail",
         [(3, 5, 0), (3, 5, 4), (100, 466, 0), (100, 466, 465), (2, B + 3, 0), (2, B + 3, 7), (1, 2 * B, B + 1)],
@@ -580,11 +582,13 @@ class TestGramStack:
     def test_stack_and_maximum_cover_every_row(self, t, m, tail, d):
         rng = np.random.default_rng(t + m + tail)
         x = rng.normal(size=(t * m + tail, d)) * np.geomspace(0.01, 30.0, d)
-        x[-1] *= -100.0  # the largest entries lie in the tail when there is one
-        stack, col_max = linalg.gram_stack(x, t, m)
+        x[-1] *= -100.0  # the largest entries lie in the leftover block when there is one
+        stack, col_max = linalg.gram_stack(x, m)
         assert np.array_equal(col_max, np.abs(x).max(axis=0))
-        want = matmul_stack(x, t, m)
-        assert np.abs(stack - want).max() <= 1e-12 * np.abs(want).max()
+        assert len(stack) == t + (tail > 0)
+        # each block, the leftover one against its own rows' Gram matrix
+        want = np.stack([c.T @ c for c in (x[s : s + m] for s in range(0, len(x), m))])
+        assert np.all(np.abs(stack - want).max(axis=(1, 2)) <= 1e-12 * np.abs(want).max(axis=(1, 2)))
         assert np.array_equal(stack, stack.transpose(0, 2, 1))
 
     # floor-d2's coarse layout (shortened), fine-d3's eigenvalue layout, a
@@ -593,7 +597,8 @@ class TestGramStack:
     def test_rounding_does_not_depend_on_the_rows_address(self, t, m, d):
         # the benchmark requires two estimates at one seed to agree bit for
         # bit, and each reads freshly allocated rows: the stack and column
-        # maxima must not change with the rows' offset from a 64-byte boundary
+        # maxima, the leftover block's too, must not change with the rows'
+        # offset from a 64-byte boundary
         rng = np.random.default_rng(t + m + d)
         x = rng.normal(size=(t * m + 5, d)) * np.geomspace(0.01, 30.0, d)
         raw = np.empty(x.size + 16)
@@ -602,7 +607,7 @@ class TestGramStack:
         for offset in range(8):
             rows = raw[aligned + offset : aligned + offset + x.size].reshape(x.shape)
             rows[...] = x
-            results.append(linalg.gram_stack(rows, t, m))
+            results.append(linalg.gram_stack(rows, m))
         for stack, col_max in results[1:]:
             assert np.array_equal(stack, results[0][0])
             assert np.array_equal(col_max, results[0][1])
@@ -615,7 +620,7 @@ class TestGramStack:
             "import hashlib, numpy as np; from privgauss import linalg\n"
             "for m in (10_001, 20_000):\n"
             "    x = np.random.default_rng(m).normal(size=(2 * m, 3)) * np.geomspace(0.01, 30.0, 3)\n"
-            "    print(hashlib.sha256(linalg.gram_stack(x, 2, m)[0].tobytes()).hexdigest())\n"
+            "    print(hashlib.sha256(linalg.gram_stack(x, m)[0].tobytes()).hexdigest())\n"
         )
         src = str(pathlib.Path(linalg.__file__).resolve().parents[1])
         hashes = []
@@ -628,11 +633,13 @@ class TestGramStack:
 
     @pytest.mark.parametrize("t, m", [(0, 5), (5, 0), (-1, 5), (4, 26), (101, 1)])
     def test_layout_that_does_not_fit_raises(self, t, m):
+        # a view takes the first t blocks of the stack of every block
         with pytest.raises(InvalidArgument):
-            linalg.gram_stack(np.ones((100, 2)), t, m)
+            linalg.MappedRows.of(np.ones((100, 2))).gram_stack(t, m)
 
     # floor-d2's coarse layout (shortened) and fine-d3's two eigenvalue
-    # layouts, with a tail of rows past each
+    # layouts, with 779 rows past each: blocks past the layout, then a
+    # leftover block
     @pytest.mark.parametrize("t, m, d", [(2_000, 8, 2), (8364, 466, 3), (1853, 2104, 3)])
     def test_matches_the_strided_reference(self, t, m, d):
         # both sum each entry's products in chunks of DOT_TERMS, in another
@@ -640,14 +647,17 @@ class TestGramStack:
         # (|X|^T |X|)_ij <= sqrt(G_ii G_jj) by Cauchy-Schwarz
         rng = np.random.default_rng(t + m)
         x = rng.normal(size=(t * m + 779, d)) * np.geomspace(0.01, 30.0, d)
-        stack, _ = linalg.gram_stack(x, t, m)
-        want = gram_stack_reference(x, t, m)
+        stack, _ = linalg.gram_stack(x, m)
+        # the rows past the layout, padded with zero rows to whole blocks
+        rest = np.zeros((len(stack) * m - t * m, d))
+        rest[:779] = x[t * m :]
+        want = np.concatenate([gram_stack_reference(x, t, m), gram_stack_reference(rest, len(stack) - t, m)])
         k = min(m, linalg.DOT_TERMS) + -(-m // linalg.DOT_TERMS) - 1
         g = k * 2.0**-53 / (1.0 - k * 2.0**-53)
         diag = np.diagonal(want, axis1=1, axis2=2)
         bound = 2.0 * g / (1.0 - g) * np.sqrt(diag[:, :, None] * diag[:, None, :])
         assert np.all(np.abs(stack - want) <= bound)
-        assert np.array_equal(linalg.gram_stack(x, t, m, norms=False)[0], stack)
+        assert np.array_equal(linalg.gram_stack(x, m, norms=False)[0], stack)
 
     @staticmethod
     def traced_peak(work):
@@ -659,9 +669,9 @@ class TestGramStack:
             tracemalloc.stop()
 
     # fine-d3's two subsample lengths
-    @pytest.mark.parametrize("t, m", [(2145, 466), (475, 2104)])
+    @pytest.mark.parametrize("m", [466, 2104])
     @pytest.mark.parametrize("norms", [True, False])
-    def test_temporaries_scale_with_the_block_not_the_rows(self, t, m, norms):
+    def test_temporaries_scale_with_the_block_not_the_rows(self, m, norms):
         # at d = 3, beyond the stack, no more than the row norms that the
         # transposed buffer replaces: ``sq_norms`` over the whole subsamples
         # of each BLOCK_ROWS-row block
@@ -670,7 +680,7 @@ class TestGramStack:
         _, norms_peak = self.traced_peak(
             lambda: max(float(linalg.sq_norms(x[s : s + rows]).max()) for s in range(0, len(x), rows))
         )
-        (stack, _), peak = self.traced_peak(lambda: linalg.gram_stack(x, t, m, norms))
+        (stack, _), peak = self.traced_peak(lambda: linalg.gram_stack(x, m, norms))
         assert peak - stack.nbytes <= norms_peak
         assert norms_peak < 2 * rows * x.itemsize + 4096
 
@@ -712,24 +722,27 @@ class TestSqNormBound:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 4),
-        st.one_of(st.integers(1, 12), st.integers(1, 2 * linalg.DOT_TERMS)),
+        st.one_of(st.integers(2, 12), st.integers(2, 2 * linalg.DOT_TERMS)),
         st.integers(1, 6),
+        st.booleans(),
         st.sampled_from(["spd", "coarse", "general"]),
         st.floats(0.0, 8.0),
     )
-    def test_every_row_is_within_its_groups_bound(self, seed, d, m, t, kind, log_cond):
-        # a layout as estimate_eigenvalues leaves it, m = n // t, so fewer
-        # than t tail rows; columns of scales 1e-3 to 1e3 and maps up to
-        # cond 1e8.  Each row's clip-test value is at most its group's
+    def test_every_row_is_within_its_groups_bound(self, seed, d, m, t, single, kind, log_cond):
+        # n not divisible by m: t full blocks and a leftover block of one
+        # row, or of 1 to m - 1; columns of scales 1e-3 to 1e3 and maps up
+        # to cond 1e8.  Each row's clip-test value is at most its block's
         # bound, and the decision at thresholds at and one ulp below each
         # bound never keeps a row the clip test would drop
         rng = np.random.default_rng(seed)
         t = min(t, max(1, 40_000 // m))
-        x = rng.normal(size=(t * m + int(rng.integers(0, t)), d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        left = 1 if single else int(rng.integers(1, m))
+        x = rng.normal(size=(t * m + left, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=d)
         a = random_map(rng, d, kind, log_cond)
-        bounds = linalg.sq_norm_bounds(linalg.gram_stack(x, t, m)[0], m, x[t * m :], a)
+        bounds = linalg.sq_norm_bounds(linalg.gram_stack(x, m)[0], m, a)
         clip = clip_values(x, a)
-        assert np.all(np.concatenate([clip[: t * m].reshape(t, m).max(axis=1), clip[t * m :]]) <= bounds)
+        padded = np.concatenate([clip, np.zeros(m - left)])  # the leftover block, to m values
+        assert np.all(padded.reshape(t + 1, m).max(axis=1) <= bounds)
         view = linalg.MappedRows.of(x).mapped(a)
         view.gram_stack(t, m)
         bound = view.sq_norm_bound()
@@ -738,7 +751,7 @@ class TestSqNormBound:
             if bound <= threshold:
                 assert clip.max() <= threshold
 
-    def test_finest_cached_layout_and_the_rows_past_it(self, monkeypatch):
+    def test_bound_of_the_finest_cached_stack(self, monkeypatch):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1003, 2))
         a = random_spd(rng, 2, 0.5, 2.0)
@@ -747,10 +760,22 @@ class TestSqNormBound:
         view.gram_stack(10, 100)
         view.gram_stack(250, 4)
         view.gram_stack(50, 20)
-        want = linalg.sq_norm_bounds(linalg.gram_stack(x, 250, 4)[0], 4, x[1000:], a).max()
+        want = linalg.sq_norm_bounds(linalg.gram_stack(x, 4)[0], 4, a).max()
         monkeypatch.setattr(linalg.MappedRows, "blocks", lambda view: pytest.fail("rows were read"))
         assert view.sq_norm_bound() == want
-        assert want < linalg.sq_norm_bounds(linalg.gram_stack(x, 10, 100)[0], 100, x[1000:], a).max()
+        assert want < linalg.sq_norm_bounds(linalg.gram_stack(x, 100)[0], 100, a).max()
+
+    def test_the_mapped_bound_reads_no_row(self):
+        # the certificate reads only the cached raw stack, which covers
+        # every row: without its rows, the view keeps its bound
+        rng = np.random.default_rng(12)
+        raw = linalg.MappedRows.of(rng.normal(size=(1003, 3)))
+        raw.gram_stack(50, 20)
+        view = raw.mapped(random_spd(rng, 3, 0.5, 2.0))
+        want = view.sq_norm_bound()
+        view.x = None
+        assert math.isfinite(want)
+        assert view.sq_norm_bound() == want
 
     def test_unmapped_bound_is_the_column_maxima_row(self):
         rng = np.random.default_rng(9)
@@ -785,7 +810,7 @@ class TestSqNormBound:
         assert np.all(values <= bound)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("row", [0, -1])  # in a subsample, or past the layout
+    @pytest.mark.parametrize("row", [0, -1])  # in a full block, or in the leftover one
     def test_a_non_finite_row_leaves_no_finite_unmapped_bound(self, bad, row):
         x = np.random.default_rng(11).normal(size=(23, 2))
         x[row, 1] = bad
@@ -800,13 +825,15 @@ class TestSqNormBound:
         assert math.frexp(linalg.CERT_ETA)[0] == 0.5
         assert linalg.CERT_ETA >= 2 * 9.2e-12
 
-    @pytest.mark.parametrize("case", ["rows", "dim", "zero map", "zero subsample", "zero tail row", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "case", ["rows", "dim", "zero map", "zero subsample", "zero leftover block", "inf", "nan"]
+    )
     def test_outside_the_proofs_range_there_is_no_bound(self, case):
         rng = np.random.default_rng(10)
         d, t, m = 2, 5, 4
         x = rng.normal(size=(t * m + 3, d))
         a = random_spd(rng, d, 0.5, 2.0)
-        assert linalg.sq_norm_bounds(linalg.gram_stack(x, t, m)[0], m, x[t * m :], a) is not None
+        assert linalg.sq_norm_bounds(linalg.gram_stack(x, m)[0], m, a) is not None
         if case == "rows":
             m = linalg.CERT_MAX_ROWS + 1
         elif case == "dim":
@@ -816,11 +843,11 @@ class TestSqNormBound:
             a = np.zeros((d, d))
         elif case == "zero subsample":
             x[m : 2 * m] = 0.0
-        elif case == "zero tail row":
-            x[-1] = 0.0
+        elif case == "zero leftover block":
+            x[t * m :] = 0.0
         elif case == "nan":
             x[0, 0] = math.nan
-        stack = linalg.gram_stack(x, t, min(m, len(x) // t), norms=False)[0]
+        stack = linalg.gram_stack(x, min(m, len(x) // t), norms=False)[0]
         if case == "inf":
             stack[1, 0, 1] = stack[1, 1, 0] = math.inf
-        assert linalg.sq_norm_bounds(stack, m, x[t * m :], a) is None
+        assert linalg.sq_norm_bounds(stack, m, a) is None

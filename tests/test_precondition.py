@@ -358,7 +358,7 @@ class TestMappedStatistics:
         layouts = []
         gram_stack = linalg.gram_stack
         monkeypatch.setattr(
-            linalg, "gram_stack", lambda x, t, m, norms=True: layouts.append((t, m)) or gram_stack(x, t, m, norms)
+            linalg, "gram_stack", lambda x, m, norms=True: layouts.append(m) or gram_stack(x, m, norms)
         )
         reads = []
         blocks = linalg.MappedRows.blocks
@@ -387,10 +387,10 @@ class TestMappedStatistics:
         layouts, swept = [], []
         gram_stack, sq_norms = linalg.gram_stack, linalg.sq_norms
 
-        def stacked(x, t, m, norms=True):
+        def stacked(x, m, norms=True):
             if x is y:
-                layouts.append((t, m, norms))
-            return gram_stack(x, t, m, norms)
+                layouts.append((m, norms))
+            return gram_stack(x, m, norms)
 
         def normed(block):
             if np.may_share_memory(block, y):
@@ -401,8 +401,8 @@ class TestMappedStatistics:
         monkeypatch.setattr(linalg, "sq_norms", normed)
         trace = precondition(y, workloads.HALF, workloads.HALF_BETA, RandomSource(0).child("precondition"))
         assert [step.kind for step in trace.steps] == ["coarse"]
-        assert len(set(layouts)) == len(layouts) == 3
-        assert [norms for *_, norms in layouts] == [True, False, False]
+        assert len({m for m, _ in layouts}) == len(layouts) == 3
+        assert [norms for _, norms in layouts] == [True, False, False]
         assert swept == []
 
     def test_a_skip_reuses_its_views_eigenvalues(self, monkeypatch):
