@@ -84,9 +84,14 @@ class RandomSource:
     children derived with distinct labels are statistically independent.
     Each instance owns one generator, consumed sequentially.  ``path`` is the
     tuple of labels the stream was derived with and ``name`` that path joined
-    with "/" (the root's is "").  A root stream owns ``ledger``, the
-    Accountant passed in or a fresh one, and every child shares its
-    parent's; mechanisms ``charge`` their releases to it under ``name``.
+    with "/" ("" for the empty path).  A stream built directly is a root: it
+    starts at ``path``, empty unless given, and owns ``ledger``, the
+    Accountant passed in or a fresh one.  Every child shares its parent's
+    ledger, and mechanisms ``charge`` their releases to it under ``name``.
+    A root built at another stream's seed and path, on another ledger,
+    draws what that stream draws from its start and derives the same
+    children, but charges its own ledger; that is how an entry point's ``accountant=``
+    routes its releases.
 
     A stream's generator is PCG64 seeded by
     ``SeedSequence(entropy=seed, spawn_key=key)``, where the key is two
@@ -102,14 +107,14 @@ class RandomSource:
     copies whole.
     """
 
-    def __init__(self, seed, ledger=None, _path=()):
+    def __init__(self, seed, ledger=None, path=()):
         # checked here, not at the first draw: mechanisms charge before they
         # draw, so a seed the generator rejects would leave a charge behind
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.ledger = Accountant() if ledger is None else ledger
-        self.path = tuple(_path)
+        self.path = tuple(path)
         self._generator = None
 
     @property
@@ -118,17 +123,6 @@ class RandomSource:
 
     def child(self, *labels) -> "RandomSource":
         return RandomSource(self.seed, self.ledger, self.path + labels)
-
-    def charging_to(self, ledger):
-        """This stream continued, with its and its children's releases
-        charged to ``ledger``; None keeps this stream's own.  The result
-        has the same seed and path and shares the generator, so its draws
-        follow this stream's and none repeats."""
-        if ledger is None:
-            return self
-        rebound = RandomSource(self.seed, ledger, self.path)
-        rebound._generator = self.generator
-        return rebound
 
     def charge(self, budget, mechanism, sensitivity):
         """Record a release drawn from this stream in the ledger, under ``name``."""

@@ -1,21 +1,22 @@
 """Dense symmetric linear algebra used by every estimation stage.
 
 Everything here is deterministic and privacy-free: the Gram stack of
-every block of m rows, the last holding the rows left over (unit-stride
-BLAS dots of at most DOT_TERMS terms per block and column pair over a
-transposed, 64-byte-aligned copy of the rows, independent of the rows'
-base address and of the BLAS thread count, with each column's largest
-absolute entry fused into the first stack of a row array and cached by
-``MappedRows``), the certificates that bound every row's squared norm
-without reading the rows (``sq_norms`` of those column maxima for the raw
-rows, ``sq_norm_bounds`` from a cached stack, which covers every row, for
-mapped rows, so a view's rows are read only when its certificate fails),
-batched eigendecomposition (one closed-form rotation per 2 x 2 matrix,
-LAPACK's ``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness
-check (``positive_spectrum``), spectral projectors, the PSD-cone projection,
-and the whitened (relative) error norms that score estimates against a
-positive-definite truth.  Matrices are plain float64 ``numpy`` arrays;
-construction helpers symmetrize and validate.
+every block of m rows, the last holding the rows left over (one schedule
+of fills of a transposed, 64-byte-aligned buffer, each adding a
+unit-stride BLAS dot of at most DOT_TERMS terms to every entry of its
+blocks, independent of the rows' base address and of the BLAS thread
+count, with each column's largest absolute entry fused into the first
+stack of a row array and cached by ``MappedRows``), the certificates that
+bound every row's squared norm without reading the rows (``sq_norms`` of
+those column maxima for the raw rows, ``sq_norm_bounds`` from a cached
+stack, which covers every row, for mapped rows, so a view's rows are read
+only when its certificate fails), batched eigendecomposition (one
+closed-form rotation per 2 x 2 matrix, LAPACK's ``numpy.linalg.eigh`` from
+d = 3 on), the one positive-definiteness check (``positive_spectrum``),
+spectral projectors, the PSD-cone projection, and the whitened (relative)
+error norms that score estimates against a positive-definite truth.
+Matrices are plain float64 ``numpy`` arrays; construction helpers
+symmetrize and validate.
 """
 
 from __future__ import annotations
@@ -181,19 +182,22 @@ def gram_stack(x, m, norms=True):
     estimation and subspace recovery (see ``MappedRows.gram_stack``).
 
     One pass copies the rows, transposed, into one reused (d, rows) buffer,
-    whole blocks at a time: as many as fit in the values of the two
-    row-long temporaries of ``sq_norms`` over the whole blocks a
-    BLOCK_ROWS-row block holds.  Where not one fits, it takes one block's
-    rows min(m, DOT_TERMS) at a time.  The leftover block's missing rows
-    are zeros in the buffer, which add exactly nothing to a dot and move
-    neither column extreme.  Entry (i, j) of each block is the unit-stride
-    BLAS dot product of buffer rows i and j (``np.vecdot``); above
-    DOT_TERMS rows per block it is the in-order sum of one dot per
-    DOT_TERMS rows.  So each entry is at most K = min(m, DOT_TERMS) +
-    ceil(m / DOT_TERMS) - 1 roundings from exact, within gamma_K (|X_j|^T
-    |X_j|)_ij of it (see ``sq_norm_bounds``).  M is each buffer row's
-    largest entry and negated smallest, fused into the same pass; with
-    ``norms`` false no extreme is taken.
+    one fill at a time, and each fill holds at most min(m, DOT_TERMS) rows
+    of each of its blocks.  Blocks of at most DOT_TERMS rows fill whole, as
+    many at a time as fit in the values of the two row-long temporaries of
+    ``sq_norms`` over the whole blocks a BLOCK_ROWS-row block holds, and at
+    least one; a longer block fills alone, DOT_TERMS rows at a time.  The
+    leftover block's missing rows are zeros in the buffer, which add
+    exactly nothing to a dot and move neither column extreme.  Each fill
+    takes the unit-stride BLAS dot product of buffer rows i and j
+    (``np.vecdot``) for each of its blocks; a block's first fill writes it
+    to entry (i, j) and each later one adds to it, so above DOT_TERMS rows
+    per block an entry is the in-order sum of one dot per DOT_TERMS rows.
+    Each entry is then at most K = min(m, DOT_TERMS) + ceil(m / DOT_TERMS)
+    - 1 roundings from exact, within gamma_K (|X_j|^T |X_j|)_ij of it (see
+    ``sq_norm_bounds``).  M is each buffer row's largest entry and negated
+    smallest, fused into the same pass; with ``norms`` false no extreme is
+    taken.
 
     The result is deterministic.  The buffer starts on a 64-byte boundary
     and every dot's operands start at an offset from it fixed by (d, n, m),
@@ -204,14 +208,10 @@ def gram_stack(x, m, norms=True):
     """
     n, d = x.shape
     t = -(-n // m)
-    per_pass = 2 * (BLOCK_ROWS // m) // d  # whole blocks per fill
-    if per_pass:
-        span = min(per_pass, t) * m
-        fills = ((lo, min(lo + per_pass, t), 0, m) for lo in range(0, t, per_pass))
-    else:
-        span = min(m, DOT_TERMS)
-        fills = ((j, j + 1, c, min(c + span, m)) for j in range(t) for c in range(0, m, span))
-    buf = _aligned(d, span)
+    width = min(m, DOT_TERMS)  # rows of each block per fill
+    per = max(1, 2 * (BLOCK_ROWS // m) // d) if width == m else 1  # blocks per fill
+    fills = ((lo, min(lo + per, t), c0, min(c0 + width, m)) for lo in range(0, t, per) for c0 in range(0, m, width))
+    buf = _aligned(d, min(per, t) * width)
     stack = np.empty((t, d, d))
     top, bottom = np.zeros((2, d))  # each column's largest entry and smallest, or 0
     for lo, hi, c0, c1 in fills:
@@ -221,14 +221,13 @@ def gram_stack(x, m, norms=True):
         np.copyto(rows[:, : len(src)], src.T)
         rows[:, len(src) :] = 0.0  # the leftover block's missing rows
         part = stack[lo:hi]
-        for k in range(0, c1 - c0, DOT_TERMS):
-            cols = rows.reshape(d, hi - lo, c1 - c0)[:, :, k : k + DOT_TERMS]
-            for i in range(d):
-                for j in range(i, d):
-                    if c0 + k == 0:  # the block's first chunk
-                        np.vecdot(cols[i], cols[j], out=part[:, i, j])
-                    else:
-                        part[:, i, j] += np.vecdot(cols[i], cols[j])
+        cols = rows.reshape(d, hi - lo, c1 - c0)
+        for i in range(d):
+            for j in range(i, d):
+                if c0 == 0:  # the block's first fill
+                    np.vecdot(cols[i], cols[j], out=part[:, i, j])
+                else:
+                    part[:, i, j] += np.vecdot(cols[i], cols[j])
         for i in range(d):
             for j in range(i + 1, d):
                 part[:, j, i] = part[:, i, j]  # one column at a time: no temporary copy

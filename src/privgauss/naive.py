@@ -6,12 +6,10 @@ calibrated to the clipped sensitivity, and the result is projected onto the
 PSD cone.  Used standalone on preconditioned data and as the probe inside
 the fine preconditioner, where the rows are a ``linalg.MappedRows`` view:
 the statistic is mapped, not the rows.  The clip is decided on the view's
-mapped row norms, ``linalg.sq_norms`` of each row.  They are bounded
-without reading the rows (``MappedRows.sq_norm_bound``): the raw rows' by
-``sq_norms`` of their columns' absolute maxima, which come with their
-first Gram stack, and a mapped view's from its finest cached Gram stack,
-which covers every row.  The rows are read block by block from
-``MappedRows.blocks`` only when that bound exceeds the threshold.
+mapped row norms, ``linalg.sq_norms`` of each row, which
+``linalg.MappedRows.sq_norm_bound`` bounds without reading the rows; they
+are read block by block from ``MappedRows.blocks`` only when that bound
+exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -112,8 +110,9 @@ def naive_estimate(
 
     If ``kappa2`` (a spectral upper bound) is not supplied, half the budget
     is spent estimating eigenvalues privately and kappa2 is set to four
-    times the top estimate.  Every release is charged to ``rng``'s ledger,
-    or to ``accountant`` when one is given.
+    times the top estimate.  Every release is charged to ``rng``'s ledger;
+    given ``accountant``, the call draws from a root at ``rng``'s seed and
+    path on that ledger instead, the same noise charged there alone.
 
     Privacy: a row is kept iff its mapped squared norm is at most the clip
     threshold.  "No row is clipped" is first tried on the view's
@@ -137,7 +136,8 @@ def naive_estimate(
     margin to justify.
     """
     rows = linalg.MappedRows.of(x)
-    rng = rng.charging_to(accountant)
+    if accountant is not None:
+        rng = RandomSource(rng.seed, accountant, rng.path)
     check_beta(beta)
     n, d = rows.shape
     if n < 2 * d:

@@ -24,13 +24,10 @@ The mapped rows x @ A are never formed.  The Gram statistics the steps
 read -- subsample Gram stacks, the full second moment -- are quadratic in
 the rows, so the scan holds one ``linalg.MappedRows`` view of the raw rows:
 each is computed once from them and mapped as A^T (statistic) A at every
-later step.  The clip test's row norms are not quadratic, so they are
-bounded instead.  The raw rows' columns' absolute maxima come with their
-first Gram stack, in the same pass, and ``sq_norms`` of that one row is at
-least every raw row's norm, since rounding is monotone.  A mapped view's
-norms are bounded from the finest cached raw stack, which covers every
-row.  A view's rows are read block by block, once per map, only when
-its bound does not settle the clip.
+later step.  The clip test's row norms are not quadratic, so
+``MappedRows.sq_norm_bound`` bounds them from the cached statistics, and a
+view's rows are read block by block, once per map, only when its bound
+does not settle the clip.
 """
 
 from __future__ import annotations
@@ -145,16 +142,18 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     every output, so the share is kept until the failure probabilities are
     composed like the budget (ROADMAP item 14).
 
-    Every release is charged to ``rng``'s ledger under its stream's path,
-    or to ``accountant`` when one is given; either way this call's charges
-    total at most ``budget``.
+    Every release is charged under its stream's path to ``rng``'s ledger;
+    given ``accountant``, the call draws from a root at ``rng``'s seed and
+    path on that ledger instead, the same noise charged there alone.
+    Either way this call's charges total at most ``budget``.
 
     A PrivGaussError raised mid-scan carries the trace built so far as its
     ``trace`` attribute: the completed steps, with ``final_map`` None.  The
     trace holds only released ratios, so attaching it is post-processing.
     """
     x = linalg.MappedRows.of(x)
-    rng = rng.charging_to(accountant)
+    if accountant is not None:
+        rng = RandomSource(rng.seed, accountant, rng.path)
     trace = PreconditionTrace()
     try:
         trace.final_map = _scan(x, budget, beta, rng, trace)

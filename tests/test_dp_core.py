@@ -167,23 +167,20 @@ class TestLedger:
         ]
         assert RandomSource(3).ledger.entries == ()
 
-    def test_rebound_stream_continues(self):
-        rng = RandomSource(7).child("s")
-        head = rng.normal(size=3)
+    def test_a_root_on_another_ledger_derives_the_same_children(self):
+        # accountant= roots a stream at the caller's seed and path on the
+        # given ledger: its children draw what the caller's own children
+        # draw, bit for bit, and charge that ledger alone
         acc = Accountant()
-        rebound = rng.charging_to(acc)
-        assert (rebound.seed, rebound.path, rebound.ledger) == (rng.seed, rng.path, acc)
-        reference = RandomSource(7).child("s").normal(size=8)
-        np.testing.assert_array_equal(np.concatenate([head, rebound.normal(size=3)]), reference[:6])
-        # one generator: the caller's stream goes on after the rebound's draws
-        np.testing.assert_array_equal(rng.normal(size=2), reference[6:])
-        # the rebound stream's children are the caller's, charged to acc
-        out = gaussian_mechanism(np.zeros(2), 1.0, BUDGET, rebound.child("g"))
-        same = gaussian_mechanism(np.zeros(2), 1.0, BUDGET, RandomSource(7).child("s", "g"))
-        np.testing.assert_array_equal(out, same)
+        root = RandomSource(7, acc, ("s",))
+        caller = RandomSource(7).child("s")
+        assert (root.seed, root.path, root.ledger) == (caller.seed, caller.path, acc)
+        np.testing.assert_array_equal(root.child("a", 1).normal(size=8), caller.child("a", 1).normal(size=8))
+        out = gaussian_mechanism(np.zeros(2), 1.0, BUDGET, root.child("g"))
         assert [e.label for e in acc.entries] == ["s/g"]
-        assert rng.ledger.entries == ()
-        assert rng.charging_to(None) is rng
+        assert caller.ledger.entries == ()
+        np.testing.assert_array_equal(out, gaussian_mechanism(np.zeros(2), 1.0, BUDGET, caller.child("g")))
+        assert acc.entries == caller.ledger.entries
 
 
 class TestGaussianMechanism:

@@ -572,13 +572,24 @@ class TestGramStack:
     B = linalg.BLOCK_ROWS
 
     # (t, m, tail): t full blocks of m rows and a leftover block of tail
-    # rows; several blocks per buffer, m not dividing BLOCK_ROWS, and
-    # m > BLOCK_ROWS, one block per buffer
+    # rows; several blocks per buffer, m not dividing BLOCK_ROWS, m >
+    # BLOCK_ROWS, one block per buffer, and DOT_TERMS < m <= BLOCK_ROWS,
+    # blocks that a BLOCK_ROWS-row block holds but one fill does not
     @pytest.mark.parametrize(
         "t, m, tail",
-        [(3, 5, 0), (3, 5, 4), (100, 466, 0), (100, 466, 465), (2, B + 3, 0), (2, B + 3, 7), (1, 2 * B, B + 1)],
+        [
+            (3, 5, 0),
+            (3, 5, 4),
+            (100, 466, 0),
+            (100, 466, 465),
+            (2, B + 3, 0),
+            (2, B + 3, 7),
+            (1, 2 * B, B + 1),
+            (3, 10_000, 5),
+            (2, 16_000, 777),
+        ],
     )
-    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_stack_and_maximum_cover_every_row(self, t, m, tail, d):
         rng = np.random.default_rng(t + m + tail)
         x = rng.normal(size=(t * m + tail, d)) * np.geomspace(0.01, 30.0, d)
@@ -592,8 +603,11 @@ class TestGramStack:
         assert np.array_equal(stack, stack.transpose(0, 2, 1))
 
     # floor-d2's coarse layout (shortened), fine-d3's eigenvalue layout, a
-    # subsample longer than a block, and d = 1
-    @pytest.mark.parametrize("t, m, d", [(2_000, 8, 2), (300, 186, 3), (2, B + 3, 4), (50, 40, 1)])
+    # subsample longer than a block, d = 1, and at d = 1 and 2 subsamples
+    # longer than DOT_TERMS that a block holds
+    @pytest.mark.parametrize(
+        "t, m, d", [(2_000, 8, 2), (300, 186, 3), (2, B + 3, 4), (50, 40, 1), (3, 10_000, 1), (2, 16_000, 2)]
+    )
     def test_rounding_does_not_depend_on_the_rows_address(self, t, m, d):
         # the benchmark requires two estimates at one seed to agree bit for
         # bit, and each reads freshly allocated rows: the stack and column
@@ -637,10 +651,13 @@ class TestGramStack:
         with pytest.raises(InvalidArgument):
             linalg.MappedRows.of(np.ones((100, 2))).gram_stack(t, m)
 
-    # floor-d2's coarse layout (shortened) and fine-d3's two eigenvalue
-    # layouts, with 779 rows past each: blocks past the layout, then a
+    # floor-d2's coarse layout (shortened), fine-d3's two eigenvalue
+    # layouts, and at d = 1 and 2 subsamples longer than DOT_TERMS that a
+    # block holds, with 779 rows past each: blocks past the layout, then a
     # leftover block
-    @pytest.mark.parametrize("t, m, d", [(2_000, 8, 2), (8364, 466, 3), (1853, 2104, 3)])
+    @pytest.mark.parametrize(
+        "t, m, d", [(2_000, 8, 2), (8364, 466, 3), (1853, 2104, 3), (3, 10_000, 1), (2, 16_000, 2)]
+    )
     def test_matches_the_strided_reference(self, t, m, d):
         # both sum each entry's products in chunks of DOT_TERMS, in another
         # order, so each is within gamma_K (|X|^T |X|)_ij of exact, and
@@ -683,6 +700,16 @@ class TestGramStack:
         (stack, _), peak = self.traced_peak(lambda: linalg.gram_stack(x, m, norms))
         assert peak - stack.nbytes <= norms_peak
         assert norms_peak < 2 * rows * x.itemsize + 4096
+
+    @pytest.mark.parametrize("m", [10_000, 16_000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("norms", [True, False])
+    def test_a_block_longer_than_a_dot_fills_one_dot_at_a_time(self, m, d, norms):
+        # beyond the stack, no more than a buffer of DOT_TERMS transposed
+        # rows, whatever share of a BLOCK_ROWS-row block m is
+        x = np.random.default_rng(m + d).normal(size=(40 * m + 5, d))
+        (stack, _), peak = self.traced_peak(lambda: linalg.gram_stack(x, m, norms))
+        assert peak - stack.nbytes <= d * linalg.DOT_TERMS * x.itemsize + 4096
 
 
 def clip_values(x, a):
