@@ -58,7 +58,11 @@ def n_min(dim, budget: PrivacyBudget, beta):
 
 
 def find_center(points, r_opt, budget, beta, rng: RandomSource):
-    """Privately locate a center whose inflated ball captures >= n/2 points."""
+    """Privately locate a center whose inflated ball captures >= n/2 points.
+
+    Raises BottomReleased when a coordinate's histogram releases nothing,
+    naming the coordinate, the point count, the histogram's share and its
+    release threshold."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise InvalidArgument(f"points must be an (n, D) array, got shape {pts.shape}")
@@ -86,7 +90,7 @@ def find_center(points, r_opt, budget, beta, rng: RandomSource):
             raise InvalidArgument(f"coordinate {j} has bin indexes outside the int64 range at r_opt = {r_opt}")
         keys = bins.astype(np.int64)
         released = stable_counts(bucket_counts(keys), per_coord, rng.child("hist", j))
-        best_key = heaviest(released, f"no heavy bin released for coordinate {j}")
+        best_key = heaviest(released, per_coord, f"no heavy bin released for coordinate {j}: {n} points")
         center[j] = offsets[j] + (best_key + 0.5) * r_opt
 
     center = np.round(center / cell) * cell

@@ -362,9 +362,12 @@ def stable_counts(counts, budget: PrivacyBudget, rng: RandomSource):
     return released
 
 
-def heaviest(released, what):
+def heaviest(released, budget, what):
     """The released key with the largest noisy count, ties toward the
-    smaller key; raises BottomReleased(``what``) when nothing was released."""
+    smaller key.  When nothing was released it raises BottomReleased:
+    ``what``, then the histogram's share ``budget`` and its
+    ``stable_release_threshold``.  Callers name only what (n, d, budget,
+    beta) fix, so the message reveals nothing of the data."""
     if not released:
-        raise BottomReleased(what)
+        raise BottomReleased(f"{what} at {budget}, release threshold {stable_release_threshold(budget):.6g}")
     return min(released, key=lambda key: (-released[key], key))

@@ -82,8 +82,9 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     subsamples' eigenvalues, so a second estimate on it decomposes nothing.
     The rows are assumed centered (pair-differenced upstream); each
     subsample uses the raw second-moment matrix X^T X / m.  Raises
-    BottomReleased if any index's histogram releases nothing, and
-    InsufficientSamples exactly when n < min_samples.
+    BottomReleased if any index's histogram releases nothing, naming the
+    index, the layout, the histogram's share and its release threshold,
+    and InsufficientSamples exactly when n < min_samples.
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape
@@ -100,7 +101,7 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     for i in range(d):
         counts = bucket_counts(_SCHEME.keys(vals[:, i]))
         noisy = stable_counts(counts, per_index, rng.child("hist", i))
-        best = heaviest(noisy, f"no bucket released for eigenvalue index {i}")
+        best = heaviest(noisy, per_index, f"no bucket released for eigenvalue index {i}: {t} subsamples of {m} rows")
         released_edges[i] = _SCHEME.bounds(best)[0]
 
     order = np.argsort(-released_edges, kind="stable")

@@ -6,15 +6,17 @@ of fills of a transposed, 64-byte-aligned buffer, each adding a
 unit-stride BLAS dot of at most DOT_TERMS terms to every entry of its
 blocks, independent of the rows' base address and of the BLAS thread
 count, with each column's largest absolute entry fused into the first
-stack of a row array and cached by ``MappedRows``), the certificates that
-bound every row's squared norm without reading the rows (``sq_norms`` of
-those column maxima for the raw rows, ``sq_norm_bounds`` from a cached
-stack, which covers every row, for mapped rows, so a view's rows are read
-only when its certificate fails), batched eigendecomposition (one
-closed-form rotation per 2 x 2 matrix, LAPACK's ``numpy.linalg.eigh`` from
-d = 3 on), the one positive-definiteness check (``positive_spectrum``),
-spectral projectors, the PSD-cone projection, and the whitened (relative)
-error norms that score estimates against a positive-definite truth.
+stack of a row array), the row view ``MappedRows``, which caches those
+stacks and maxima and hands out the rows BLOCK_ROWS at a time, the
+certificates that bound every row's squared norm without reading the rows
+(``sq_norms`` of those column maxima for the raw rows, ``sq_norm_bounds``
+from a cached stack, which covers every row, for mapped rows, so a view's
+rows are read only when its certificate fails), batched
+eigendecomposition (one closed-form rotation per 2 x 2 matrix, LAPACK's
+``numpy.linalg.eigh`` from d = 3 on), the one positive-definiteness check
+(``positive_spectrum``), spectral projectors, the PSD-cone projection, and
+the whitened (relative) error norms that score estimates against a
+positive-definite truth.
 Matrices are plain float64 ``numpy`` arrays; construction helpers
 symmetrize and validate.
 """
@@ -340,10 +342,11 @@ def sq_norm_bounds(stack, m, a):
 
 @dataclass
 class _RowStats:
-    """Statistics of one raw row array, each computed on first use."""
+    """What a pass over one raw row array yields, each computed on first
+    use: a Gram stack per block size and the columns' absolute maxima.
+    Everything else a view reads is derived from these per request."""
 
     stacks: dict = field(default_factory=dict)  # m -> gram_stack(x, m)[0], over every row
-    moment: np.ndarray | None = None  # X^T X over all rows
     col_max: np.ndarray | None = None  # largest |entry| per column, from the first raw stack's pass
 
 
@@ -357,10 +360,12 @@ class MappedRows:
     map (``a`` None means the identity); the product is never formed.
 
     Every statistic the estimators read of their rows is quadratic, so under
-    the map it is a^T (statistic of the raw rows) a: each statistic is
-    computed once from the raw rows, cached for the life of the view and of
-    every view ``mapped`` derives from it, and transformed per request.
-    With ``a`` None the cached values are returned untouched, read-only.
+    the map it is a^T (statistic of the raw rows) a.  The cache holds only
+    what a pass over the raw rows yields, the Gram stacks and the columns'
+    absolute maxima (``_RowStats``), for the life of the view and of every
+    view ``mapped`` derives from it; each statistic is derived from it and
+    transformed per request.  With ``a`` None a cached stack is returned
+    untouched, read-only.
 
     A mapped statistic equals the statistic of x @ a in exact arithmetic.
     In floating point it carries the rounding of the raw statistic, about
@@ -447,14 +452,14 @@ class MappedRows:
         return self._eigenvalues[(t, m)]
 
     def moment(self):
-        """Unscaled second moment X^T X of all mapped rows: the sum of a
-        cached raw stack, which covers every row, or one product of the
-        rows when none is cached."""
-        stats = self._stats
-        if stats.moment is None:
-            full = next(iter(stats.stacks.values())).sum(axis=0) if stats.stacks else self.x.T @ self.x
-            stats.moment = _frozen(0.5 * (full + full.T))
-        return self._map(stats.moment)
+        """Unscaled second moment X^T X of all mapped rows: the sum of the
+        first cached raw stack, which covers every row, or one product of
+        the rows on a view with no stack, symmetrized, then mapped.  Nothing
+        is cached: each request sums one (t, d, d) stack, so later, finer
+        stacks leave the result unchanged."""
+        stacks = self._stats.stacks
+        full = next(iter(stacks.values())).sum(axis=0) if stacks else self.x.T @ self.x
+        return self._map(0.5 * (full + full.T))
 
     def blocks(self):
         """The mapped rows, BLOCK_ROWS at a time, each block ``x``'s own

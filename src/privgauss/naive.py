@@ -53,24 +53,26 @@ def clipped_second_moment(x, threshold, a=None):
     is the sensitivity the noise is calibrated to.  Re-running on
     already-passing rows is a no-op.
 
-    The norm test reads the mapped rows from ``linalg.MappedRows.blocks``
-    into one preallocated mask, so the (n, d) mapped array is never formed;
-    the kept raw rows are gathered and their moment is mapped after.  A
-    row's norm is ``linalg.sq_norms``, which depends on the row alone, so
-    unmapped the result is bit-identical to a one-shot norm test and gather
-    of the kept rows on every input, in every layout.  Mapped, each block
-    is the BLAS product ``block @ a``, whose rounding can depend on ``x``'s
-    layout: reordering ``x`` first can flip a mapped row lying exactly on
-    the threshold.  ``x`` must be the raw rows, not a view: a view's map
-    would be lost.
+    The norm test reads the mapped rows from ``linalg.MappedRows.blocks``,
+    in whatever blocks it hands out, into one preallocated mask, so the
+    (n, d) mapped array is never formed; the kept raw rows are gathered and
+    their moment is mapped after.  A row's norm is ``linalg.sq_norms``,
+    which depends on the row alone, so unmapped the result is bit-identical
+    to a one-shot norm test and gather of the kept rows on every input, in
+    every layout.  Mapped, each block is the BLAS product ``block @ a``,
+    whose rounding can depend on ``x``'s layout: reordering ``x`` first can
+    flip a mapped row lying exactly on the threshold.  ``x`` must be the
+    raw rows, not a view: a view's map would be lost.
     """
     if isinstance(x, linalg.MappedRows):
         raise InvalidArgument("expected raw rows and a map, got a MappedRows view")
     x = linalg.MappedRows.of(x).x
     n = x.shape[0]
     keep = np.empty(n, dtype=bool)
-    for start, block in zip(range(0, n, linalg.BLOCK_ROWS), linalg.MappedRows(x, a).blocks()):
+    start = 0
+    for block in linalg.MappedRows(x, a).blocks():
         np.less_equal(linalg.sq_norms(block), threshold, out=keep[start : start + len(block)])
+        start += len(block)
     return linalg.MappedRows(x[keep], a).moment() / n, n - int(np.count_nonzero(keep))
 
 
@@ -129,11 +131,12 @@ def naive_estimate(
     ``linalg.sq_norms`` value of the very rows the clip test of
     ``clipped_second_moment`` reads, a mapped view's over the same blocks.
     When either holds, the exact test would keep every row, so the
-    statistic is the view's cached second moment a^T (X^T X) a / n, and
-    otherwise the clip test runs.  Either way the released statistic is the
-    mean of the kept mapped rows' outer products up to summation order (see
-    ``linalg.MappedRows``), and its sensitivity is 2 threshold / n with no
-    margin to justify.
+    statistic is the view's second moment a^T (X^T X) a / n, with X^T X the
+    sum of the view's first cached Gram stack (one product of the rows when
+    none is cached), and otherwise the clip test runs.  Either way the
+    released statistic is the mean of the kept mapped rows' outer products
+    up to summation order (see ``linalg.MappedRows``), and its sensitivity
+    is 2 threshold / n with no margin to justify.
     """
     rows = linalg.MappedRows.of(x)
     if accountant is not None:

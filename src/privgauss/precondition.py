@@ -23,11 +23,11 @@ the spectrum of A Sigma A^T exactly.
 The mapped rows x @ A are never formed.  The Gram statistics the steps
 read -- subsample Gram stacks, the full second moment -- are quadratic in
 the rows, so the scan holds one ``linalg.MappedRows`` view of the raw rows:
-each is computed once from them and mapped as A^T (statistic) A at every
-later step.  The clip test's row norms are not quadratic, so
-``MappedRows.sq_norm_bound`` bounds them from the cached statistics, and a
-view's rows are read block by block, once per map, only when its bound
-does not settle the clip.
+each stack is computed once from them, the second moment is a cached
+stack's sum, and each is mapped as A^T (statistic) A at every later step.
+The clip test's row norms are not quadratic, so ``MappedRows.sq_norm_bound``
+bounds them from the cached statistics, and a view's rows are read block by
+block, once per map, only when its bound does not settle the clip.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ def find_center_reference(points, r_opt, budget, beta, rng):
     for j in range(dim):
         keys = np.floor((pts[:, j] - offsets[j]) / r_opt).astype(np.int64)
         released = dp_core.stable_counts(dp_core.bucket_counts(keys), per_coord, rng.child("hist", j))
-        best_key = dp_core.heaviest(released, f"no heavy bin released for coordinate {j}")
+        best_key = dp_core.heaviest(released, per_coord, f"no heavy bin released for coordinate {j}")
         center[j] = offsets[j] + (best_key + 0.5) * r_opt
     center = np.round(center / cell) * cell
     radius = ball_finder.INFLATION * math.sqrt(dim) * r_opt * math.sqrt(max(math.log(n), 1.0))

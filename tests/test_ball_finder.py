@@ -4,7 +4,7 @@ from oracles import find_center_reference
 
 from privgauss import ball_finder
 from privgauss.ball_finder import BallResult, find_center, grid_cell, n_min
-from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
+from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares, stable_release_threshold
 from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
 
 FLOOR_BUDGETS = (PrivacyBudget(0.5, 5e-7), PrivacyBudget(1.0, 1e-6), PrivacyBudget(10.0, 1e-9))
@@ -132,6 +132,20 @@ class TestFindCenter:
             find_center(pts, 1.0, budget, 0.1, RandomSource(0, acc).child("b"))
         assert [e.label for e in acc.entries] == ["b/hist/0", "b/hist/1"]
         assert all(e.budget == plan_shares(budget, 3).per_call for e in acc.entries)
+
+    def test_bottom_names_its_coordinate_count_and_share(self):
+        # coordinate 1 releases nothing, as above; the error names it, the
+        # point count, the histogram's share and its release threshold
+        budget = PrivacyBudget(1.0, 1e-6)
+        n = n_min(3, budget, 0.1)
+        pts = np.zeros((n, 3))
+        pts[:, 1] = 10.0 * np.arange(n)
+        share = plan_shares(budget, 3).per_call
+        with pytest.raises(BottomReleased, match="^no heavy bin released for coordinate 1: ") as info:
+            find_center(pts, 1.0, budget, 0.1, RandomSource(0))
+        message = str(info.value)
+        assert f"{n} points at {share!r}" in message
+        assert message.endswith(f"release threshold {stable_release_threshold(share):.6g}")
 
     def test_center_on_rounding_grid(self):
         budget = PrivacyBudget(5.0, 1e-6)

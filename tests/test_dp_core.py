@@ -20,6 +20,7 @@ from privgauss.dp_core import (
     heaviest,
     plan_shares,
     stable_counts,
+    stable_release_threshold,
 )
 from privgauss.errors import BottomReleased, InvalidArgument
 
@@ -280,7 +281,7 @@ class TestStableHistogram:
         for seed in range(100):
             out = release(np.full(1000, 3.25), RandomSource(seed).child("h"))
             assert len(out) == 1
-            key = heaviest(out, "none released")
+            key = heaviest(out, BUDGET, "none released")
             lo, hi = GEOMETRIC.bounds(key)
             assert lo <= 3.25 < hi
             if 940.0 <= out[key] <= 1060.0:
@@ -319,7 +320,7 @@ class TestStableHistogram:
     def test_geometric_zero_bucket(self):
         out = release(np.zeros(500), RandomSource(3).child("z"))
         assert list(out) == [ZERO]
-        assert GEOMETRIC.bounds(heaviest(out, "none released")) == (0.0, 0.0)
+        assert GEOMETRIC.bounds(heaviest(out, BUDGET, "none released")) == (0.0, 0.0)
 
     def test_geometric_rejects_negative(self):
         with pytest.raises(InvalidArgument):
@@ -415,18 +416,22 @@ class TestStableHistogram:
 
 class TestHeaviest:
     def test_nothing_released_raises(self):
-        with pytest.raises(BottomReleased, match="no bucket released for index 3"):
-            heaviest({}, "no bucket released for index 3")
+        # the message ends with the histogram's share and release threshold
+        with pytest.raises(BottomReleased) as info:
+            heaviest({}, BUDGET, "no bucket released for index 3")
+        assert str(info.value) == (
+            f"no bucket released for index 3 at {BUDGET}, release threshold {stable_release_threshold(BUDGET):.6g}"
+        )
 
     def test_largest_noisy_count_wins(self):
-        assert heaviest({-4: 12.5, 0: 30.25, 9: 29.0}, "none") == 0
+        assert heaviest({-4: 12.5, 0: 30.25, 9: 29.0}, BUDGET, "none") == 0
 
     def test_exact_tie_goes_to_smaller_key(self):
-        assert heaviest({7: 1.0, 3: 5.0, -2: 5.0}, "none") == -2
+        assert heaviest({7: 1.0, 3: 5.0, -2: 5.0}, BUDGET, "none") == -2
 
     def test_zero_bucket_can_win(self):
-        assert heaviest({ZERO: 10.0, 0: 9.0}, "none") == ZERO
-        assert heaviest({5: 10.0, ZERO: 10.0}, "none") == ZERO
+        assert heaviest({ZERO: 10.0, 0: 9.0}, BUDGET, "none") == ZERO
+        assert heaviest({5: 10.0, ZERO: 10.0}, BUDGET, "none") == ZERO
 
 
 class TestPublishedFloors:

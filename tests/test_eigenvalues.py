@@ -5,7 +5,7 @@ import pytest
 
 from oracles import bucket_of
 from privgauss import eigenvalues, precondition
-from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares
+from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource, plan_shares, stable_release_threshold
 from privgauss.eigenvalues import estimate_eigenvalues
 from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
 
@@ -132,6 +132,21 @@ class TestEstimateEigenvalues:
             except BottomReleased:
                 pass
         assert released >= (1.0 - beta_i) * 20
+
+    def test_bottom_names_its_index_layout_and_share(self):
+        # at test_published_floor_releases's floor, d = 2 and seed 0 release
+        # nothing; the error names the index, the layout, the histogram's
+        # share and its release threshold, all functions of (n, d, budget,
+        # beta)
+        d = 2
+        per_call = plan_shares(PrivacyBudget(0.5, 5e-7), precondition.max_calls(d)).per_call
+        beta_i = 0.05 / d
+        per_index, t, n = eigenvalues._layout(d, per_call, beta_i)
+        with pytest.raises(BottomReleased, match="^no bucket released for eigenvalue index 0: ") as info:
+            estimate_eigenvalues(gaussian_samples(np.ones(d), n, 0), per_call, beta_i, RandomSource(0))
+        message = str(info.value)
+        assert f"{t} subsamples of {n // t} rows at {per_index!r}" in message
+        assert message.endswith(f"release threshold {stable_release_threshold(per_index):.6g}")
 
     def test_ledger_charges(self):
         d = 3

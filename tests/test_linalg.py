@@ -447,6 +447,29 @@ class TestMappedRows:
         assert not stack.flags.writeable
         assert view.max_sq_norm() == linalg.sq_norms(x).max()
 
+    def test_moment_is_the_mapped_sum_of_the_first_cached_stack(self):
+        # the cache keeps no moment: each request sums the first raw stack
+        # cached, symmetrizes and maps it, so finer stacks cached later
+        # leave it bit-identical; a view with no stack forms X^T X
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(1003, 3))
+        a = random_spd(rng, 3, 0.5, 2.0)
+        base = linalg.MappedRows.of(x)
+        full = x.T @ x
+        assert np.array_equal(base.moment(), 0.5 * (full + full.T))
+        view = base.mapped(a)
+        base.gram_stack(10, 100)
+        full = linalg.gram_stack(x, 100)[0].sum(axis=0)
+        raw = 0.5 * (full + full.T)
+        want = view._map(raw)
+        assert np.array_equal(base.moment(), raw)
+        assert np.array_equal(view.moment(), want)
+        view.gram_stack(100, 10)
+        base.gram_stack(500, 2)
+        assert list(base._stats.stacks) == [100, 10, 2]
+        assert np.array_equal(base.moment(), raw)
+        assert np.array_equal(view.moment(), want)
+
     def test_mapped_views_share_one_cache_and_compose(self, monkeypatch):
         calls = []
         original = linalg.gram_stack

@@ -9,7 +9,9 @@ j mod len(sizes) and estimator seed 1000 seed + j.  Each runs
 prints one line: the workload, seed and job, a sha256 of Sigma_hat's bytes
 (or of the error's ``repr``) and a sha256 of the ledger's labels,
 mechanisms, budgets and sensitivities, floats as ``float.hex``.  The last
-line gives the number of cases and a sha256 of the lines before it.
+line gives the number of cases and a sha256 of the lines before it.  Every
+case is estimated and printed; the exit status is then 1 if any case raised
+a ``PrivGaussError``, else 0.
 
 Two trees whose outputs are bit-identical print the same lines; to compare
 against another commit, run a copy of this file from that commit's
@@ -54,26 +56,31 @@ def ledger_digest(accountant):
 
 
 def case_line(name, seed, job, rows, sizes):
+    """(line, raised): the case's fingerprint line and whether it raised."""
     accountant = Accountant()
     try:
         sigma_hat = workloads.estimate_covariance(rows[: sizes[job % len(sizes)]], 1000 * seed + job, accountant)
-        out = sha(sigma_hat.tobytes())
+        out, raised = sha(sigma_hat.tobytes()), False
     except PrivGaussError as exc:
-        out = sha(repr(exc).encode())
-    return f"{name} seed {seed} job {job}: sigma {out} ledger {ledger_digest(accountant)}"
+        out, raised = sha(repr(exc).encode()), True
+    return f"{name} seed {seed} job {job}: sigma {out} ledger {ledger_digest(accountant)}", raised
 
 
 def main():
-    lines = []
+    """Print every case's line and the total; 1 if any case raised, else 0."""
+    lines, failed = [], 0
     for name, seeds, jobs in CASES:
         for seed in seeds:
             rows, _, sizes = workloads.WORKLOADS[name].generate(seed)
             for job in jobs:
-                lines.append(case_line(name, seed, job, rows, sizes))
-                print(lines[-1], flush=True)
+                line, raised = case_line(name, seed, job, rows, sizes)
+                lines.append(line)
+                failed += raised
+                print(line, flush=True)
             del rows  # fine-d3's rows are 187 MB: free them before the next draw
     print(f"total {len(lines)} cases: {sha(chr(10).join(lines).encode())}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
