@@ -61,22 +61,6 @@ def _hash_label(label):
     )
 
 
-# Words in SeedSequence's entropy pool; a spawned sequence's run entropy is
-# padded with zero words to this length before its spawn key's words.
-_POOL_WORDS = np.random.SeedSequence(0).pool_size
-
-
-def _int_words(n):
-    """A non-negative int as little-endian 32-bit words, [0] for 0: the
-    words SeedSequence reads an int's entropy as."""
-    words = [n & 0xFFFFFFFF]
-    n >>= 32
-    while n:
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-    return words
-
-
 class RandomSource:
     """A seeded, hierarchically splittable random stream and its run's ledger.
 
@@ -94,17 +78,8 @@ class RandomSource:
     routes its releases.
 
     A stream's generator is PCG64 seeded by
-    ``SeedSequence(entropy=seed, spawn_key=key)``, where the key is two
-    32-bit words of a hash of each label on the path (labels are hashable:
-    their hashes are memoized).  The path is the stream's only identity:
-    the key is read from it when the generator is first built.  The
-    generator is built from one uint32 array: the words SeedSequence
-    assembles from that pair (the seed's words, padded with zeros to the
-    pool size when the path is not empty, then the key's words), passed as
-    the entropy.  The pool, and so every draw, is the same.  SeedSequence
-    coerces a spawn key one word at a time, even one given as an array,
-    which costs twice the rest of the construction; an entropy array it
-    copies whole.
+    ``SeedSequence(seed, spawn_key=key)``, where the key is the two 32-bit
+    words of a memoized hash of each label on the path, in order.
     """
 
     def __init__(self, seed, ledger=None, path=()):
@@ -131,12 +106,8 @@ class RandomSource:
     @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
-            words = _int_words(self.seed)
-            if self.path:
-                words += [0] * (_POOL_WORDS - len(words))
-                for label in self.path:
-                    words += _hash_label(label)
-            seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+            key = [word for label in self.path for word in _hash_label(label)]
+            seq = np.random.SeedSequence(self.seed, spawn_key=key)
             self._generator = np.random.Generator(np.random.PCG64(seq))
         return self._generator
 

@@ -81,10 +81,17 @@ def estimate_eigenvalues(x, budget, beta, rng: RandomSource):
     subsample Gram stack is mapped instead of the rows; the view keeps the
     subsamples' eigenvalues, so a second estimate on it decomposes nothing.
     The rows are assumed centered (pair-differenced upstream); each
-    subsample uses the raw second-moment matrix X^T X / m.  Raises
-    BottomReleased if any index's histogram releases nothing, naming the
-    index, the layout, the histogram's share and its release threshold,
-    and InsufficientSamples exactly when n < min_samples.
+    subsample uses the raw second-moment matrix X^T X / m.
+
+    The rows may hold any float64 values, NaN and inf included.  A
+    subsample whose Gram matrix has a non-finite entry is the zero matrix
+    (``linalg.MappedRows.gram_stack``), so its every eigenvalue votes for
+    the zero bucket: one row, whatever it holds, still moves one vote per
+    index.
+
+    Raises BottomReleased if any index's histogram releases nothing,
+    naming the index, the layout, the histogram's share and its release
+    threshold, and InsufficientSamples exactly when n < min_samples.
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape

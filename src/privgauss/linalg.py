@@ -125,8 +125,11 @@ def _schur_2x2(a, vectors):
         np.divide(1.0, c, out=c)
         np.multiply(t, c, out=s)
     t *= q
-    np.add(r, t, out=hi)
-    np.subtract(p, t, out=lo)
+    # an eigenvalue past the float range is inf; the vectors, all that the
+    # subspace stage reads of an unscaled Gram stack, stay finite
+    with np.errstate(over="ignore"):
+        np.add(r, t, out=hi)
+        np.subtract(p, t, out=lo)
     # order each pair non-increasing, through the free tau column
     flip = lo > hi
     np.copyto(tau, hi)
@@ -174,6 +177,9 @@ def _aligned(d, rows):
     return raw[start : start + d * rows].reshape(d, rows)
 
 
+# a non-finite row, or finite ones whose products overflow, leave inf or NaN
+# entries, which MappedRows.gram_stack zeroes
+@np.errstate(over="ignore", invalid="ignore")
 def gram_stack(x, m, norms=True):
     """Unscaled second-moment matrices X_j^T X_j of every block of m
     consecutive rows of the (n, d) float64 array ``x``, m >= 1, as a
@@ -365,7 +371,8 @@ class MappedRows:
     absolute maxima (``_RowStats``), for the life of the view and of every
     view ``mapped`` derives from it; each statistic is derived from it and
     transformed per request.  With ``a`` None a cached stack is returned
-    untouched, read-only.
+    untouched, read-only, unless it has a non-finite entry (see
+    ``gram_stack``).
 
     A mapped statistic equals the statistic of x @ a in exact arithmetic.
     In floating point it carries the rounding of the raw statistic, about
@@ -421,15 +428,24 @@ class MappedRows:
         if self.a is None:
             return s
         d = self.a.shape[0]
-        right = (s.reshape(-1, d) @ self.a).reshape(-1, d, d)
-        out = (right.swapaxes(-1, -2).reshape(-1, d) @ self.a).reshape(s.shape)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
+        with np.errstate(over="ignore", invalid="ignore"):  # see gram_stack
+            right = (s.reshape(-1, d) @ self.a).reshape(-1, d, d)
+            out = (right.swapaxes(-1, -2).reshape(-1, d) @ self.a).reshape(s.shape)
+            return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     def gram_stack(self, t, m):
         """The first t blocks of ``gram_stack`` of the mapped rows, blocks
         of m rows; InvalidArgument unless t, m >= 1 and t * m <= n.  The raw
         stack of every block is computed once per m, and fuses the raw
-        columns' absolute maxima only while they are not yet cached."""
+        columns' absolute maxima only while they are not yet cached.
+
+        Every matrix returned is finite.  A block whose mapped Gram matrix
+        has a NaN or inf entry, from a non-finite row or from finite rows
+        whose products overflow, is returned as the zero matrix.  Zero is a
+        fixed public value, so one row still moves only its own block's
+        matrix, whatever the row holds.  The cached raw stacks keep their
+        non-finite entries: ``sq_norm_bounds`` and the column maxima read
+        them, and a non-finite bound settles nothing."""
         n = self.x.shape[0]
         if t < 1 or m < 1 or t * m > n:
             raise InvalidArgument(f"a layout of {t} blocks of {m} rows does not fit {n} rows")
@@ -439,7 +455,10 @@ class MappedRows:
             if col_max is not None:
                 stats.col_max = _frozen(col_max)
             stats.stacks[m] = _frozen(stack)
-        return self._map(stats.stacks[m][:t])
+        out = self._map(stats.stacks[m][:t])
+        if not np.isfinite(out).all():
+            out = np.where(np.isfinite(out).all(axis=(1, 2))[:, None, None], out, 0.0)
+        return out
 
     def subsample_eigenvalues(self, t, m):
         """Eigenvalues of the subsample second moments ``gram_stack(t, m) /
@@ -464,7 +483,9 @@ class MappedRows:
     def blocks(self):
         """The mapped rows, BLOCK_ROWS at a time, each block ``x``'s own
         rows in its own layout times ``a``; the (n, d) product is never
-        formed."""
+        formed.  A row with a NaN or inf entry, or whose product
+        overflows, gets a NaN or inf ``sq_norms`` value, which no threshold
+        passes; the callers that compare it with one silence the warnings."""
         for start in range(0, self.x.shape[0], BLOCK_ROWS):
             block = self.x[start : start + BLOCK_ROWS]
             yield block if self.a is None else block @ self.a
@@ -501,9 +522,10 @@ class MappedRows:
     def max_sq_norm(self):
         """Largest ``sq_norms`` value of a mapped row (0.0 for no rows),
         exactly as it is computed over ``blocks``: one pass, made once per
-        view."""
+        view.  NaN when any row's value is NaN, in whichever block."""
         if self._max_sq_norm is None:
-            self._max_sq_norm = max((float(sq_norms(b).max()) for b in self.blocks()), default=0.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # see blocks
+                self._max_sq_norm = float(np.max([sq_norms(b).max() for b in self.blocks()], initial=0.0))
         return self._max_sq_norm
 
 

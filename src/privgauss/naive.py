@@ -70,9 +70,10 @@ def clipped_second_moment(x, threshold, a=None):
     n = x.shape[0]
     keep = np.empty(n, dtype=bool)
     start = 0
-    for block in linalg.MappedRows(x, a).blocks():
-        np.less_equal(linalg.sq_norms(block), threshold, out=keep[start : start + len(block)])
-        start += len(block)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf norm fails the test
+        for block in linalg.MappedRows(x, a).blocks():
+            np.less_equal(linalg.sq_norms(block), threshold, out=keep[start : start + len(block)])
+            start += len(block)
     return linalg.MappedRows(x[keep], a).moment() / n, n - int(np.count_nonzero(keep))
 
 
@@ -137,6 +138,12 @@ def naive_estimate(
     released statistic is the mean of the kept mapped rows' outer products
     up to summation order (see ``linalg.MappedRows``), and its sensitivity
     is 2 threshold / n with no margin to justify.
+
+    The rows may hold any float64 values, NaN and inf included.  A row
+    with a NaN or inf entry, or whose squared norm overflows, has a NaN or
+    inf clip-test value, so the bounds settle nothing and the clip drops
+    the row.  The kappa2 estimate is robust to it as
+    ``eigenvalues.estimate_eigenvalues`` states.
     """
     rows = linalg.MappedRows.of(x)
     if accountant is not None:

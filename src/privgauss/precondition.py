@@ -147,6 +147,11 @@ def precondition(x, budget: PrivacyBudget, beta, rng: RandomSource, accountant=N
     path on that ledger instead, the same noise charged there alone.
     Either way this call's charges total at most ``budget``.
 
+    The rows may hold any float64 values, NaN and inf included.  Each
+    stage takes a row it cannot use as its docstring states, so whether
+    the scan raises depends on the rows only through n and the released
+    values.
+
     A PrivGaussError raised mid-scan carries the trace built so far as its
     ``trace`` attribute: the completed steps, with ``final_map`` None.  The
     trace holds only released ratios, so attaching it is post-processing.

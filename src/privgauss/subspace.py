@@ -102,7 +102,7 @@ def _layout(d, k, psi, budget, beta):
     t_accuracy = math.ceil(
         T_SCALE * math.sqrt(d * k) * math.log(d * k / (budget.epsilon * budget.delta)) / budget.epsilon
     )
-    t = max(t_accuracy, ball_finder._layout(d, per_call, beta / q)[1], 2 * k + 2, 8)
+    t = max(t_accuracy, ball_finder.n_min(d, per_call, beta / q), 2 * k + 2, 8)
     cap = int(sys.float_info.max) // (t * q)
     # lo does not fit, and hi does once the doubling stops
     hi = linalg.MIN_ROWS_PER_DIM * d
@@ -165,6 +165,12 @@ def recover_subspace(x, k, gamma, psi, budget: PrivacyBudget, beta, rng: RandomS
     lambda_{k+1}(Sigma) / lambda_k(Sigma) < gamma^2.  The two phases
     (ball-finder centers, truncated noisy sums) each spend half the passed
     budget, so the ledger total stays within ``budget``.
+
+    The rows may hold any float64 values, NaN and inf included.  A
+    subsample whose Gram matrix has a non-finite entry is the zero matrix
+    (``linalg.MappedRows.gram_stack``), whose basis is the fixed
+    eigenvectors the eigensolver returns for zero: one row, whatever it
+    holds, still moves one subsample's point in each call.
     """
     rows = linalg.MappedRows.of(x)
     n, d = rows.shape

@@ -5,58 +5,13 @@ import math
 import numpy as np
 
 from privgauss import ball_finder, dp_core, eigenvalues, linalg, subspace
-from privgauss.errors import DegenerateSpectrum, InvalidArgument
+from privgauss.errors import InvalidArgument
 
 
 def reconstruct(vals, vecs):
     """V diag(lambda) V^T: the matrix that ``sym_eig``'s (values, vectors)
     decompose."""
     return (vecs * vals) @ vecs.T
-
-
-def condition_ratio(m, i, j):
-    """lambda_i / lambda_j of a symmetric matrix (1-based eigenvalue indices)."""
-    vals, _ = linalg.sym_eig(m)
-    d = len(vals)
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise InvalidArgument(f"indices ({i}, {j}) out of range [1, {d}]")
-    denom = vals[j - 1]
-    if denom <= 0.0:
-        raise DegenerateSpectrum(f"lambda_{j} = {denom} is not positive")
-    return float(vals[i - 1] / denom)
-
-
-def weyl_interval(n, r, i):
-    """Interval [lambda_i(N) + lambda_d(R), lambda_i(N) + lambda_1(R)].
-
-    By Weyl's inequality the i-th eigenvalue of N + R always lies inside;
-    used as a deterministic test oracle for perturbation claims.
-    """
-    a = linalg.as_sym_matrix(n)
-    b = linalg.as_sym_matrix(r)
-    if a.shape != b.shape:
-        raise InvalidArgument(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    if not 1 <= i <= d:
-        raise InvalidArgument(f"index {i} out of range [1, {d}]")
-    lam_n, _ = linalg.sym_eig(a)
-    lam_r, _ = linalg.sym_eig(b)
-    return float(lam_n[i - 1] + lam_r[-1]), float(lam_n[i - 1] + lam_r[0])
-
-
-def eigenvalue_band_check(m, truth_spectrum, k):
-    """True iff the top-k eigenvalues of ``m`` are within a factor 2 of the
-    truth's, given as ``sym_eig``'s (values, vectors) (a deterministic test
-    oracle, not a DP release)."""
-    truth, _ = truth_spectrum
-    d = len(truth)
-    if not 0 <= k <= d:
-        raise InvalidArgument(f"k={k} out of range [0, {d}]")
-    vals, _ = linalg.sym_eig(m)
-    for i in range(k):
-        if not (truth[i] / 2.0 <= vals[i] <= 2.0 * truth[i]):
-            return False
-    return True
 
 
 def bucket_of(v):

@@ -119,10 +119,9 @@ class TestRandomSource:
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
     def test_streams_are_numpys_spawned_sequences(self, seed):
-        # a stream seeds its generator from one uint32 array; its draws must
-        # be those of the SeedSequence NumPy builds from the seed and the
-        # path's key words, so a change in how NumPy assembles or coerces
-        # the entropy fails here
+        # a stream's draws must be those of the SeedSequence NumPy spawns
+        # from the seed with the path's key words, so a change in how a
+        # stream derives its key, or in how NumPy seeds from one, fails here
         paths = np.random.default_rng(seed % 2**32)
         for _ in range(60):
             path = tuple(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import condition_ratio, gram_stack_reference, reconstruct, weyl_interval
+from oracles import gram_stack_reference, reconstruct
 from privgauss import linalg
 from privgauss.errors import (
     DegenerateSpectrum,
@@ -326,48 +326,6 @@ class TestProjectors:
             p = linalg.top_k_projector(vecs, k)
             assert np.linalg.norm(p @ p - p) <= 1e-9
             assert abs(np.trace(p) - k) <= 1e-9 * d
-
-
-class TestConditionRatio:
-    def test_identity(self):
-        assert condition_ratio(np.eye(4), 1, 4) == pytest.approx(1.0)
-
-    def test_diag_ratio(self):
-        assert condition_ratio(np.diag([100.0, 1.0]), 2, 1) == pytest.approx(0.01)
-        assert condition_ratio(np.diag([1e12, 1.0]), 1, 2) == pytest.approx(1e12)
-
-    def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateSpectrum):
-            condition_ratio(np.diag([1.0, 0.0]), 1, 2)
-
-
-class TestWeyl:
-    def test_zero_perturbation(self):
-        lo, hi = weyl_interval(np.diag([5.0, 1.0]), np.zeros((2, 2)), 1)
-        assert (lo, hi) == (5.0, 5.0)
-
-    def test_identity_shift(self):
-        lo, hi = weyl_interval(np.diag([5.0, 1.0]), np.eye(2), 1)
-        assert (lo, hi) == (6.0, 6.0)
-
-    def test_mixed_perturbation(self):
-        lo, hi = weyl_interval(np.diag([5.0, 1.0]), np.diag([0.5, -0.5]), 2)
-        assert (lo, hi) == (0.5, 1.5)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            weyl_interval(np.eye(2), np.eye(3), 1)
-
-    def test_containment_200_random_pairs(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            d = int(rng.integers(1, 9))
-            n = random_symmetric(rng, d)
-            r = random_symmetric(rng, d)
-            lam_sum, _ = linalg.sym_eig(n + r)
-            for i in range(1, d + 1):
-                lo, hi = weyl_interval(n, r, i)
-                assert lo - 1e-9 <= lam_sum[i - 1] <= hi + 1e-9
 
 
 class TestPolarAndInverse:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import clipped_second_moment_reference, eigenvalue_band_check
+from oracles import clipped_second_moment_reference
 from privgauss import linalg, naive
 from privgauss.dp_core import Accountant, PrivacyBudget, RandomSource
 from privgauss.errors import BottomReleased, InsufficientSamples, InvalidArgument
@@ -295,28 +295,6 @@ class TestMappedRowsProbe:
         ref_moment, ref_dropped = clipped_second_moment(y, threshold)
         assert dropped == ref_dropped
         assert np.linalg.norm(moment - ref_moment) <= 1e-12 * np.linalg.norm(ref_moment)
-
-
-class TestEigenvalueBandCheck:
-    def test_exact_match(self):
-        truth = linalg.sym_eig(np.diag([4.0, 1.0]))
-        assert eigenvalue_band_check(np.diag([4.0, 1.0]), truth, 2)
-
-    def test_triple_fails(self):
-        truth = linalg.sym_eig(np.diag([4.0, 1.0]))
-        assert not eigenvalue_band_check(3.0 * np.diag([4.0, 1.0]), truth, 2)
-
-    def test_noisy_within_band(self):
-        d = 6
-        truth_mat = np.diag([8.0, 7.0, 6.0, 5.0, 4.0, 3.0])
-        truth = linalg.sym_eig(truth_mat)
-        sigma = truth[0][-1] / (8.0 * math.sqrt(d))
-        wins = 0
-        for seed in range(100):
-            noise = np.random.default_rng(seed).normal(scale=sigma, size=(d, d))
-            noise = np.triu(noise) + np.triu(noise, 1).T
-            wins += eigenvalue_band_check(truth_mat + noise, truth, d)
-        assert wins >= 95
 
 
 class TestNoClipCertificate:
